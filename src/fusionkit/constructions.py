@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo
-from .elements import Element, InvalidInputError, UnknownBasisError
+from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
 from .rings import BasedRing
 from .subrings import SubringEmbedding
 
@@ -455,11 +455,8 @@ def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
     def product(la: str, lb: str) -> Element:
         a1, a2 = decode(la)
         b1, b2 = decode(lb)
-        out = Element.zero()
-        for x, cx in r1.product(a1, b1).items():
-            for y, cy in r2.product(a2, b2).items():
-                out = out + (cx * cy) * Element.basis(make(x, y))
-        return out
+        return bilinear(lambda x, y: Element.basis(make(x, y)),
+                        r1.product(a1, b1), r2.product(a2, b2))
 
     def conj(la: str) -> str:
         a1, a2 = decode(la)
@@ -553,34 +550,33 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
                 f"unknown basis label {label!r} in {name}; "
                 "only labels discovered by enumeration resolve") from None
 
-    def word_product(u: Tuple, v: Tuple, guard: int) -> Element:
-        # each contraction strips a letter from both sides, so the total
-        # length strictly decreases; the guard makes that assumption fail
-        # loudly instead of looping
+    def word_product(u: Tuple, v: Tuple, guard: int, sums: dict) -> None:
+        # adds u·v into sums; each contraction strips a letter from both
+        # sides, so the total length strictly decreases; the guard makes that
+        # assumption fail loudly instead of looping
         if guard < 0:
             raise AssertionError("boundary contraction failed to terminate")
-        if not u:
-            return Element.basis(make(v))
-        if not v:
-            return Element.basis(make(u))
-        side_u, x = u[-1]
-        side_v, xp = v[0]
-        if side_u != side_v:
-            return Element.basis(make(u + v))
-        factor = factors[side_u]
-        out = Element.zero()
+        if not u or not v or u[-1][0] != v[0][0]:
+            label = make(u + v)
+            sums[label] = sums.get(label, 0) + 1
+            return
+        side, x = u[-1]
+        xp = v[0][1]
+        factor = factors[side]
         for t, coeff in factor.product(x, xp).items():
             if t == factor.unit:
                 continue
-            register_letter(side_u, t)
-            out = out + coeff * Element.basis(make(u[:-1] + ((side_u, t),) + v[1:]))
+            register_letter(side, t)
+            label = make(u[:-1] + ((side, t),) + v[1:])
+            sums[label] = sums.get(label, 0) + coeff
         if factor.conj(x) == xp:
-            out = out + word_product(u[:-1], v[1:], guard - 2)
-        return out
+            word_product(u[:-1], v[1:], guard - 2, sums)
 
     def product(la: str, lb: str) -> Element:
         u, v = decode(la), decode(lb)
-        return word_product(u, v, len(u) + len(v))
+        sums: dict = {}
+        word_product(u, v, len(u) + len(v), sums)
+        return Element.from_sums(sums)
 
     def conj(la: str) -> str:
         word = decode(la)
@@ -731,11 +727,10 @@ def semidirect_product(gamma: FiniteGroupPresentation, target: BasedRing,
         g1, x = decode(la)
         g2, xp = decode(lb)
         twist = act.perms[gamma.inv(g2)]
-        out = Element.zero()
         g12 = gamma.mul(g1, g2)
-        for z, coeff in target.product(twist[x], xp).items():
-            out = out + coeff * Element.basis(make(g12, z))
-        return out
+        # make(g12, ·) is injective, so no two terms share a label
+        return Element.from_sums({make(g12, z): coeff for z, coeff
+                                  in target.product(twist[x], xp).items()})
 
     def conj(la: str) -> str:
         g1, x = decode(la)

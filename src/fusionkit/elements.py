@@ -43,8 +43,11 @@ class Element:
     """Finitely supported Z-linear combination of basis labels.
 
     Zero coefficients are never stored, so two elements are equal iff their
-    term dictionaries are equal.  All arithmetic is exact; coefficients are
-    overflow-checked against the signed 64-bit range.
+    term dictionaries are equal.  All arithmetic is exact; every coefficient
+    an operation returns is overflow-checked against the signed 64-bit range.
+    Sums are accumulated in exact Python ints and only the final
+    coefficients are checked, so nothing wraps; an intermediate sum of mixed
+    signs may leave the range without raising when the final value fits.
     Instances are immutable after construction and safe to share.
     """
 
@@ -66,12 +69,36 @@ class Element:
         self._terms = data
 
     @classmethod
+    def from_sums(cls, sums: Mapping[str, int]) -> "Element":
+        """Trusted constructor from accumulated coefficients.
+
+        For sums computed inside the library from existing elements: labels
+        are not re-checked.  Zeros are dropped and each final coefficient is
+        range-checked with the same error as :func:`check_coeff`.
+        """
+        terms = {}
+        for label, c in sums.items():
+            if c:
+                if c > I64_MAX or c < I64_MIN:
+                    raise OverflowError(
+                        f"coefficient {c} exceeds the signed 64-bit range")
+                terms[label] = c
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def basis(cls, label: str, coeff: int = 1) -> "Element":
-        return cls(((label, coeff),))
+        check_coeff(coeff)
+        if not isinstance(label, str):
+            raise InvalidInputError(f"basis label {label!r} is not a string")
+        out = cls.__new__(cls)
+        out._terms = {label: coeff} if coeff else {}
+        return out
 
     @classmethod
     def zero(cls) -> "Element":
-        return cls()
+        return cls.from_sums({})
 
     def coeff(self, label: str) -> int:
         return self._terms.get(label, 0)
@@ -99,29 +126,29 @@ class Element:
 
     def map_basis(self, fn: Callable[[str], str]) -> "Element":
         """Relabel the support through ``fn``, merging any collisions."""
-        return Element((fn(label), c) for label, c in self._terms.items())
+        sums: dict = {}
+        for label, c in self._terms.items():
+            target = fn(label)
+            if not isinstance(target, str):
+                raise InvalidInputError(f"basis label {target!r} is not a string")
+            sums[target] = sums.get(target, 0) + c
+        return Element.from_sums(sums)
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self._terms)
+        sums = dict(self._terms)
         for label, c in other._terms.items():
-            acc = check_coeff(out.get(label, 0) + c)
-            if acc:
-                out[label] = acc
-            else:
-                out.pop(label, None)
-        res = Element.zero()
-        res._terms = out
-        return res
+            sums[label] = sums.get(label, 0) + c
+        return Element.from_sums(sums)
 
     def __neg__(self) -> "Element":
-        return Element((label, -c) for label, c in self._terms.items())
+        return Element.from_sums({label: -c for label, c in self._terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __rmul__(self, k: int) -> "Element":
         check_coeff(k)
-        return Element((label, check_coeff(k * c)) for label, c in self._terms.items())
+        return Element.from_sums({label: k * c for label, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
@@ -153,6 +180,29 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.format()})"
+
+
+def bilinear(rule: Callable[[str, str], Element], a: Element,
+             b: Element) -> Element:
+    """Σ cₐ·c_b·rule(x, y) over the terms cₐ·x of ``a`` and c_b·y of ``b``.
+
+    The one accumulation loop behind products and actions: terms are summed
+    into a single dict and become one Element at the end.  Pairs are visited
+    in label order, so when ``rule`` raises, the first failing pair is the
+    one named.
+    """
+    sums: dict = {}
+    get = sums.get
+    a_terms, b_terms = a._terms, b._terms
+    # most operands are single labels, which need no sort
+    b_labels = sorted(b_terms) if len(b_terms) > 1 else b_terms
+    for x in (sorted(a_terms) if len(a_terms) > 1 else a_terms):
+        ca = a_terms[x]
+        for y in b_labels:
+            k = ca * b_terms[y]
+            for z, c in rule(x, y)._terms.items():
+                sums[z] = get(z, 0) + k * c
+    return Element.from_sums(sums)
 
 
 def require_nonnegative(e: Element, context: str = "") -> Element:

@@ -92,12 +92,13 @@ def induce(n: BasedModule, c: DivisibilityCertificate, *,
 
     def action(alpha: str, label: str) -> Element:
         t, j = pairs[label]
-        out = Element.zero()
+        sums: Dict[str, int] = {}
         for i, coeff in amb.product(alpha, amb.conj(t)).items():
             ti, si = right_factor(i)
             for k, coeff2 in n.action(si, j).items():
-                out = out + (coeff * coeff2) * Element.basis(induced_label(ti, k))
-        return out
+                target = induced_label(ti, k)
+                sums[target] = sums.get(target, 0) + coeff * coeff2
+        return Element.from_sums(sums)
 
     doc = None
     if n.doc is not None and e.doc is not None:

@@ -10,7 +10,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .elements import Element, InvalidInputError, UnknownBasisError, require_nonnegative
+from .elements import (
+    Element,
+    InvalidInputError,
+    UnknownBasisError,
+    bilinear,
+    require_nonnegative,
+)
 from .rings import BasedRing, Verdict
 
 ActionLike = Union[Mapping[Tuple[str, str], Element], Callable[[str, str], Element]]
@@ -109,11 +115,6 @@ class BasedModule:
             return self.ring.basis_up_to_depth(depth)
         return self._window_fn(depth)
 
-    def contains(self, label: str) -> bool:
-        if self._basis is not None:
-            return label in self._basis_set
-        return self.ring.contains(label) if self._mirrors_ring else True
-
     def action(self, alpha: str, j: str) -> Element:
         """Decomposition of α ⊗ j over the module basis."""
         if self._basis is not None and j not in self._basis_set:
@@ -145,11 +146,7 @@ def standard_module(ring: BasedRing) -> BasedModule:
 
 def act(m: BasedModule, a: Element, v: Element) -> Element:
     """Bilinear extension of the module action."""
-    out = Element.zero()
-    for alpha, ca in a.items():
-        for j, cj in v.items():
-            out = out + ca * cj * m.action(alpha, j)
-    return out
+    return bilinear(m.action, a, v)
 
 
 def _bounded(m: BasedModule, depth: int) -> Optional[int]:
@@ -182,12 +179,14 @@ def check_module_axioms(m: BasedModule, depth: int = 4) -> Verdict:
                         f"{j} ⊂ {alpha}⊗{jp} is {forward} but "
                         f"{jp} ⊂ conj({alpha})⊗{j} is {backward}",
                         data=(alpha, j, jp))
+    single = {j: Element.basis(j) for j in window}
     for alpha in ring_window:
+        alpha_single = Element.basis(alpha)
         for beta in ring_window:
             decomposition = ring.product(alpha, beta)
             for j in window:
-                nested = act(m, Element.basis(alpha), m.action(beta, j))
-                flat = act(m, decomposition, Element.basis(j))
+                nested = act(m, alpha_single, m.action(beta, j))
+                flat = act(m, decomposition, single[j])
                 if nested != flat:
                     return Verdict.fails(
                         f"action associativity fails at ({alpha}, {beta}, {j}): "

@@ -7,14 +7,17 @@ multiplicative, conjugation-invariant dimension function makes it a fusion
 ring.  Bases are either finite and explicit, or lazy: generated on demand by
 closing a generator set under products, depth by depth.
 
-All values are immutable after construction.  The product cache tolerates
-concurrent readers; a duplicate fill computes the same value, so races are
-harmless.
+Concurrency: extending a lazy basis window is serialized by a per-ring lock,
+so concurrent ``basis_up_to_depth`` calls on one ring see the same levels as
+a serial run.  The product memo is a fill-on-read dict; a duplicate fill
+computes the same value.  The label registries that constructions fill on
+read (free-product words, pair labels) are not audited for concurrent use.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
@@ -23,6 +26,7 @@ from .elements import (
     Element,
     InvalidInputError,
     UnknownBasisError,
+    bilinear,
     require_nonnegative,
 )
 
@@ -149,6 +153,7 @@ class BasedRing:
         self._cache: dict = {}
         self._levels: list = [[unit]]
         self._level_seen = {unit}
+        self._levels_lock = threading.Lock()
 
     @property
     def is_finite(self) -> bool:
@@ -182,25 +187,22 @@ class BasedRing:
             return list(self._basis)
         if depth < 0:
             raise InvalidInputError("depth must be non-negative")
-        while len(self._levels) <= depth:
-            fresh = set()
-            for w in self._levels[-1]:
-                for g in self.generators:
-                    for label, _ in self.product(w, g).items():
-                        if label not in self._level_seen:
-                            fresh.add(label)
-            level = sorted(fresh)
-            self._level_seen.update(level)
-            self._levels.append(level)
+        with self._levels_lock:
+            while len(self._levels) <= depth:
+                fresh = set()
+                for w in self._levels[-1]:
+                    for g in self.generators:
+                        for label, _ in self.product(w, g).items():
+                            if label not in self._level_seen:
+                                fresh.add(label)
+                level = sorted(fresh)
+                self._level_seen.update(level)
+                self._levels.append(level)
+            levels = self._levels[: depth + 1]
         out: list = []
-        for level in self._levels[: depth + 1]:
+        for level in levels:
             out.extend(level)
         return out
-
-    def contains(self, label: str) -> bool:
-        if self._basis is not None:
-            return label in self._basis
-        return label in self._level_seen
 
     def same_as(self, other: "BasedRing") -> bool:
         """Identity, or equality of serialized definitions when both exist."""
@@ -217,11 +219,7 @@ class BasedRing:
 
 def tensor(ring: BasedRing, a: Element, b: Element) -> Element:
     """Bilinear extension of the fusion product to arbitrary elements."""
-    out = Element.zero()
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            out = out + ca * cb * ring.product(la, lb)
-    return out
+    return bilinear(ring.product, a, b)
 
 
 def conjugate(ring: BasedRing, a: Element) -> Element:
@@ -274,9 +272,10 @@ def check_ring_axioms(ring: BasedRing, depth: int = 4) -> Verdict:
                 return Verdict.fails(
                     f"conj({a} ⊗ {b}) = {lhs.format()} ≠ "
                     f"conj({b}) ⊗ conj({a}) = {rhs.format()}", data=(a, b))
+    single = {x: Element.basis(x) for x in window}
     for a, b, c in itertools.product(window, repeat=3):
-        left = tensor(ring, ring.product(a, b), Element.basis(c))
-        right = tensor(ring, Element.basis(a), ring.product(b, c))
+        left = tensor(ring, ring.product(a, b), single[c])
+        right = tensor(ring, single[a], ring.product(b, c))
         if left != right:
             return Verdict.fails(
                 f"associativity fails at ({a}, {b}, {c}): "

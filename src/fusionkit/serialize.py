@@ -295,7 +295,7 @@ def _ring_ref(ref: Any, base_dir: str) -> BasedRing:
     if isinstance(ref, str):
         return load(os.path.join(base_dir, ref), expect="ring")
     if isinstance(ref, dict):
-        return _load_ring_doc(ref, base_dir)
+        return _validated(_load_ring_doc(ref, base_dir), "ring", DEFAULT_DEPTH)
     raise LoadError(f"ring reference must be a path or inline document, "
                     f"got {type(ref).__name__}")
 
@@ -567,9 +567,13 @@ def load_doc(doc: Any, base_dir: str = ".", depth: int = DEFAULT_DEPTH,
         raise LoadError(f"unknown document kind {kind!r}")
     if expect is not None and actual != expect:
         raise LoadError(f"expected a {expect} document, loaded a {actual}")
+    return _validated(obj, actual, depth)
+
+
+def _validated(obj: Any, what: str, depth: int) -> Any:
     verdict = validation_verdict(obj, depth)
     if verdict.is_fails:
-        raise ValidationFailure(verdict, f"{actual} failed validation")
+        raise ValidationFailure(verdict, f"{what} failed validation")
     return obj
 
 

@@ -331,16 +331,17 @@ def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
             for s in sub_window:
                 i = blocks[(t, s)]
                 lhs = amb.product(e.embed(beta), i)
-                rhs = Element.zero()
+                sums: dict = {}
                 complete = True
                 for sp, coeff in sub.product(beta, s).items():
                     target = blocks.get((t, sp))
                     if target is None:
                         complete = False
                         break
-                    rhs = rhs + coeff * Element.basis(target)
+                    sums[target] = sums.get(target, 0) + coeff
                 if not complete:
                     continue  # escapes the verified window; bounded check
+                rhs = Element.from_sums(sums)
                 if lhs != rhs:
                     return Verdict.fails(
                         f"sub action is not block regular at "

@@ -2,10 +2,12 @@
 
 These stay deliberately naive and separate from the library code paths:
 polynomial character arithmetic for the Clebsch-Gordan rules, free-word
-reduction for the infinite dihedral group, and plain-integer character
-convolution.
+reduction for the infinite dihedral group, plain-integer character
+convolution, cyclic and permutation arithmetic on labels, and a Counter
+fold for bilinear extensions.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 
@@ -146,3 +148,55 @@ def s3_fusion_oracle(a, b):
         if value:
             out[c] = int(value)
     return out
+
+
+# --- bilinear extension: a Counter fold over a rule returning {label: coeff}
+
+def bilinear_oracle(rule, a, b):
+    """Σ a[x]·b[y]·rule(x, y) over plain dicts, zeros dropped."""
+    total = Counter()
+    for x, ca in a.items():
+        for y, cb in b.items():
+            for z, c in rule(x, y).items():
+                total[z] += ca * cb * c
+    return {z: c for z, c in total.items() if c}
+
+
+# --- Z/n on labels e, a, a2, ..., a{n-1}
+
+def cyclic_exponent(label):
+    return 0 if label == "e" else int(label[1:] or 1)
+
+
+def cyclic_label(k):
+    return "e" if k == 0 else ("a" if k == 1 else f"a{k}")
+
+
+def cyclic_mul_oracle(n):
+    def rule(x, y):
+        return {cyclic_label((cyclic_exponent(x) + cyclic_exponent(y)) % n): 1}
+    return rule
+
+
+# --- S3 on words in r = (1 2 0) and t = (1 0 2); the word "rt" acts by t
+#     first, then r
+
+S3_GENERATORS = {"r": (1, 2, 0), "t": (1, 0, 2)}
+
+
+def word_permutation(word):
+    perm = (0, 1, 2)
+    for letter in reversed("" if word == "e" else word):
+        step = S3_GENERATORS[letter]
+        perm = tuple(step[i] for i in perm)
+    return perm
+
+
+def s3_mul_oracle(labels):
+    """Composition of words, labeled by whichever of ``labels`` matches."""
+    by_perm = {word_permutation(w): w for w in labels}
+
+    def rule(x, y):
+        px, py = word_permutation(x), word_permutation(y)
+        return {by_perm[tuple(px[i] for i in py)]: 1}
+    return rule

@@ -374,6 +374,35 @@ def test_cli_validate_bad_module(files, capsys):
     assert "associativity" in out
 
 
+IDEMPOTENT_RING = {
+    "kind": "explicit_ring", "basis": ["e", "a"], "unit": "e",
+    "conj": {"e": "e", "a": "a"}, "dim": {"e": 1, "a": 1},
+    "fusion": [["a", "a", {"a": 1}]],
+}
+TRIVIAL_RING = {
+    "kind": "explicit_ring", "basis": ["e"], "unit": "e",
+    "conj": {"e": "e"}, "dim": {"e": 1}, "fusion": [],
+}
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_cli_validate_embedding_into_invalid_ring(inline, tmp_path, capsys):
+    # a ⊗ a = a breaks the unit axiom; inline and by-path refs both validate
+    (tmp_path / "idem.json").write_text(json.dumps(IDEMPOTENT_RING))
+    emb = {"kind": "embedding", "sub": TRIVIAL_RING,
+           "ambient": IDEMPOTENT_RING if inline else "idem.json",
+           "map": {"e": "e"}}
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(emb))
+    code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"]["status"] == "fails"
+    assert doc["verdict"]["witness"] == (
+        "unit coefficient of conj(a) ⊗ a is 0, expected 1")
+    assert doc["result"] == {"error": "ring failed validation"}
+
+
 def test_cli_usage_error(capsys):
     code, _, err = run_cli(capsys, "definitely-not-a-command")
     assert code == 3

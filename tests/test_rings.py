@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from fusionkit import (
     explicit_ring,
     free_product,
     group_ring,
+    su2_ring,
     tensor,
 )
 from oracles import cg_tensor_oracle, dihedral_mul, dihedral_words
@@ -157,3 +160,60 @@ def test_concurrent_product_reads_are_safe():
             lambda mn: (mn, shared.product(f"x{mn[0]}", f"x{mn[1]}")), jobs))
     for (m, n), value in results:
         assert value == expected[(m, n)]
+
+
+def modular_group_ring():
+    """Z2 ∗ Z3, whose window grows as 1, 3, 4, 6, 8, 12, 16, 24, ..."""
+    return free_product(group_ring(cyclic_group(2, generator="g")),
+                        group_ring(cyclic_group(3))).ring
+
+
+def test_concurrent_window_extension_matches_serial():
+    depth = 7
+    serial = modular_group_ring()
+    expected = serial.basis_up_to_depth(depth)
+    shared = modular_group_ring()
+    start = threading.Barrier(8)
+    results = []
+
+    def extend():
+        start.wait(timeout=30)
+        results.append(shared.basis_up_to_depth(depth))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(window == expected for window in results)
+    assert [len(level) for level in shared._levels] == [1, 3, 4, 6, 8, 12, 16, 24]
+    assert shared.basis_up_to_depth(depth) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["Z2*Z3", "D_inf", "SU2"]),
+       st.lists(st.integers(0, 6), min_size=1, max_size=5))
+def test_window_is_prefix_closed_and_duplicate_free(name, depths):
+    def build():
+        if name == "Z2*Z3":
+            return modular_group_ring()
+        if name == "SU2":
+            return su2_ring()
+        return free_product(group_ring(cyclic_group(2, generator="g")),
+                            group_ring(cyclic_group(2, generator="h"))).ring
+
+    ring = build()
+    for d in depths:  # extend the window in an arbitrary order first
+        ring.basis_up_to_depth(d)
+    for d in range(7):
+        window = ring.basis_up_to_depth(d)
+        assert len(set(window)) == len(window)
+        assert ring.basis_up_to_depth(d + 1)[: len(window)] == window
+        assert window == build().basis_up_to_depth(d)
