@@ -11,7 +11,6 @@ document byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
@@ -37,7 +36,9 @@ from .serialize import (
     content_hash,
     explicit_module_doc,
     load_doc,
-    validation_verdict,
+    load_session,
+    loaded_verdict,
+    read_doc,
 )
 from .subrings import DivisibilityCertificate, SubringEmbedding, find_divisibility_certificate, verify_certificate
 
@@ -151,13 +152,7 @@ class _Session:
         self.rings: List[BasedRing] = []
 
     def load(self, path: str, role: str, expect: Optional[str] = None) -> Any:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise LoadError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"cannot parse {path}: {exc}") from exc
+        doc = read_doc(path)
         self.inputs[role] = {"path": path, "hash": content_hash(doc)}
         obj = load_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)),
                        depth=self.depth, expect=expect)
@@ -235,8 +230,7 @@ def _resolve_label(ring: BasedRing, label: str, depth: int) -> str:
 
 def _cmd_validate(args, session: _Session) -> Tuple[Optional[Verdict], dict, Optional[str]]:
     obj = session.load(args.file, "file")
-    verdict = validation_verdict(obj, args.depth)
-    return verdict, {"object": type(obj).__name__}, None
+    return loaded_verdict(obj), {"object": type(obj).__name__}, None
 
 
 def _cmd_product(args, session: _Session):
@@ -401,10 +395,11 @@ def cli_dispatch(argv: List[str]) -> int:
         cache = ProductCache(cache_dir)
     session = _Session(args.depth, cache)
     try:
-        try:
-            verdict, result, highlight = _HANDLERS[args.command](args, session)
-        finally:
-            session.finish()
+        with load_session():
+            try:
+                verdict, result, highlight = _HANDLERS[args.command](args, session)
+            finally:
+                session.finish()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -420,7 +415,7 @@ def cli_dispatch(argv: List[str]) -> int:
         _emit(document, args.json)
         return verdict.exit_code()
     except (LoadError, InvalidInputError, UnknownBasisError,
-            CertificateDepthError) as exc:
+            CertificateDepthError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     document = _document(args.command, _argument_doc(args), session,

@@ -3,7 +3,8 @@
 Definition files are JSON documents with a top-level ``kind``.  Loading
 fully validates the object (ring axioms, module axioms, embedding closure,
 certificate invariants) at a configurable depth; a failed validation raises
-with the witness.  Unknown fields are rejected.  Fusion and action tables
+with the witness.  Within one load session a definition reached again, by
+path or inline, is built and validated once.  Unknown fields are rejected.  Fusion and action tables
 must list every non-unit pair: unlisted pairs are undefined, never zero;
 products with the unit are implied by the schema.
 """
@@ -13,19 +14,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from .census import CensusResult
 from .constructions import (
     CharacterTable,
     FiniteGroupPresentation,
     RingAutomorphismAction,
+    RingWithFactorEmbeddings,
+    SemidirectProductRing,
     direct_product,
     free_product,
     group_ring,
     rep_ring,
     semidirect_product,
+    so3_ring,
     so3_subring,
     su2_ring,
 )
@@ -75,8 +81,42 @@ def content_hash(doc: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
 
 
-def _require_keys(doc: dict, required: set, optional: set, what: str) -> None:
-    keys = set(doc)
+def _is(value: Any, kind: type) -> bool:
+    """isinstance, except that a JSON boolean is not an integer."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _typed(value: Any, kind: type, what: str, each: Optional[type] = None) -> Any:
+    """Schema-boundary type check: ``value`` is a JSON ``kind`` and, with
+    ``each``, so is every list item or object value.  Returns ``value``."""
+    items = value.values() if isinstance(value, dict) else value
+    if not _is(value, kind) or (each is not None
+                                and not all(_is(v, each) for v in items)):
+        of = f" of {each.__name__}" if each is not None else ""
+        raise LoadError(f"{what}: expected {kind.__name__}{of}")
+    return value
+
+
+def _row(value: Any, kinds: Tuple[type, ...], what: str) -> list:
+    """A fixed-length list entry, such as a fusion triple, checked item by
+    item; ``what`` names the expected form."""
+    if not (_is(value, list) and len(value) == len(kinds)
+            and all(map(_is, value, kinds))):
+        raise LoadError(what)
+    return value
+
+
+def _build(what: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, with an input error raised as a LoadError
+    prefixed by ``what``."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise LoadError(f"{what}: {exc}") from exc
+
+
+def _require_keys(doc: Any, required: set, optional: set, what: str) -> None:
+    keys = set(_typed(doc, dict, what))
     missing = required - keys
     if missing:
         raise LoadError(f"{what}: missing fields {sorted(missing)}")
@@ -86,16 +126,13 @@ def _require_keys(doc: dict, required: set, optional: set, what: str) -> None:
 
 
 def _as_fraction(value: Any, what: str) -> Fraction:
-    if isinstance(value, bool):
-        raise LoadError(f"{what}: booleans are not numbers")
-    if isinstance(value, int):
+    if _is(value, int):
         return Fraction(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) for v in value)):
-        if value[1] == 0:
-            raise LoadError(f"{what}: zero denominator")
-        return Fraction(value[0], value[1])
-    raise LoadError(f"{what}: expected integer or [numerator, denominator]")
+    num, den = _row(value, (int, int),
+                    f"{what}: expected integer or [numerator, denominator]")
+    if den == 0:
+        raise LoadError(f"{what}: zero denominator")
+    return Fraction(num, den)
 
 
 def _fraction_doc(q: Fraction) -> Any:
@@ -103,20 +140,11 @@ def _fraction_doc(q: Fraction) -> Any:
 
 
 def _as_element(doc: Any, what: str) -> Element:
-    if not isinstance(doc, dict):
-        raise LoadError(f"{what}: expected an object of label → coefficient")
-    for label, coeff in doc.items():
-        if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise LoadError(f"{what}: coefficient of {label!r} must be an integer")
-    return Element(doc)
+    return Element(_typed(doc, dict, what, int))
 
 
 def _as_cyclo(doc: Any, what: str) -> Cyclo:
-    if isinstance(doc, bool):
-        raise LoadError(f"{what}: booleans are not character values")
-    if isinstance(doc, int):
-        return Cyclo.from_rational(doc)
-    if isinstance(doc, list):
+    if _is(doc, int) or isinstance(doc, list):
         return Cyclo.from_rational(_as_fraction(doc, what))
     if isinstance(doc, dict):
         if set(doc) == {"re", "im"}:
@@ -124,10 +152,12 @@ def _as_cyclo(doc: Any, what: str) -> Cyclo:
                                    _as_fraction(doc["im"], what))
         if set(doc) == {"zeta", "coeffs"}:
             n = doc["zeta"]
-            if not isinstance(n, int) or n < 1:
+            if not _is(n, int) or n < 1:
                 raise LoadError(f"{what}: zeta order must be a positive integer")
             coeffs = {}
-            for exp, val in doc["coeffs"].items():
+            for exp, val in _typed(doc["coeffs"], dict, f"{what}: coeffs").items():
+                if not exp.removeprefix("-").isdecimal():
+                    raise LoadError(f"{what}: exponent {exp!r} is not an integer")
                 coeffs[int(exp)] = _as_fraction(val, what)
             return Cyclo(n, coeffs)
     raise LoadError(f"{what}: unrecognized character value {doc!r}")
@@ -136,35 +166,30 @@ def _as_cyclo(doc: Any, what: str) -> Cyclo:
 # ---------------------------------------------------------------------------
 # rings
 
-def _load_explicit_ring(doc: dict) -> BasedRing:
+def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
     _require_keys(doc, {"kind", "basis", "unit", "conj", "dim", "fusion"},
                   {"name"}, "explicit_ring")
-    basis = doc["basis"]
-    if (not isinstance(basis, list) or not basis
-            or not all(isinstance(b, str) for b in basis)):
+    basis = _typed(doc["basis"], list, "explicit_ring: basis", str)
+    if not basis:
         raise LoadError("explicit_ring: basis must be a non-empty list of labels")
     basis_set = set(basis)
-    unit = doc["unit"]
+    unit = _typed(doc["unit"], str, "explicit_ring: unit")
     if unit not in basis_set:
         raise LoadError(f"explicit_ring: unit {unit!r} not in basis")
-    conj = doc["conj"]
-    if not isinstance(conj, dict) or set(conj) != basis_set:
+    conj = _typed(doc["conj"], dict, "explicit_ring: conj", str)
+    if set(conj) != basis_set:
         raise LoadError("explicit_ring: conj must map every basis label")
     for a, b in conj.items():
         if b not in basis_set:
             raise LoadError(f"explicit_ring: conj({a!r}) = {b!r} is unknown")
-    dim = {label: _as_fraction(value, f"dim[{label}]")
-           for label, value in doc["dim"].items()}
+    dim = {label: _as_fraction(value, f"dim[{label}]") for label, value
+           in _typed(doc["dim"], dict, "explicit_ring: dim").items()}
     if set(dim) != basis_set:
         raise LoadError("explicit_ring: dim must map every basis label")
     fusion: Dict[Tuple[str, str], Element] = {}
-    triples = doc["fusion"]
-    if not isinstance(triples, list):
-        raise LoadError("explicit_ring: fusion must be a list of triples")
-    for triple in triples:
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise LoadError("explicit_ring: fusion entries are [a, b, {label: coeff}]")
-        a, b, value = triple
+    for triple in _typed(doc["fusion"], list, "explicit_ring: fusion"):
+        a, b, value = _row(triple, (str, str, dict), "explicit_ring: fusion "
+                           "entries are [a, b, {label: coeff}]")
         if a not in basis_set or b not in basis_set:
             raise LoadError(f"explicit_ring: fusion pair ({a!r}, {b!r}) "
                             "references unknown labels")
@@ -202,37 +227,32 @@ def _load_explicit_ring(doc: dict) -> BasedRing:
                          doc=normalized)
 
 
-def _load_group(doc: dict, what: str) -> FiniteGroupPresentation:
+def _load_group(doc: Any, what: str) -> FiniteGroupPresentation:
     _require_keys(doc, {"elements", "mult"}, set(), what)
-    elements = doc["elements"]
+    elements = _typed(doc["elements"], list, f"{what}.elements", str)
     mult = {}
-    for triple in doc["mult"]:
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise LoadError(f"{what}: mult entries are [a, b, ab]")
-        a, b, c = triple
+    for triple in _typed(doc["mult"], list, f"{what}.mult"):
+        a, b, c = _row(triple, (str, str, str), f"{what}: mult entries are "
+                       "[a, b, ab]")
         mult[(a, b)] = c
-    try:
-        return FiniteGroupPresentation(elements, mult)
-    except InvalidInputError as exc:
-        raise LoadError(f"{what}: {exc}") from exc
+    return _build(what, FiniteGroupPresentation, elements, mult)
 
 
-def _load_character_table(doc: dict, what: str) -> CharacterTable:
+def _load_character_table(doc: Any, what: str) -> CharacterTable:
     _require_keys(doc, {"classes", "irreps"}, set(), what)
     classes = []
-    for entry in doc["classes"]:
+    for entry in _typed(doc["classes"], list, f"{what}.classes"):
         _require_keys(entry, {"label", "size"}, set(), f"{what}.classes")
-        classes.append((entry["label"], entry["size"]))
+        classes.append((_typed(entry["label"], str, f"{what}.classes label"),
+                        entry["size"]))
     irreps = []
-    for entry in doc["irreps"]:
+    for entry in _typed(doc["irreps"], list, f"{what}.irreps"):
         _require_keys(entry, {"label", "values"}, set(), f"{what}.irreps")
-        values = [_as_cyclo(v, f"{what}.{entry['label']}")
-                  for v in entry["values"]]
-        irreps.append((entry["label"], values))
-    try:
-        return CharacterTable(classes, irreps)
-    except InvalidInputError as exc:
-        raise LoadError(f"{what}: {exc}") from exc
+        label = _typed(entry["label"], str, f"{what}.irreps label")
+        values = [_as_cyclo(v, f"{what}.{label}")
+                  for v in _typed(entry["values"], list, f"{what}.{label}")]
+        irreps.append((label, values))
+    return _build(what, CharacterTable, classes, irreps)
 
 
 _CONSTRUCT_KEYS = {
@@ -246,112 +266,85 @@ _CONSTRUCT_KEYS = {
 }
 
 
-def _load_construct_ring(doc: dict, base_dir: str) -> BasedRing:
+def _construction(doc: Any) -> str:
+    """Check a construct document's fields; returns the construction name."""
     _require_keys(doc, {"kind", "construct"},
-                  {"group", "character_table", "left", "right", "target",
-                   "action"}, "construct")
-    ctor = doc["construct"]
+                  set().union(*_CONSTRUCT_KEYS.values()), "construct")
+    ctor = _typed(doc["construct"], str, "construct: construction")
     if ctor not in _CONSTRUCT_KEYS:
         raise LoadError(f"construct: unknown construction {ctor!r}")
     present = set(doc) - {"kind", "construct"}
     if present != _CONSTRUCT_KEYS[ctor]:
         raise LoadError(f"construct {ctor}: expected fields "
                         f"{sorted(_CONSTRUCT_KEYS[ctor])}, got {sorted(present)}")
+    return ctor
+
+
+def _pair_product(doc: dict, base_dir: str) -> RingWithFactorEmbeddings:
+    """A direct or free product construct, built from its two factors."""
+    build = (direct_product if doc["construct"] == "direct_product"
+             else free_product)
+    return build(_ref(doc["left"], "ring", base_dir),
+                 _ref(doc["right"], "ring", base_dir))
+
+
+def _semidirect(doc: dict, base_dir: str, what: str) -> SemidirectProductRing:
+    gamma = _load_group(doc["group"], f"{what}.group")
+    target = _ref(doc["target"], "ring", base_dir)
+    perms = {g: dict(_typed(p, dict, f"{what}: action of {g}", str))
+             for g, p in _typed(doc["action"], dict, f"{what}: action").items()}
+    return _build(what, semidirect_product, gamma, target,
+                  RingAutomorphismAction(gamma, perms))
+
+
+def _load_construct_ring(doc: dict, base_dir: str) -> BasedRing:
+    ctor = _construction(doc)
     if ctor == "group_ring":
         return group_ring(_load_group(doc["group"], "group_ring.group"))
     if ctor == "rep_ring":
-        try:
-            return rep_ring(_load_character_table(doc["character_table"],
-                                                  "rep_ring.character_table"))
-        except InvalidInputError as exc:
-            raise LoadError(f"rep_ring: {exc}") from exc
+        return _build("rep_ring", rep_ring, _load_character_table(
+            doc["character_table"], "rep_ring.character_table"))
     if ctor == "su2":
         return su2_ring()
     if ctor == "so3":
-        from .constructions import so3_ring
         return so3_ring()
     if ctor in ("direct_product", "free_product"):
-        left = _ring_ref(doc["left"], base_dir)
-        right = _ring_ref(doc["right"], base_dir)
-        result = (direct_product if ctor == "direct_product"
-                  else free_product)(left, right)
-        return result.ring
-    assert ctor == "semidirect_product"
-    gamma = _load_group(doc["group"], "semidirect_product.group")
-    target = _ring_ref(doc["target"], base_dir)
-    action_doc = doc["action"]
-    if not isinstance(action_doc, dict):
-        raise LoadError("semidirect_product: action must map group elements "
-                        "to basis permutations")
-    perms = {g: dict(p) for g, p in action_doc.items()}
-    act = RingAutomorphismAction(gamma, perms)
-    try:
-        return semidirect_product(gamma, target, act).ring
-    except InvalidInputError as exc:
-        raise LoadError(f"semidirect_product: {exc}") from exc
-
-
-def _ring_ref(ref: Any, base_dir: str) -> BasedRing:
-    if isinstance(ref, str):
-        return load(os.path.join(base_dir, ref), expect="ring")
-    if isinstance(ref, dict):
-        return _validated(_load_ring_doc(ref, base_dir), "ring", DEFAULT_DEPTH)
-    raise LoadError(f"ring reference must be a path or inline document, "
-                    f"got {type(ref).__name__}")
-
-
-def _load_ring_doc(doc: dict, base_dir: str) -> BasedRing:
-    kind = doc.get("kind")
-    if kind == "explicit_ring":
-        return _load_explicit_ring(doc)
-    if kind == "construct":
-        return _load_construct_ring(doc, base_dir)
-    raise LoadError(f"expected a ring document, found kind {kind!r}")
+        return _pair_product(doc, base_dir).ring
+    return _semidirect(doc, base_dir, "semidirect_product").ring
 
 
 # ---------------------------------------------------------------------------
 # modules
 
-def _module_ref(ref: Any, base_dir: str) -> BasedModule:
-    if isinstance(ref, str):
-        return load(os.path.join(base_dir, ref), expect="module")
-    if isinstance(ref, dict):
-        return _load_module_doc(ref, base_dir)
-    raise LoadError("module reference must be a path or inline document")
-
-
 def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
-    if doc.get("kind") != "module":
-        raise LoadError(f"expected a module document, found kind {doc.get('kind')!r}")
     if "standard_of" in doc:
         _require_keys(doc, {"kind", "standard_of"}, set(), "module")
-        return standard_module(_ring_ref(doc["standard_of"], base_dir))
+        return standard_module(_ref(doc["standard_of"], "ring", base_dir))
     if "induced" in doc:
         _require_keys(doc, {"kind", "induced"}, {"provenance"}, "module")
         inner = doc["induced"]
         _require_keys(inner, {"source", "certificate"}, set(), "module.induced")
-        source = _module_ref(inner["source"], base_dir)
-        cert = _certificate_ref(inner["certificate"], base_dir)
+        source = _ref(inner["source"], "module", base_dir)
+        cert = _ref(inner["certificate"], "certificate", base_dir)
         return induce(source, cert)
     if "restricted" in doc:
         _require_keys(doc, {"kind", "restricted"}, set(), "module")
         inner = doc["restricted"]
         _require_keys(inner, {"source", "embedding"}, set(), "module.restricted")
-        source = _module_ref(inner["source"], base_dir)
-        embedding = _embedding_ref(inner["embedding"], base_dir)
+        source = _ref(inner["source"], "module", base_dir)
+        embedding = _ref(inner["embedding"], "embedding", base_dir)
         return restrict(source, embedding)
     _require_keys(doc, {"kind", "ring", "basis", "action"}, {"name", "dim"},
                   "module")
-    ring = _ring_ref(doc["ring"], base_dir)
-    basis = doc["basis"]
-    if not isinstance(basis, list) or not basis:
+    ring = _ref(doc["ring"], "ring", base_dir)
+    basis = _typed(doc["basis"], list, "module: basis", str)
+    if not basis:
         raise LoadError("module: basis must be a non-empty list of labels")
     basis_set = set(basis)
     table: Dict[Tuple[str, str], Element] = {}
-    for triple in doc["action"]:
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise LoadError("module: action entries are [alpha, j, {label: coeff}]")
-        alpha, j, value = triple
+    for triple in _typed(doc["action"], list, "module: action"):
+        alpha, j, value = _row(triple, (str, str, dict), "module: action "
+                               "entries are [alpha, j, {label: coeff}]")
         if j not in basis_set:
             raise LoadError(f"module: action references unknown module label {j!r}")
         if ring.is_finite and alpha not in ring.basis:
@@ -373,14 +366,11 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
     }
     if "name" in doc:
         normalized["name"] = doc["name"]
-    try:
-        module = BasedModule(ring=ring, basis=basis, action=table,
-                             name=doc.get("name", "module"), doc=normalized)
-    except InvalidInputError as exc:
-        raise LoadError(f"module: {exc}") from exc
+    module = _build("module", BasedModule, ring=ring, basis=basis, action=table,
+                    name=doc.get("name", "module"), doc=normalized)
     if "dim" in doc:
-        dims = {j: _as_fraction(value, f"module dim[{j}]")
-                for j, value in doc["dim"].items()}
+        dims = {j: _as_fraction(value, f"module dim[{j}]") for j, value
+                in _typed(doc["dim"], dict, "module: dim").items()}
         if set(dims) != basis_set:
             raise LoadError("module: dim must cover exactly the module basis")
         _check_module_dimension(module, dims)
@@ -414,120 +404,117 @@ def _check_module_dimension(module: BasedModule, dims: Dict[str, Fraction]) -> N
 # ---------------------------------------------------------------------------
 # embeddings and certificates
 
-_CANONICAL_EMBEDDINGS = {"so3_in_su2", "identity", "direct_left", "direct_right",
-                         "free_left", "free_right", "semidirect_group",
-                         "semidirect_target"}
-
-
-def _embedding_ref(ref: Any, base_dir: str) -> SubringEmbedding:
-    if isinstance(ref, str):
-        return load(os.path.join(base_dir, ref), expect="embedding")
-    if isinstance(ref, dict):
-        return _load_embedding_doc(ref, base_dir)
-    raise LoadError("embedding reference must be a path or inline document")
+# canonical embedding → the construction its ambient must be
+_CANONICAL_AMBIENT = {
+    "direct_left": "direct_product", "direct_right": "direct_product",
+    "free_left": "free_product", "free_right": "free_product",
+    "semidirect_group": "semidirect_product",
+    "semidirect_target": "semidirect_product"}
 
 
 def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
-    if doc.get("kind") != "embedding":
-        raise LoadError(f"expected an embedding document, found kind "
-                        f"{doc.get('kind')!r}")
     if "canonical" in doc:
-        name = doc["canonical"]
-        if name not in _CANONICAL_EMBEDDINGS:
-            raise LoadError(f"embedding: unknown canonical form {name!r}")
+        name = _typed(doc["canonical"], str, "embedding: canonical")
         if name == "so3_in_su2":
             _require_keys(doc, {"kind", "canonical"}, set(), "embedding")
             return so3_subring()
         if name == "identity":
             _require_keys(doc, {"kind", "canonical", "ring"}, set(), "embedding")
-            return identity_embedding(_ring_ref(doc["ring"], base_dir))
+            return identity_embedding(_ref(doc["ring"], "ring", base_dir))
+        if name not in _CANONICAL_AMBIENT:
+            raise LoadError(f"embedding: unknown canonical form {name!r}")
         _require_keys(doc, {"kind", "canonical", "ambient"}, set(), "embedding")
-        ambient_doc = doc["ambient"]
+        ambient_doc, needed = doc["ambient"], _CANONICAL_AMBIENT[name]
         if not (isinstance(ambient_doc, dict)
-                and ambient_doc.get("kind") == "construct"):
-            raise LoadError(f"embedding {name}: ambient must be a construct "
-                            "document")
-        ctor = ambient_doc.get("construct")
-        if name in ("direct_left", "direct_right"):
-            if ctor != "direct_product":
-                raise LoadError(f"embedding {name} needs a direct_product ambient")
-            result = direct_product(_ring_ref(ambient_doc["left"], base_dir),
-                                    _ring_ref(ambient_doc["right"], base_dir))
-            return result.left if name == "direct_left" else result.right
-        if name in ("free_left", "free_right"):
-            if ctor != "free_product":
-                raise LoadError(f"embedding {name} needs a free_product ambient")
-            result = free_product(_ring_ref(ambient_doc["left"], base_dir),
-                                  _ring_ref(ambient_doc["right"], base_dir))
-            return result.left if name == "free_left" else result.right
-        if ctor != "semidirect_product":
-            raise LoadError(f"embedding {name} needs a semidirect_product ambient")
-        gamma = _load_group(ambient_doc["group"], "embedding.group")
-        target = _ring_ref(ambient_doc["target"], base_dir)
-        act = RingAutomorphismAction(
-            gamma, {g: dict(p) for g, p in ambient_doc["action"].items()})
-        try:
-            result = semidirect_product(gamma, target, act)
-        except InvalidInputError as exc:
-            raise LoadError(f"embedding {name}: {exc}") from exc
-        return (result.group_embedding if name == "semidirect_group"
-                else result.target_embedding)
+                and ambient_doc.get("kind") == "construct"
+                and _construction(ambient_doc) == needed):
+            raise LoadError(f"embedding {name} needs a {needed} construct "
+                            "as its ambient")
+        if needed == "semidirect_product":
+            result = _semidirect(ambient_doc, base_dir, f"embedding {name}")
+            return (result.group_embedding if name == "semidirect_group"
+                    else result.target_embedding)
+        pair = _pair_product(ambient_doc, base_dir)
+        return pair.left if name.endswith("_left") else pair.right
     _require_keys(doc, {"kind", "sub", "ambient", "map"}, {"name"}, "embedding")
-    sub = _ring_ref(doc["sub"], base_dir)
-    ambient = _ring_ref(doc["ambient"], base_dir)
-    mapping = doc["map"]
-    if not isinstance(mapping, dict):
-        raise LoadError("embedding: map must be an object of sub → ambient labels")
+    sub = _ref(doc["sub"], "ring", base_dir)
+    ambient = _ref(doc["ambient"], "ring", base_dir)
+    mapping = _typed(doc["map"], dict, "embedding: map", str)
     normalized = {"kind": "embedding", "sub": sub.doc, "ambient": ambient.doc,
                   "map": {k: mapping[k] for k in sorted(mapping)}}
     if "name" in doc:
         normalized["name"] = doc["name"]
-    try:
-        return SubringEmbedding(sub=sub, ambient=ambient, mapping=mapping,
-                                name=doc.get("name", "embedding"),
-                                doc=normalized)
-    except InvalidInputError as exc:
-        raise LoadError(f"embedding: {exc}") from exc
-
-
-def _certificate_ref(ref: Any, base_dir: str) -> DivisibilityCertificate:
-    if isinstance(ref, str):
-        return load(os.path.join(base_dir, ref), expect="certificate")
-    if isinstance(ref, dict):
-        return _load_certificate_doc(ref, base_dir)
-    raise LoadError("certificate reference must be a path or inline document")
+    return _build("embedding", SubringEmbedding, sub=sub, ambient=ambient,
+                  mapping=mapping, name=doc.get("name", "embedding"),
+                  doc=normalized)
 
 
 def _load_certificate_doc(doc: dict, base_dir: str) -> DivisibilityCertificate:
-    if doc.get("kind") != "certificate":
-        raise LoadError(f"expected a certificate document, found kind "
-                        f"{doc.get('kind')!r}")
     _require_keys(doc, {"kind", "embedding", "classes", "factorization",
                         "verified_depth"}, {"exhaustive"}, "certificate")
-    embedding = _embedding_ref(doc["embedding"], base_dir)
-    classes = doc["classes"]
-    if not (isinstance(classes, list) and classes
-            and all(isinstance(c, str) for c in classes)):
+    embedding = _ref(doc["embedding"], "embedding", base_dir)
+    classes = _typed(doc["classes"], list, "certificate: classes", str)
+    if not classes:
         raise LoadError("certificate: classes must be a non-empty list of "
                         "representative labels")
-    factorization = {}
-    for label, pair in doc["factorization"].items():
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise LoadError("certificate: factorization entries are [class, sub]")
-        factorization[label] = (pair[0], pair[1])
+    factorization = {
+        label: tuple(_row(pair, (str, str), "certificate: factorization "
+                          "entries are [class, sub]"))
+        for label, pair in _typed(doc["factorization"], dict,
+                                  "certificate: factorization").items()}
     depth = doc["verified_depth"]
-    if not isinstance(depth, int) or depth < 1:
+    if not _is(depth, int) or depth < 1:
         raise LoadError("certificate: verified_depth must be a positive integer")
+    exhaustive = _typed(doc.get("exhaustive", embedding.sub.is_finite
+                                and embedding.ambient.is_finite),
+                        bool, "certificate: exhaustive")
     return DivisibilityCertificate(
         embedding=embedding, classes=tuple(classes),
         factorization=factorization, verified_depth=depth,
-        exhaustive=bool(doc.get("exhaustive",
-                                embedding.sub.is_finite
-                                and embedding.ambient.is_finite)))
+        exhaustive=exhaustive)
 
 
 # ---------------------------------------------------------------------------
-# top-level load / save
+# top-level load: one resolver, one validation per definition and session
+
+# document kind → (object kind, builder)
+_KINDS = {
+    "explicit_ring": ("ring", _load_explicit_ring),
+    "construct": ("ring", _load_construct_ring),
+    "module": ("module", _load_module_doc),
+    "embedding": ("embedding", _load_embedding_doc),
+    "certificate": ("certificate", _load_certificate_doc),
+}
+
+# (absolute base directory, content hash, depth) → (object, verdict), or
+# None while the definition is being built
+_SESSION: ContextVar[Optional[dict]] = ContextVar("fusionkit_load_session",
+                                                  default=None)
+
+
+@contextmanager
+def load_session() -> Iterator[dict]:
+    """One load session: within it, a definition reached again (by path or
+    inline, with the same base directory and depth) is the object already
+    built and validated.  Joins the active session when there is one;
+    ``load_doc`` opens its own otherwise, and the CLI opens one per command.
+    """
+    memo = _SESSION.get()
+    if memo is not None:
+        yield memo
+        return
+    token = _SESSION.set({})
+    try:
+        yield _SESSION.get()
+    finally:
+        _SESSION.reset(token)
+
+
+def loaded_verdict(obj: Any) -> Verdict:
+    """The verdict the active load session's validation reached for ``obj``."""
+    return next(verdict for known, verdict in _SESSION.get().values()
+                if known is obj)
+
 
 def validation_verdict(obj: Any, depth: int = DEFAULT_DEPTH) -> Verdict:
     """The validation check appropriate to the object's type."""
@@ -543,49 +530,65 @@ def validation_verdict(obj: Any, depth: int = DEFAULT_DEPTH) -> Verdict:
     raise LoadError(f"no validation for {type(obj).__name__}")
 
 
+def _ref(ref: Any, kind: str, base_dir: str) -> Any:
+    """Resolve a reference inside a definition: a path relative to
+    ``base_dir`` or an inline document, validated at the default depth."""
+    if isinstance(ref, str):
+        return load(os.path.join(base_dir, ref), expect=kind)
+    if isinstance(ref, dict):
+        return load_doc(ref, base_dir=base_dir, expect=kind)
+    raise LoadError(f"{kind} reference must be a path or inline document, "
+                    f"got {type(ref).__name__}")
+
+
 def load_doc(doc: Any, base_dir: str = ".", depth: int = DEFAULT_DEPTH,
              expect: Optional[str] = None):
-    """Build and validate the object a definition document describes."""
+    """Build and validate the object a definition document describes.
+
+    The kind is checked before anything is built.  A failed validation
+    raises :class:`ValidationFailure` with the witness.
+    """
     if not isinstance(doc, dict):
         raise LoadError("definition must be a JSON object")
     kind = doc.get("kind")
-    if kind in ("explicit_ring", "construct"):
-        obj: Any = _load_ring_doc(doc, base_dir)
-        actual = "ring"
-    elif kind == "module":
-        obj = _load_module_doc(doc, base_dir)
-        actual = "module"
-    elif kind == "embedding":
-        obj = _load_embedding_doc(doc, base_dir)
-        actual = "embedding"
-    elif kind == "certificate":
-        obj = _load_certificate_doc(doc, base_dir)
-        actual = "certificate"
-    elif kind == "census":
+    if kind == "census":
         raise LoadError("census documents are outputs, not loadable inputs")
-    else:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise LoadError(f"unknown document kind {kind!r}")
+    actual, build = _KINDS[kind]
     if expect is not None and actual != expect:
-        raise LoadError(f"expected a {expect} document, loaded a {actual}")
-    return _validated(obj, actual, depth)
+        raise LoadError(f"expected a {expect} document, found kind {kind!r}")
+    with load_session() as memo:
+        key = (os.path.abspath(base_dir), content_hash(doc), depth)
+        if key in memo:
+            if memo[key] is None:
+                raise LoadError(f"{actual} definition refers back to itself")
+            return memo[key][0]
+        memo[key] = None  # being built: meeting the key again is a cycle
+        try:
+            obj = build(doc, base_dir)
+            verdict = validation_verdict(obj, depth)
+            if verdict.is_fails:
+                raise ValidationFailure(verdict, f"{actual} failed validation")
+            memo[key] = (obj, verdict)
+        finally:
+            if memo[key] is None:
+                del memo[key]
+        return obj
 
 
-def _validated(obj: Any, what: str, depth: int) -> Any:
-    verdict = validation_verdict(obj, depth)
-    if verdict.is_fails:
-        raise ValidationFailure(verdict, f"{what} failed validation")
-    return obj
+def read_doc(path: str) -> Any:
+    """Parse one definition file; unreadable or malformed JSON is a LoadError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:  # unreadable, bad UTF-8, bad JSON
+        raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
 def load(path: str, depth: int = DEFAULT_DEPTH, expect: Optional[str] = None):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"cannot parse {path}: {exc}") from exc
-    return load_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)),
+    return load_doc(read_doc(path),
+                    base_dir=os.path.dirname(os.path.abspath(path)),
                     depth=depth, expect=expect)
 
 
@@ -630,7 +633,7 @@ def census_doc(result: CensusResult) -> dict:
 
 
 def save(obj: Any, path: str) -> None:
-    text = canonical_json(object_doc(obj)) + "\n"
+    text = dumps(obj)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fusionkit import Element, find_divisibility_certificate
+from fusionkit import Element, find_divisibility_certificate, serialize
 from fusionkit.cli import cli_dispatch
 from fusionkit.serialize import (
     LoadError,
@@ -458,3 +458,140 @@ def test_cli_no_cache_flag(files, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert not cache_dir.exists()
+
+
+# --- one resolver: inline references validate like paths -----------------------
+
+BAD_EMBEDDING = {"kind": "embedding", "sub": "z2.json", "ambient": "z4.json",
+                 "map": {"e": "e", "g": "a"}}  # g is self-conjugate, a is not
+
+
+def _ref_case(tmp_path, name, doc, inline):
+    """``doc`` itself when inline, else the name of a file holding it."""
+    if inline:
+        return doc
+    (tmp_path / name).write_text(json.dumps(doc))
+    return name
+
+
+def _validate(capsys, tmp_path, doc):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+    return code, json.loads(out) if out else None
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["path", "inline"])
+def test_cli_restricted_over_non_subring_embedding(inline, files, tmp_path, capsys):
+    top = {"kind": "module", "restricted": {
+        "source": {"kind": "module", "standard_of": "z4.json"},
+        "embedding": _ref_case(tmp_path, "bad-emb.json", BAD_EMBEDDING, inline)}}
+    code, doc = _validate(capsys, tmp_path, top)
+    assert code == 1
+    assert doc["result"] == {"error": "embedding failed validation"}
+    assert doc["verdict"]["witness"] == (
+        "map does not commute with conj at g: map(conj(g)) = a but "
+        "conj(map(g)) = a3")
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["path", "inline"])
+def test_cli_induced_from_non_based_source(inline, files, tmp_path, capsys):
+    bad = json.loads(open(files["bad_module"]).read())
+    top = {"kind": "module", "induced": {
+        "source": _ref_case(tmp_path, "bad-source.json", bad, inline),
+        "certificate": "cert.json"}}
+    code, doc = _validate(capsys, tmp_path, top)
+    assert code == 1
+    assert doc["result"] == {"error": "module failed validation"}
+    assert "associativity" in doc["verdict"]["witness"]
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["path", "inline"])
+def test_cli_induced_along_swapped_certificate(inline, files, tmp_path, capsys):
+    cert = json.loads(open(files["cert"]).read())
+    table = cert["factorization"]
+    table["a"], table["a3"] = table["a3"], table["a"]
+    top = {"kind": "module", "induced": {
+        "source": "rank1-z2.json",
+        "certificate": _ref_case(tmp_path, "swapped.json", cert, inline)}}
+    code, doc = _validate(capsys, tmp_path, top)
+    assert code == 1
+    assert doc["result"] == {"error": "certificate failed validation"}
+    assert doc["verdict"]["witness"] == (
+        "factorization of a is ('a', 'g'), but a arises as map(e) ⊗ a")
+
+
+# --- one validation per definition and command ---------------------------------
+
+def _count_ring_checks(monkeypatch):
+    calls = []
+    original = serialize.check_ring_axioms
+
+    def counted(ring, depth=4):
+        calls.append(len(ring.basis))
+        return original(ring, depth)
+
+    monkeypatch.setattr(serialize, "check_ring_axioms", counted)
+    return calls
+
+
+def test_cli_validate_checks_the_ring_once(files, capsys, monkeypatch):
+    calls = _count_ring_checks(monkeypatch)
+    code, _, _ = run_cli(capsys, "validate", files["z4"])
+    assert code == 0
+    assert calls == [4]
+
+
+def test_cli_divisible_checks_a_ring_named_twice_once(files, capsys, monkeypatch):
+    # the embedding file names the ambient file by path
+    calls = _count_ring_checks(monkeypatch)
+    code, _, _ = run_cli(capsys, "divisible", files["z4"], "--sub", files["emb"])
+    assert code == 0
+    assert sorted(calls) == [2, 4]
+
+
+def test_load_doc_builds_a_repeated_definition_once(files):
+    # z2.json by path in the source module and inline in the certificate
+    cert = load(files["cert"], expect="certificate")
+    induced = load_doc({"kind": "module", "induced": {
+        "source": "rank1-z2.json", "certificate": "cert.json"}},
+        base_dir=files["dir"])
+    assert induced.source.ring is induced.certificate.embedding.sub
+    assert cert.embedding.sub is not induced.certificate.embedding.sub
+
+
+# --- the loader's exit-code contract -------------------------------------------
+
+MALFORMED = {
+    "ring-dim-int": dict(EXPLICIT_Z2, dim=5),
+    "module-action-int": {"kind": "module", "ring": "z2.json", "basis": ["j"],
+                          "action": 5},
+    "group-int": {"kind": "construct", "construct": "group_ring", "group": 5},
+    "certificate-factorization-list": {
+        "kind": "certificate", "embedding": "z2-in-z4.json",
+        "classes": ["e", "a"], "factorization": [], "verified_depth": 4},
+    "module-list-labels": {"kind": "module", "ring": "z2.json",
+                           "basis": [["j"]], "action": []},
+    "embedding-list-values": {"kind": "embedding", "sub": "z2.json",
+                              "ambient": "z4.json",
+                              "map": {"e": ["e"], "g": ["a2"]}},
+    "group-elements-string": {"kind": "construct", "construct": "group_ring",
+                              "group": dict(Z2_DOC["group"], elements="eg")},
+    "fusion-coefficient-overflow": dict(
+        EXPLICIT_Z2, fusion=[["g", "g", {"e": 2**63}]]),
+    "refers-to-itself": {"kind": "construct", "construct": "direct_product",
+                         "left": "z2.json", "right": {
+                             "kind": "construct", "construct": "free_product",
+                             "left": "top.json", "right": "z2.json"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_definition_exits_4(name, files, capsys):
+    path = os.path.join(files["dir"], "top.json")
+    with open(path, "w") as handle:
+        json.dump(MALFORMED[name], handle)
+    code, out, err = run_cli(capsys, "validate", path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ")
