@@ -105,18 +105,32 @@ def _assignments(ring: BasedRing, rank: int, max_coeff: int,
                  deadline: Optional[float]) -> Iterator[Dict[str, Matrix]]:
     """Backtrack over action matrices for the non-unit basis, pruning with
     based symmetry and with associativity as soon as a product's support is
-    fully assigned."""
+    fully assigned.
+
+    An invertible label, one with ``a ⊗ a* = 1`` exactly, is tried only on
+    the ``rank!`` permutation matrices.  This is exact: the module axiom
+    gives M_a·M_{a*} = I, and a matrix of non-negative integers with a
+    non-negative inverse is monomial, whose integer entries must then be 1.
+    Every other candidate fails the final sweep over (a, a*) anyway.  The
+    (max_coeff + 1)^(rank²) general candidates are built only when some
+    non-unit label is not invertible.
+    """
     alphas = [a for a in ring.basis if a != ring.unit]
     unit_m = _identity(rank)
     products = {(a, b): ring.product(a, b)
                 for a in ring.basis for b in ring.basis}
-    cells = list(itertools.product(range(max_coeff + 1), repeat=rank * rank))
-
-    def as_matrix(flat: Tuple[int, ...]) -> Matrix:
-        return tuple(tuple(flat[i * rank + j] for j in range(rank))
-                     for i in range(rank))
-
-    candidates = [as_matrix(flat) for flat in cells]
+    one = Element.basis(ring.unit)
+    invertible = {a for a in alphas if ring.product(a, ring.conj(a)) == one}
+    permutations = [tuple(unit_m[k] for k in perm)
+                    for perm in itertools.permutations(range(rank))]
+    general: List[Matrix] = []
+    if len(invertible) < len(alphas):
+        general = [tuple(tuple(flat[i * rank + j] for j in range(rank))
+                         for i in range(rank))
+                   for flat in itertools.product(range(max_coeff + 1),
+                                                 repeat=rank * rank)]
+    candidates = {a: permutations if a in invertible else general
+                  for a in alphas}
 
     def matrix_of(label: str, assigned: Dict[str, Matrix]) -> Optional[Matrix]:
         if label == ring.unit:
@@ -170,7 +184,7 @@ def _assignments(ring: BasedRing, rank: int, max_coeff: int,
             yield dict(assigned)
             return
         label = alphas[pos]
-        for m in candidates:
+        for m in candidates[label]:
             assigned[label] = m
             if check_new(label, assigned):
                 yield from walk(pos + 1, assigned)

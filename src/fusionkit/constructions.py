@@ -13,7 +13,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cyclotomic import Cyclo
 from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
@@ -175,6 +176,43 @@ def group_ring(g: FiniteGroupPresentation) -> BasedRing:
 # ---------------------------------------------------------------------------
 # representation rings from character tables
 
+Lifted = Dict[int, Union[int, Fraction]]  # exponent of ζ_n → coefficient
+
+
+def _lift(value: Cyclo, n: int) -> Lifted:
+    """``value`` as a polynomial in ζ_n (n a multiple of its order),
+    integral coefficients as ``int``; not reduced mod Φ_n."""
+    step = n // value.order
+    return {e * step: (c.numerator if c.denominator == 1 else c)
+            for e, c in value.coeffs.items()}
+
+
+def _class_products(n: int, *rows: Sequence[Lifted]) -> List[Lifted]:
+    """Per class, the product of the rows' lifted values mod x^n − 1."""
+    out = []
+    for values in zip(*rows):
+        acc: Lifted = {0: 1}
+        for value in values:
+            term: Lifted = {}
+            for e1, c1 in acc.items():
+                for e2, c2 in value.items():
+                    e = (e1 + e2) % n
+                    term[e] = term.get(e, 0) + c1 * c2
+            acc = term
+        out.append(acc)
+    return out
+
+
+def _class_sum(n: int, *rows: Sequence[Lifted]) -> Cyclo:
+    """Σ over classes of the product of the rows' values, accumulated mod
+    x^n − 1 and reduced mod Φ_n once."""
+    total: Lifted = {}
+    for term in _class_products(n, *rows):
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return Cyclo(n, total)
+
+
 class CharacterTable:
     """Exact character table: class sizes and cyclotomic character values.
 
@@ -215,27 +253,34 @@ class CharacterTable:
             if degree is None or degree < 1:
                 raise InvalidInputError(
                     f"degree of {label} is not a positive integer")
+        # every value lifted once to the common order n of the table
+        n = self._n = lcm(*(v.order for v in self.values.values()))
+        self._lifted = {a: [_lift(self.values[(a, cls)], n)
+                            for cls in self.classes] for a in self.irreps}
+        self._lifted_conj = {a: [{-e % n: c for e, c in v.items()}
+                                 for v in row]
+                             for a, row in self._lifted.items()}
+        sizes = [{0: size} for size in self.sizes]
         for a in self.irreps:
             for b in self.irreps:
-                total = Cyclo.from_rational(0)
-                for cls, size in zip(self.classes, self.sizes):
-                    total = total + (self.values[(a, cls)]
-                                     * self.values[(b, cls)].conj()).scale(size)
+                total = _class_sum(n, sizes, self._lifted[a],
+                                   self._lifted_conj[b])
                 expected = self.order if a == b else 0
-                if total != Cyclo.from_rational(expected):
+                if total != expected:
                     raise InvalidInputError(
                         f"row orthogonality fails for ({a}, {b})")
         trivial = [a for a in self.irreps
-                   if all(self.values[(a, cls)] == Cyclo.from_rational(1)
+                   if all(self.values[(a, cls)].as_rational() == 1
                           for cls in self.classes)]
         if not trivial:
             raise InvalidInputError("table has no trivial character")
         self.trivial = trivial[0]
         self.conjugate_of: Dict[str, str] = {}
+        reduced = {a: [Cyclo(n, v) for v in row]
+                   for a, row in self._lifted.items()}
         for a in self.irreps:
-            matches = [b for b in self.irreps
-                       if all(self.values[(b, cls)] == self.values[(a, cls)].conj()
-                              for cls in self.classes)]
+            conj_a = [Cyclo(n, v) for v in self._lifted_conj[a]]
+            matches = [b for b in self.irreps if reduced[b] == conj_a]
             if not matches:
                 raise InvalidInputError(
                     f"table is not closed under conjugation at {a}")
@@ -271,22 +316,22 @@ def rep_ring(t: CharacterTable) -> BasedRing:
     non-negative integer for every triple; anything else rejects the table
     as inconsistent.
     """
+    n = t._n
+    sizes = [{0: size} for size in t.sizes]
     fusion: Dict[Tuple[str, str], Element] = {}
     for a in t.irreps:
         for b in t.irreps:
+            weighted = _class_products(n, sizes, t._lifted[a], t._lifted[b])
             terms = {}
             for c in t.irreps:
-                total = Cyclo.from_rational(0)
-                for cls, size in zip(t.classes, t.sizes):
-                    total = total + (t.values[(a, cls)] * t.values[(b, cls)]
-                                     * t.values[(c, cls)].conj()).scale(size)
-                coeff = total.scale(Fraction(1, t.order)).as_integer()
-                if coeff is None or coeff < 0:
+                total = _class_sum(n, weighted, t._lifted_conj[c]).as_rational()
+                coeff = None if total is None else total / t.order
+                if coeff is None or coeff.denominator != 1 or coeff < 0:
                     raise InvalidInputError(
                         f"fusion coefficient of {c} in {a} ⊗ {b} is not a "
                         "non-negative integer; character table inconsistent")
                 if coeff:
-                    terms[c] = coeff
+                    terms[c] = coeff.numerator
             fusion[(a, b)] = Element(terms)
     universe = set(t.irreps)
 

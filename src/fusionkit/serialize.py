@@ -17,7 +17,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from .census import CensusResult
 from .constructions import (
@@ -280,21 +280,31 @@ def _construction(doc: Any) -> str:
     return ctor
 
 
-def _pair_product(doc: dict, base_dir: str) -> RingWithFactorEmbeddings:
-    """A direct or free product construct, built from its two factors."""
-    build = (direct_product if doc["construct"] == "direct_product"
-             else free_product)
-    return build(_ref(doc["left"], "ring", base_dir),
-                 _ref(doc["right"], "ring", base_dir))
-
-
-def _semidirect(doc: dict, base_dir: str, what: str) -> SemidirectProductRing:
-    gamma = _load_group(doc["group"], f"{what}.group")
-    target = _ref(doc["target"], "ring", base_dir)
-    perms = {g: dict(_typed(p, dict, f"{what}: action of {g}", str))
-             for g, p in _typed(doc["action"], dict, f"{what}: action").items()}
-    return _build(what, semidirect_product, gamma, target,
-                  RingAutomorphismAction(gamma, perms))
+def _product(doc: dict, base_dir: str, what: str
+             ) -> Union[RingWithFactorEmbeddings, SemidirectProductRing]:
+    """The direct, free or semi-direct product a construct document
+    describes, with its factor embeddings.  Built once per load session for
+    each base directory and content, at any depth, so the ring loaded from
+    the document and the ambient of its canonical embeddings are one
+    object."""
+    with load_session() as memo:
+        key = (os.path.abspath(base_dir), content_hash(doc), None)
+        if key not in memo:
+            if doc["construct"] == "semidirect_product":
+                gamma = _load_group(doc["group"], f"{what}.group")
+                target = _ref(doc["target"], "ring", base_dir)
+                perms = {g: dict(_typed(p, dict, f"{what}: action of {g}", str))
+                         for g, p in _typed(doc["action"], dict,
+                                            f"{what}: action").items()}
+                made = _build(what, semidirect_product, gamma, target,
+                              RingAutomorphismAction(gamma, perms))
+            else:
+                build = (direct_product if doc["construct"] == "direct_product"
+                         else free_product)
+                made = build(_ref(doc["left"], "ring", base_dir),
+                             _ref(doc["right"], "ring", base_dir))
+            memo[key] = (made, None)
+        return memo[key][0]
 
 
 def _load_construct_ring(doc: dict, base_dir: str) -> BasedRing:
@@ -308,9 +318,7 @@ def _load_construct_ring(doc: dict, base_dir: str) -> BasedRing:
         return su2_ring()
     if ctor == "so3":
         return so3_ring()
-    if ctor in ("direct_product", "free_product"):
-        return _pair_product(doc, base_dir).ring
-    return _semidirect(doc, base_dir, "semidirect_product").ring
+    return _product(doc, base_dir, ctor).ring
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +438,11 @@ def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
                 and _construction(ambient_doc) == needed):
             raise LoadError(f"embedding {name} needs a {needed} construct "
                             "as its ambient")
+        made = _product(ambient_doc, base_dir, f"embedding {name}")
         if needed == "semidirect_product":
-            result = _semidirect(ambient_doc, base_dir, f"embedding {name}")
-            return (result.group_embedding if name == "semidirect_group"
-                    else result.target_embedding)
-        pair = _pair_product(ambient_doc, base_dir)
-        return pair.left if name.endswith("_left") else pair.right
+            return (made.group_embedding if name == "semidirect_group"
+                    else made.target_embedding)
+        return made.left if name.endswith("_left") else made.right
     _require_keys(doc, {"kind", "sub", "ambient", "map"}, {"name"}, "embedding")
     sub = _ref(doc["sub"], "ring", base_dir)
     ambient = _ref(doc["ambient"], "ring", base_dir)
@@ -487,7 +494,8 @@ _KINDS = {
 }
 
 # (absolute base directory, content hash, depth) → (object, verdict), or
-# None while the definition is being built
+# None while the definition is being built; depth None keys the product
+# constructions of ``_product``, with verdict None
 _SESSION: ContextVar[Optional[dict]] = ContextVar("fusionkit_load_session",
                                                   default=None)
 

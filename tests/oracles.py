@@ -3,10 +3,12 @@
 These stay deliberately naive and separate from the library code paths:
 polynomial character arithmetic for the Clebsch-Gordan rules, free-word
 reduction for the infinite dihedral group, plain-integer character
-convolution, cyclic and permutation arithmetic on labels, and a Counter
-fold for bilinear extensions.
+convolution, cyclic and permutation arithmetic on labels, a Counter fold
+for bilinear extensions, transitive G-sets from subgroup classes, and an
+unpruned torsion-module census.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -200,3 +202,124 @@ def s3_mul_oracle(labels):
         px, py = word_permutation(x), word_permutation(y)
         return {by_perm[tuple(px[i] for i in py)]: 1}
     return rule
+
+
+# --- finite groups as multiplication tables over 0..n-1, identity 0
+
+def cyclic_table(n):
+    return [[(i + k) % n for k in range(n)] for i in range(n)]
+
+
+def klein_table():
+    return [[i ^ k for k in range(4)] for i in range(4)]
+
+
+def permutation_table(degree):
+    """S_degree on itertools order; entry [x][y] is x after y."""
+    perms = list(itertools.permutations(range(degree)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[i]] for i in range(degree))] for q in perms]
+            for p in perms]
+
+
+def transitive_gset_ranks(table, max_rank):
+    """Sizes [G:H] ≤ max_rank of the transitive G-sets G/H, one per
+    conjugacy class of subgroups H, found by closing every subset."""
+    n = len(table)
+    inverse = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
+    subgroups = set()
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            h = frozenset(subset)
+            if 0 in h and all(table[x][y] in h for x in h for y in h):
+                subgroups.add(h)
+    classes = set()
+    for h in subgroups:
+        classes.add(min(tuple(sorted(table[table[g][x]][inverse[g]] for x in h))
+                        for g in range(n)))
+    return sorted(n // len(h) for h in classes if n // len(h) <= max_rank)
+
+
+def is_permutation_matrix(rows):
+    return (all(sorted(row) == [0] * (len(row) - 1) + [1] for row in rows)
+            and all(sum(col) == 1 for col in zip(*rows)))
+
+
+# --- an unpruned census: every 0/1 matrix for every non-unit label
+
+def census_forms(basis, unit, conj, fusion, max_rank):
+    """Canonical forms (rank, form) of the connected based modules with 0/1
+    action matrices up to ``max_rank``.  ``fusion[(a, b)]`` is the
+    {label: coefficient} expansion of a ⊗ b.  Each label ranges over all
+    2^(rank²) matrices; an assignment is abandoned as soon as a
+    symmetry or associativity condition whose matrices are all assigned
+    fails, so every module survives."""
+    labels = [a for a in basis if a != unit]
+    found = set()
+    for rank in range(1, max_rank + 1):
+        identity = tuple(tuple(int(i == j) for j in range(rank))
+                         for i in range(rank))
+        matrices = [tuple(tuple(cells[i * rank:(i + 1) * rank])
+                          for i in range(rank))
+                    for cells in itertools.product((0, 1), repeat=rank * rank)]
+
+        def needs(a, b):
+            return {a, b, *fusion[(a, b)]} - {unit}
+
+        def holds(a, b, mats):
+            def m(x):
+                return identity if x == unit else mats[x]
+            ma, mb = m(a), m(b)
+            for i in range(rank):
+                for j in range(rank):
+                    lhs = sum(ma[i][k] * mb[k][j] for k in range(rank))
+                    rhs = sum(c * m(x)[i][j] for x, c in fusion[(a, b)].items())
+                    if lhs != rhs:
+                        return False
+            return True
+
+        def symmetric(a, mats):
+            ma, mc = mats[a], mats[conj[a]]
+            return all(bool(ma[i][j]) == bool(mc[j][i])
+                       for i in range(rank) for j in range(rank))
+
+        def walk(pos, mats):
+            if pos == len(labels):
+                yield dict(mats)
+                return
+            label = labels[pos]
+            for m in matrices:
+                mats[label] = m
+                if (all(symmetric(a, mats) for a in mats if conj[a] in mats)
+                        and all(holds(a, b, mats)
+                                for a in basis for b in basis
+                                if label in needs(a, b)
+                                and needs(a, b) <= set(mats))):
+                    yield from walk(pos + 1, mats)
+                del mats[label]
+
+        for mats in walk(0, {}):
+            if connected(mats.values(), rank):
+                found.add((rank, canonical_form([mats[a] for a in labels])))
+    return found
+
+
+def connected(matrices, rank):
+    reach, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for m in matrices:
+            for j in range(rank):
+                if (m[i][j] or m[j][i]) and j not in reach:
+                    reach.add(j)
+                    frontier.append(j)
+    return len(reach) == rank
+
+
+def canonical_form(matrices):
+    """The least relabelling, over basis permutations, of a list of square
+    matrices."""
+    rank = len(matrices[0]) if matrices else 0
+    return min(tuple(tuple(m[p[i]][p[j]] for i in range(rank)
+                           for j in range(rank)) for m in matrices)
+               for p in itertools.permutations(range(rank)))

@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
+import oracles
 from fusionkit import (
     BasedModule,
     Element,
     EnumerationBudget,
+    FiniteGroupPresentation,
     InvalidInputError,
     check_module_axioms,
     cyclic_group,
+    direct_product,
     enumerate_torsion_modules,
     find_divisibility_certificate,
     group_ring,
@@ -16,7 +19,9 @@ from fusionkit import (
     is_torsion,
     is_torsion_free_finite,
     modules_isomorphic,
+    rep_ring,
     restrict_and_decompose,
+    s3_character_table,
     standard_module,
     su2_ring,
     symmetric_group_3,
@@ -178,3 +183,59 @@ def test_census_cross_validates_restriction(std_z4, z2_in_z4, z2):
     for summand in restrict_and_decompose(std_z4, z2_in_z4, 4):
         assert any(modules_isomorphic(summand, m) is not None
                    for m in census.modules)
+
+
+# --- the census against its independent oracles ----------------------------------
+
+def _group_ring_of(table):
+    labels = ["e"] + [f"x{i}" for i in range(1, len(table))]
+    return group_ring(FiniteGroupPresentation(labels, {
+        (labels[i], labels[k]): labels[table[i][k]]
+        for i in range(len(table)) for k in range(len(table))}))
+
+
+def _matrices(module):
+    """Action matrices in the module's basis order, by non-unit label."""
+    return {alpha: [[module.action(alpha, j).coeff(i) for j in module.basis]
+                    for i in module.basis]
+            for alpha in module.ring.basis if alpha != module.ring.unit}
+
+
+@pytest.mark.parametrize("table, max_rank, ranks", [
+    (oracles.cyclic_table(4), 4, [1, 2, 4]),
+    (oracles.klein_table(), 4, [1, 2, 2, 2, 4]),
+    (oracles.permutation_table(3), 3, [1, 2, 3]),
+], ids=["Z4", "Z2xZ2", "S3"])
+def test_group_census_matches_transitive_gsets(table, max_rank, ranks):
+    # a connected based module over Z[G] is a transitive G-set G/H, one per
+    # conjugacy class of subgroups H, of rank [G:H]
+    assert oracles.transitive_gset_ranks(table, max_rank) == ranks
+    result = enumerate_torsion_modules(_group_ring_of(table),
+                                       EnumerationBudget(max_rank, 1))
+    assert result.complete
+    assert sorted(len(m.basis) for m in result.modules) == ranks
+    assert all(oracles.is_permutation_matrix(m)
+               for module in result.modules
+               for m in _matrices(module).values())
+
+
+@pytest.mark.parametrize("ring", [
+    group_ring(cyclic_group(2, generator="g")),
+    group_ring(cyclic_group(3)),
+    group_ring(symmetric_group_3()),
+    rep_ring(s3_character_table()),
+    direct_product(group_ring(cyclic_group(2, generator="g")),
+                   rep_ring(s3_character_table())).ring,
+], ids=["Z2", "Z3", "S3", "RepS3", "Z2xRepS3"])
+def test_census_matches_unpruned_census(ring):
+    # Rep(S3)'s std is not invertible, so it keeps the general candidates
+    fusion = {(a, b): dict(ring.product(a, b).items())
+              for a in ring.basis for b in ring.basis}
+    conj = {a: ring.conj(a) for a in ring.basis}
+    want = oracles.census_forms(ring.basis, ring.unit, conj, fusion, 2)
+    result = enumerate_torsion_modules(ring, EnumerationBudget(2, 1))
+    alphas = [a for a in ring.basis if a != ring.unit]
+    got = [(len(m.basis), oracles.canonical_form(
+                [_matrices(m)[a] for a in alphas])) for m in result.modules]
+    assert len(set(got)) == len(got)
+    assert set(got) == want

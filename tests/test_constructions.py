@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from fusionkit import (
@@ -85,6 +87,73 @@ def test_cyclic_rep_ring_matches_group_ring():
             got = relabel[value.single_basis_label()]
             assert got == (relabel[a] + relabel[b]) % 3
     assert relabel[ring.conj("chi1")] == 2
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_cyclic_rep_ring_is_cyclic(n):
+    # χ_j ⊗ χ_k = χ_{j+k mod n}, conj χ_j = χ_{-j}, every degree 1
+    ring = rep_ring(cyclic_character_table(n))
+    assert ring.basis == tuple(f"chi{j}" for j in range(n))
+    for j in range(n):
+        assert ring.conj(f"chi{j}") == f"chi{-j % n}"
+        assert ring.dim(f"chi{j}") == 1
+        for k in range(n):
+            assert ring.product(f"chi{j}", f"chi{k}") == \
+                Element.basis(f"chi{(j + k) % n}")
+
+
+def _zeta_product(i, j):
+    """ζ_2^i·ζ_3^j, written at the least order that holds it."""
+    if j % 3 == 0:
+        return Cyclo.zeta(2, i)
+    if i % 2 == 0:
+        return Cyclo.zeta(3, j)
+    return Cyclo.zeta(2, i) * Cyclo.zeta(3, j)
+
+
+def test_mixed_order_rep_ring_matches_direct_product():
+    # Z/2 × Z/3 from values of orders 2, 3 and 6 in one table
+    pairs = [(s, t) for s in range(2) for t in range(3)]
+    table = CharacterTable(
+        classes=[(f"c{i}{j}", 1) for i, j in pairs],
+        irreps=[(f"chi{s}{t}", [_zeta_product(s * i, t * j) for i, j in pairs])
+                for s, t in pairs])
+    assert {table.values[key].order for key in table.values} == {2, 3, 6}
+    ring = rep_ring(table)
+    product = direct_product(rep_ring(cyclic_character_table(2)),
+                             rep_ring(cyclic_character_table(3))).ring
+    label = dict(zip(ring.basis, product.basis))
+    assert len(label) == len(product.basis) == 6
+    assert label[ring.unit] == product.unit
+    for a in ring.basis:
+        assert label[ring.conj(a)] == product.conj(label[a])
+        assert ring.dim(a) == product.dim(label[a])
+        for b in ring.basis:
+            assert ring.product(a, b).map_basis(label.get) == \
+                product.product(label[a], label[b])
+
+
+def test_corrupted_character_table_message():
+    # one value of Z/6's table moved to another root of unity
+    t = cyclic_character_table(6)
+    rows = [(a, [t.values[(a, c)] for c in t.classes]) for a in t.irreps]
+    rows[2][1][3] = Cyclo.zeta(6, 1)
+    with pytest.raises(InvalidInputError) as info:
+        CharacterTable([(c, 1) for c in t.classes], rows)
+    assert str(info.value) == "row orthogonality fails for (chi0, chi2)"
+
+
+def test_non_integral_fusion_coefficient_message():
+    # orthogonal rows with integer degrees, but x ⊗ x = triv + (3/2)·x
+    q = Cyclo.from_rational
+    table = CharacterTable(classes=[("e", 1), ("c", 4)],
+                           irreps=[("triv", [q(1), q(1)]),
+                                   ("x", [q(2), q(Fraction(-1, 2))])])
+    with pytest.raises(InvalidInputError) as info:
+        rep_ring(table)
+    assert str(info.value) == (
+        "fusion coefficient of x in x ⊗ x is not a non-negative integer; "
+        "character table inconsistent")
 
 
 def test_trivial_character_table():

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionkit.cyclotomic import Cyclo, cyclotomic_polynomial
 from fusionkit.elements import InvalidInputError
@@ -69,3 +71,59 @@ def test_bad_order_rejected():
         Cyclo(0, {})
     with pytest.raises(InvalidInputError):
         Cyclo.zeta(3).lift(5)
+
+
+# --- Cyclo against sympy ----------------------------------------------------------
+#
+# The oracle reads a value of order n as the polynomial Σ c·x^(e·N/n) at a
+# common order N and reduces with sympy's own cyclotomic polynomial Φ_N;
+# sympy's exp(2πi·e/n), evaluated to 30 digits, ties x to exp(2πi/N).
+
+@st.composite
+def cyclo_values(draw):
+    n = draw(st.integers(1, 24))
+    coeffs = draw(st.dictionaries(
+        st.integers(0, n - 1),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        max_size=4))
+    return Cyclo(n, coeffs)
+
+
+def _sympy_poly(sympy, value, n, sign=1):
+    """``value`` as a polynomial in x = exp(2πi/n); sign -1 conjugates."""
+    x = sympy.Symbol("x")
+    step = n // value.order
+    return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator)
+                           * x ** (sign * e * step % n)
+                           for e, c in value.coeffs.items()), sympy.Integer(0)),
+                      x, domain="QQ")
+
+
+def _sympy_equal(sympy, p, q, n):
+    x = sympy.Symbol("x")
+    return (p - q).rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x,
+                                  domain="QQ")).is_zero
+
+
+def _sympy_complex(sympy, value):
+    return complex(sympy.N(sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * sympy.exp(2 * sympy.pi * sympy.I * sympy.Rational(e, value.order))
+         for e, c in value.coeffs.items()), sympy.Integer(0)), 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclo_values(), cyclo_values(), st.integers(1, 3))
+def test_cyclo_arithmetic_agrees_with_sympy(a, b, k):
+    sympy = pytest.importorskip("sympy")
+    n = lcm(a.order, b.order)
+    pa, pb = _sympy_poly(sympy, a, n), _sympy_poly(sympy, b, n)
+    for got, want in ((a + b, pa + pb), (a * b, pa * pb),
+                      (a.conj(), _sympy_poly(sympy, a, n, sign=-1))):
+        assert _sympy_equal(sympy, _sympy_poly(sympy, got, n), want, n)
+    assert (a == b) == _sympy_equal(sympy, pa, pb, n)
+    # the same value written at k times its order
+    assert Cyclo(a.order * k, {e * k: c for e, c in a.coeffs.items()}) == a
+    za, zb = _sympy_complex(sympy, a), _sympy_complex(sympy, b)
+    assert abs(_sympy_complex(sympy, a * b) - za * zb) < 1e-12
+    assert abs(_sympy_complex(sympy, a.conj()) - za.conjugate()) < 1e-12

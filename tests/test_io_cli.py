@@ -368,6 +368,16 @@ def test_cli_enumerate(files, tmp_path, capsys):
     assert doc["kind"] == "census"
 
 
+def test_cli_enumerate_z4_up_to_rank_4(files, capsys):
+    # the transitive Z/4-sets: Z/4 / H for H = Z/4, Z/2 and 1
+    code, out, _ = run_cli(capsys, "enumerate", files["z4"], "--max-rank", "4",
+                           "--max-coeff", "1", "--json")
+    assert code == 0
+    census = json.loads(out)["result"]["census"]
+    assert census["complete"]
+    assert sorted(len(m["basis"]) for m in census["modules"]) == [1, 2, 4]
+
+
 def test_cli_validate_bad_module(files, capsys):
     code, out, _ = run_cli(capsys, "validate", files["bad_module"])
     assert code == 1
@@ -558,6 +568,42 @@ def test_load_doc_builds_a_repeated_definition_once(files):
         base_dir=files["dir"])
     assert induced.source.ring is induced.certificate.embedding.sub
     assert cert.embedding.sub is not induced.certificate.embedding.sub
+
+
+Z2H_DOC = json.loads(json.dumps(Z2_DOC).replace('"g"', '"h"'))
+
+
+def _product_construct(canonical, inline, tmp_path):
+    z2 = Z2_DOC if inline else "z2.json"
+    z2h = _ref_case(tmp_path, "z2h.json", Z2H_DOC, inline)
+    z4 = Z4_DOC if inline else "z4.json"
+    if canonical == "semidirect_target":
+        return {"kind": "construct", "construct": "semidirect_product",
+                "group": Z2_DOC["group"], "target": z4,
+                "action": {"e": {x: x for x in ("e", "a", "a2", "a3")},
+                           "g": {"e": "e", "a": "a3", "a2": "a2", "a3": "a"}}}
+    if canonical == "free_left":  # the infinite dihedral group: small windows
+        return {"kind": "construct", "construct": "free_product",
+                "left": z2, "right": z2h}
+    return {"kind": "construct", "construct": "direct_product",
+            "left": z2, "right": z4}
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["path", "inline"])
+@pytest.mark.parametrize("canonical",
+                         ["free_left", "direct_right", "semidirect_target"])
+def test_canonical_embedding_ambient_is_the_loaded_ring(canonical, inline,
+                                                        files, tmp_path):
+    # as in `divisible amb.json --sub emb.json --depth 5`: the ring is loaded
+    # at the command's depth, the embedding at the default depth
+    ambient = _product_construct(canonical, inline, tmp_path)
+    (tmp_path / "amb.json").write_text(json.dumps(ambient))
+    (tmp_path / "emb.json").write_text(json.dumps(
+        {"kind": "embedding", "canonical": canonical, "ambient": ambient}))
+    with serialize.load_session():
+        ring = load(str(tmp_path / "amb.json"), depth=5)
+        emb = load(str(tmp_path / "emb.json"), expect="embedding")
+    assert emb.ambient is ring
 
 
 # --- the loader's exit-code contract -------------------------------------------
