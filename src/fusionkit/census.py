@@ -12,11 +12,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .elements import Element, InvalidInputError
+from .elements import Element, InvalidInputError, bilinear
 from .modules import (
     BasedModule,
     check_module_axioms,
+    connected_components,
     find_intertwiner,
+    is_standard,
     is_torsion,
 )
 from .rings import BasedRing, Verdict
@@ -57,206 +59,145 @@ class CensusResult:
     complete: bool
 
 
-Matrix = Tuple[Tuple[int, ...], ...]
+Table = Dict[Tuple[str, str], Element]
 
 
-def _identity(rank: int) -> Matrix:
-    return tuple(tuple(1 if i == k else 0 for k in range(rank))
-                 for i in range(rank))
+def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
+                 deadline: Optional[float]) -> Iterator[Table]:
+    """Backtrack over the action tables (non-unit label, module label) →
+    column on ``basis`` that satisfy every based-module axiom.
 
+    A label's candidate action is a tuple of column Elements, column j
+    being α ⊗ basis[j].  An invertible label, one with ``a ⊗ a* = 1``
+    exactly, tries only the ``rank!`` permutation tuples.  This is exact:
+    the module axiom gives M_a·M_{a*} = I, and a matrix of non-negative
+    integers with a non-negative inverse is monomial, whose integer entries
+    must then be 1.  Every other label tries all (max_coeff + 1)^(rank²)
+    tuples, built only when such a label exists.
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rank = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(rank))
-                       for j in range(rank)) for i in range(rank))
+    Labels are assigned in basis order, each followed by its conjugate; the
+    unit acts as the identity.  Each non-unit pair (a, b) is checked once,
+    with ``bilinear`` as in ``check_module_axioms``, when the walk assigns
+    the last of a, b and the support of a ⊗ b; the based symmetry of
+    (a, a*) is checked when the later of the two is assigned.  So every
+    yielded table is a based module, and no leaf re-checks it.
 
-
-def _mat_add_scaled(acc, m: Matrix, c: int):
-    return [[acc[i][j] + c * m[i][j] for j in range(len(m))]
-            for i in range(len(m))]
-
-
-def _support_transpose_ok(a: Matrix, b: Matrix) -> bool:
-    rank = len(a)
-    return all((a[i][j] != 0) == (b[j][i] != 0)
-               for i in range(rank) for j in range(rank))
-
-
-def _connected(mats: Dict[str, Matrix], rank: int) -> bool:
-    parent = list(range(rank))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for m in mats.values():
-        for i in range(rank):
-            for j in range(rank):
-                if m[i][j]:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-    return len({find(i) for i in range(rank)}) == 1
-
-
-def _assignments(ring: BasedRing, rank: int, max_coeff: int,
-                 deadline: Optional[float]) -> Iterator[Dict[str, Matrix]]:
-    """Backtrack over action matrices for the non-unit basis, pruning with
-    based symmetry and with associativity as soon as a product's support is
-    fully assigned.
-
-    An invertible label, one with ``a ⊗ a* = 1`` exactly, is tried only on
-    the ``rank!`` permutation matrices.  This is exact: the module axiom
-    gives M_a·M_{a*} = I, and a matrix of non-negative integers with a
-    non-negative inverse is monomial, whose integer entries must then be 1.
-    Every other candidate fails the final sweep over (a, a*) anyway.  The
-    (max_coeff + 1)^(rank²) general candidates are built only when some
-    non-unit label is not invertible.
+    Both candidate lists are closed under relabelling the basis by a
+    permutation, and every check is invariant under it, so the walk yields
+    every relabelling of every table it yields.
     """
-    alphas = [a for a in ring.basis if a != ring.unit]
-    unit_m = _identity(rank)
-    products = {(a, b): ring.product(a, b)
-                for a in ring.basis for b in ring.basis}
-    one = Element.basis(ring.unit)
-    invertible = {a for a in alphas if ring.product(a, ring.conj(a)) == one}
-    permutations = [tuple(unit_m[k] for k in perm)
-                    for perm in itertools.permutations(range(rank))]
-    general: List[Matrix] = []
+    unit = ring.unit
+    alphas: List[str] = []
+    for a in ring.basis:
+        if a != unit and a not in alphas:
+            alphas.extend(dict.fromkeys((a, ring.conj(a))))
+    position = {unit: -1, **{a: p for p, a in enumerate(alphas)}}
+    identity = {j: Element.basis(j) for j in basis}
+    invertible = {a for a in alphas
+                  if ring.product(a, ring.conj(a)) == Element.basis(unit)}
+    permutations = list(itertools.permutations(identity.values()))
+    general: List[tuple] = []
     if len(invertible) < len(alphas):
-        general = [tuple(tuple(flat[i * rank + j] for j in range(rank))
-                         for i in range(rank))
-                   for flat in itertools.product(range(max_coeff + 1),
-                                                 repeat=rank * rank)]
-    candidates = {a: permutations if a in invertible else general
-                  for a in alphas}
+        columns = [Element.from_sums(dict(zip(basis, coeffs)))
+                   for coeffs in itertools.product(range(max_coeff + 1),
+                                                   repeat=len(basis))]
+        general = list(itertools.product(columns, repeat=len(basis)))
+    candidates = [permutations if a in invertible else general for a in alphas]
+    keys = [[(a, j) for j in basis] for a in alphas]
+    # the checks that become decidable when position p is assigned
+    mirrors: List[list] = [[] for _ in alphas]
+    pairs: List[list] = [[] for _ in alphas]
+    for a in alphas:
+        conj = ring.conj(a)
+        if position[a] <= position[conj]:
+            mirrors[position[conj]].append((a, conj))
+        for b in alphas:
+            ab = ring.product(a, b)
+            last = max(position[x] for x in (a, b, *ab.support))
+            pairs[last].append((Element.basis(a), b, ab))
+    table: Table = {}
 
-    def matrix_of(label: str, assigned: Dict[str, Matrix]) -> Optional[Matrix]:
-        if label == ring.unit:
-            return unit_m
-        return assigned.get(label)
+    def rule(x: str, j: str) -> Element:
+        return identity[j] if x == unit else table[(x, j)]
 
-    def check_new(label: str, assigned: Dict[str, Matrix]) -> bool:
-        conj_label = ring.conj(label)
-        m = assigned[label]
-        partner = matrix_of(conj_label, assigned)
-        if partner is not None and not _support_transpose_ok(m, partner):
-            return False
-        known = [ring.unit] + [a for a in alphas if a in assigned]
-        for a in known:
-            for b in known:
-                if label not in (a, b) and a != ring.unit and b != ring.unit:
-                    continue
-                ma = matrix_of(a, assigned)
-                mb = matrix_of(b, assigned)
-                expansion = products[(a, b)]
-                terms = []
-                complete = True
-                for c, coeff in expansion.items():
-                    mc = matrix_of(c, assigned)
-                    if mc is None:
-                        complete = False
-                        break
-                    terms.append((mc, coeff))
-                if not complete:
-                    continue
-                acc = [[0] * rank for _ in range(rank)]
-                for mc, coeff in terms:
-                    acc = _mat_add_scaled(acc, mc, coeff)
-                if _mat_mul(ma, mb) != tuple(tuple(row) for row in acc):
+    def holds(p: int) -> bool:
+        for a, conj in mirrors[p]:
+            for x, y in ((a, conj), (conj, a)):
+                for k in basis:
+                    for j in table[(x, k)].support:
+                        if not table[(y, j)].coeff(k):
+                            return False
+        for a_single, b, ab in pairs[p]:
+            for j in basis:
+                if bilinear(rule, a_single, table[(b, j)]) != \
+                        bilinear(rule, ab, identity[j]):
                     return False
         return True
 
-    def walk(pos: int, assigned: Dict[str, Matrix]) -> Iterator[Dict[str, Matrix]]:
+    def walk(p: int) -> Iterator[Table]:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError
-        if pos == len(alphas):
-            # final full associativity sweep over every pair
-            for a in alphas:
-                for b in alphas:
-                    acc = [[0] * rank for _ in range(rank)]
-                    for c, coeff in products[(a, b)].items():
-                        acc = _mat_add_scaled(acc, matrix_of(c, assigned), coeff)
-                    if _mat_mul(assigned[a], assigned[b]) != tuple(
-                            tuple(row) for row in acc):
-                        return
-            yield dict(assigned)
+        if p == len(alphas):
+            yield dict(table)
             return
-        label = alphas[pos]
-        for m in candidates[label]:
-            assigned[label] = m
-            if check_new(label, assigned):
-                yield from walk(pos + 1, assigned)
-            del assigned[label]
+        for columns in candidates[p]:
+            # entries of later labels are stale here, and no check reads them
+            table.update(zip(keys[p], columns))
+            if holds(p):
+                yield from walk(p + 1)
 
-    yield from walk(0, {})
-
-
-def _canonical_form(mats: Dict[str, Matrix], alphas: List[str], rank: int) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(rank)):
-        form = tuple(
-            tuple(mats[a][perm[i]][perm[j]] for i in range(rank)
-                  for j in range(rank))
-            for a in alphas)
-        if best is None or form < best:
-            best = form
-    return best
-
-
-def _module_from_matrices(ring: BasedRing, mats: Dict[str, Matrix],
-                          rank: int, tag: str) -> BasedModule:
-    basis = [f"m{i}" for i in range(rank)]
-    table: Dict[Tuple[str, str], Element] = {}
-    for alpha, m in mats.items():
-        for j in range(rank):
-            table[(alpha, basis[j])] = Element(
-                {basis[i]: m[i][j] for i in range(rank) if m[i][j]})
-    doc = None
-    if ring.doc is not None:
-        doc = {"kind": "module", "ring": ring.doc, "basis": list(basis),
-               "action": sorted(
-                   [[alpha, j, dict(table[(alpha, j)].items())]
-                    for (alpha, j) in table])}
-    return BasedModule(ring=ring, basis=basis, action=table, name=tag, doc=doc)
+    yield from walk(0)
 
 
 def enumerate_torsion_modules(ring: BasedRing,
                               budget: EnumerationBudget) -> CensusResult:
     """All torsion modules within the budget, up to based isomorphism.
 
-    Deterministic: modules are canonicalized by the lexicographically
-    minimal action tensor over basis permutations and emitted in
+    The connected tables of each rank are grouped into classes with
+    ``find_intertwiner``, and each class keeps the member whose flattened
+    form (each non-unit label's matrix, row by row) is least.  The walk
+    yields every relabelling of every table it yields, so that member is
+    the least relabelling of the class: the canonical form, found without
+    trying all rank! relabellings of each table.  Modules are emitted in
     (rank, canonical form) order.  A wall-clock budget overrun returns the
-    partial census flagged incomplete.
+    partial census flagged incomplete; each class of the rank in progress
+    is then named by the least relabelling found before the deadline.
     """
     if not ring.is_finite:
         raise InvalidInputError("census enumeration needs a finite ring")
     alphas = [a for a in ring.basis if a != ring.unit]
     deadline = (time.monotonic() + budget.max_seconds
                 if budget.max_seconds is not None else None)
-    found: List[Tuple[int, tuple]] = []
+    found: List[list] = []  # [rank, least form, its table, its module]
     complete = True
     try:
         for rank in range(1, budget.max_rank + 1):
-            for mats in _assignments(ring, rank, budget.max_coeff, deadline):
-                if not _connected(mats, rank):
+            basis = [f"m{i}" for i in range(rank)]
+            start = len(found)
+            for table in _assignments(ring, basis, budget.max_coeff, deadline):
+                leaf = BasedModule(ring=ring, basis=basis, action=table)
+                if len(connected_components(leaf)) > 1:
                     continue
-                form = _canonical_form(mats, alphas, rank)
-                key = (rank, form)
-                if key not in found:
-                    found.append(key)
+                form = tuple(tuple(table[(a, j)].coeff(i) for i in basis
+                                   for j in basis) for a in alphas)
+                for entry in found[start:]:
+                    if find_intertwiner(leaf, entry[3]) is not None:
+                        if form < entry[1]:
+                            entry[1:] = [form, table, leaf]
+                        break
+                else:
+                    found.append([rank, form, table, leaf])
     except TimeoutError:
         complete = False
-    found.sort()
+    found.sort(key=lambda entry: entry[:2])
     modules = []
-    for idx, (rank, form) in enumerate(found):
-        mats = {a: tuple(tuple(form[ai][i * rank + j] for j in range(rank))
-                         for i in range(rank))
-                for ai, a in enumerate(alphas)}
-        module = _module_from_matrices(ring, mats, rank,
-                                       f"census[{ring.name}][{idx}]")
+    for idx, (_, _, table, leaf) in enumerate(found):
+        doc = None if ring.doc is None else {
+            "kind": "module", "ring": ring.doc, "basis": list(leaf.basis),
+            "action": sorted([alpha, j, dict(value.items())]
+                             for (alpha, j), value in table.items())}
+        module = BasedModule(ring=ring, basis=leaf.basis, action=table,
+                             name=f"census[{ring.name}][{idx}]", doc=doc)
         verdictA = check_module_axioms(module, depth=4)
         verdictT = is_torsion(module, depth=4)
         if not (verdictA.is_holds and verdictT.is_holds):
@@ -292,7 +233,6 @@ def is_torsion_free_finite(ring: BasedRing,
     within the budget.
     """
     census = enumerate_torsion_modules(ring, budget)
-    from .modules import is_standard  # local to avoid cycle at import time
     for module in census.modules:
         verdict = is_standard(module, depth=4)
         if verdict.is_fails:

@@ -351,8 +351,7 @@ def _cmd_standardize(args, session: _Session):
     standardness = is_standard(induced, args.depth)
     if not standardness.is_holds:
         return standardness, {"induced_rank": len(induced.basis)}, None
-    verdict = standardize_from_induced(module, cert, standardness.data,
-                                       args.depth)
+    verdict = standardize_from_induced(induced, standardness.data, args.depth)
     result = {}
     if verdict.is_holds and isinstance(verdict.data, dict):
         result["bijection"] = dict(sorted(verdict.data.items()))

@@ -185,20 +185,18 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
     return summands
 
 
-def standardize_from_induced(n: BasedModule, c: DivisibilityCertificate,
-                             witness: Dict[str, str],
+def standardize_from_induced(ind: InducedModule, witness: Dict[str, str],
                              depth: int = 4) -> Verdict:
-    """Extract the isomorphism n ≅ standard sub module from a standardness
-    witness for the induced module.
+    """Extract the isomorphism n ≅ standard sub module, for the source n of
+    ``ind``, from a standardness witness for the induced module.
 
     ``witness`` must map the induced basis bijectively onto the ambient
     basis and intertwine the actions; the pair sent to the ambient unit
     anchors the extraction.  On success the verdict carries the verified
     bijection from the source basis to the sub basis in ``data``.
     """
-    e = c.embedding
-    sub, amb = e.sub, e.ambient
-    ind = induce(n, c, check_depth=depth)
+    n, c = ind.source, ind.certificate
+    sub, amb = c.embedding.sub, c.embedding.ambient
     amb_window = amb.basis_up_to_depth(depth)
     basis = list(ind.basis)
     if sorted(witness) != sorted(basis):

@@ -214,6 +214,13 @@ def klein_table():
     return [[i ^ k for k in range(4)] for i in range(4)]
 
 
+def product_table(t1, t2):
+    """G1 × G2 on pairs (x1, x2) numbered x1 * |G2| + x2."""
+    n2 = len(t2)
+    return [[t1[i // n2][k // n2] * n2 + t2[i % n2][k % n2]
+             for k in range(len(t1) * n2)] for i in range(len(t1) * n2)]
+
+
 def permutation_table(degree):
     """S_degree on itertools order; entry [x][y] is x after y."""
     perms = list(itertools.permutations(range(degree)))

@@ -201,11 +201,29 @@ def _matrices(module):
             for alpha in module.ring.basis if alpha != module.ring.unit}
 
 
+def _assert_canonical_and_sorted(modules):
+    # each module is emitted as its own least relabelling, in (rank, form)
+    # order; comparing re-canonicalised sets cannot see either
+    keys = []
+    for module in modules:
+        matrices = list(_matrices(module).values())
+        form = tuple(tuple(cell for row in m for cell in row) for m in matrices)
+        assert form == oracles.canonical_form(matrices)
+        keys.append((len(module.basis), form))
+    assert keys == sorted(keys)
+
+
+# Z6, Z2xZ3 and S3 at rank 5 have products that land on later labels
+# (x1 ⊗ x1 = x2), which the walk can check only after assigning them
 @pytest.mark.parametrize("table, max_rank, ranks", [
     (oracles.cyclic_table(4), 4, [1, 2, 4]),
     (oracles.klein_table(), 4, [1, 2, 2, 2, 4]),
     (oracles.permutation_table(3), 3, [1, 2, 3]),
-], ids=["Z4", "Z2xZ2", "S3"])
+    (oracles.cyclic_table(6), 5, [1, 2, 3]),
+    (oracles.product_table(oracles.cyclic_table(2), oracles.cyclic_table(3)),
+     5, [1, 2, 3]),
+    (oracles.permutation_table(3), 5, [1, 2, 3]),
+], ids=["Z4", "Z2xZ2", "S3", "Z6", "Z2xZ3", "S3-rank5"])
 def test_group_census_matches_transitive_gsets(table, max_rank, ranks):
     # a connected based module over Z[G] is a transitive G-set G/H, one per
     # conjugacy class of subgroups H, of rank [G:H]
@@ -217,6 +235,7 @@ def test_group_census_matches_transitive_gsets(table, max_rank, ranks):
     assert all(oracles.is_permutation_matrix(m)
                for module in result.modules
                for m in _matrices(module).values())
+    _assert_canonical_and_sorted(result.modules)
 
 
 @pytest.mark.parametrize("ring", [
@@ -239,3 +258,4 @@ def test_census_matches_unpruned_census(ring):
                 [_matrices(m)[a] for a in alphas])) for m in result.modules]
     assert len(set(got)) == len(got)
     assert set(got) == want
+    _assert_canonical_and_sorted(result.modules)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import pytest
 
 from fusionkit import Element, find_divisibility_certificate, serialize
+from fusionkit import group_ring, symmetric_group_3
 from fusionkit.cli import cli_dispatch
 from fusionkit.serialize import (
     LoadError,
@@ -376,6 +378,18 @@ def test_cli_enumerate_z4_up_to_rank_4(files, capsys):
     census = json.loads(out)["result"]["census"]
     assert census["complete"]
     assert sorted(len(m["basis"]) for m in census["modules"]) == [1, 2, 4]
+
+
+def test_cli_enumerate_s3_document_is_pinned(tmp_path, monkeypatch, capsys):
+    # the S3 census up to rank 4, byte for byte: the census may change how it
+    # searches, never what it emits
+    monkeypatch.chdir(tmp_path)
+    save(group_ring(symmetric_group_3()), "s3.json")
+    code, out, _ = run_cli(capsys, "enumerate", "s3.json", "--max-rank", "4",
+                           "--max-coeff", "1", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "34e4586892fb20d189683a97e41f033dd8f2d825ed093430ff0529e57195dcd0")
 
 
 def test_cli_validate_bad_module(files, capsys):
