@@ -73,7 +73,8 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     the module axiom gives M_a·M_{a*} = I, and a matrix of non-negative
     integers with a non-negative inverse is monomial, whose integer entries
     must then be 1.  Every other label tries all (max_coeff + 1)^(rank²)
-    tuples, built only when such a label exists.
+    tuples, generated one at a time, never held as a list.  The deadline is
+    checked before each candidate.
 
     Labels are assigned in basis order, each followed by its conjugate; the
     unit acts as the identity.  Each non-unit pair (a, b) is checked once,
@@ -96,13 +97,11 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     invertible = {a for a in alphas
                   if ring.product(a, ring.conj(a)) == Element.basis(unit)}
     permutations = list(itertools.permutations(identity.values()))
-    general: List[tuple] = []
+    columns = []
     if len(invertible) < len(alphas):
         columns = [Element.from_sums(dict(zip(basis, coeffs)))
                    for coeffs in itertools.product(range(max_coeff + 1),
                                                    repeat=len(basis))]
-        general = list(itertools.product(columns, repeat=len(basis)))
-    candidates = [permutations if a in invertible else general for a in alphas]
     keys = [[(a, j) for j in basis] for a in alphas]
     # the checks that become decidable when position p is assigned
     mirrors: List[list] = [[] for _ in alphas]
@@ -135,14 +134,16 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
         return True
 
     def walk(p: int) -> Iterator[Table]:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError
         if p == len(alphas):
             yield dict(table)
             return
-        for columns in candidates[p]:
+        candidates = (permutations if alphas[p] in invertible
+                      else itertools.product(columns, repeat=len(basis)))
+        for candidate in candidates:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError
             # entries of later labels are stale here, and no check reads them
-            table.update(zip(keys[p], columns))
+            table.update(zip(keys[p], candidate))
             if holds(p):
                 yield from walk(p + 1)
 

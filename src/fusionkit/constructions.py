@@ -152,25 +152,10 @@ def symmetric_group_3() -> FiniteGroupPresentation:
 
 def group_ring(g: FiniteGroupPresentation) -> BasedRing:
     """Z[Γ]: fusion is the multiplication table, conj is inversion, d = 1."""
-    universe = set(g.elements)
-
-    def product(a: str, b: str) -> Element:
-        if a not in universe or b not in universe:
-            raise UnknownBasisError(f"unknown group ring label in ({a!r}, {b!r})")
-        return Element.basis(g.mul(a, b))
-
-    def conj(a: str) -> str:
-        return g.inv(a)
-
-    def dim(a: str) -> Fraction:
-        if a not in universe:
-            raise UnknownBasisError(f"unknown group ring label {a!r}")
-        return Fraction(1)
-
     doc = {"kind": "construct", "construct": "group_ring", "group": g.to_doc()}
     return BasedRing(name=f"Z[{len(g.elements)}-elt group]", unit=g.identity,
-                     conj=conj, product=product, dim=dim,
-                     basis=g.elements, doc=doc)
+                     conj=g.inv, product=lambda a, b: Element.basis(g.mul(a, b)),
+                     dim=lambda a: Fraction(1), basis=g.elements, doc=doc)
 
 
 # ---------------------------------------------------------------------------
@@ -333,29 +318,12 @@ def rep_ring(t: CharacterTable) -> BasedRing:
                 if coeff:
                     terms[c] = coeff.numerator
             fusion[(a, b)] = Element(terms)
-    universe = set(t.irreps)
-
-    def product(a: str, b: str) -> Element:
-        try:
-            return fusion[(a, b)]
-        except KeyError:
-            raise UnknownBasisError(f"unknown irreducible in ({a!r}, {b!r})") from None
-
-    def conj(a: str) -> str:
-        try:
-            return t.conjugate_of[a]
-        except KeyError:
-            raise UnknownBasisError(f"unknown irreducible {a!r}") from None
-
-    def dim(a: str) -> Fraction:
-        if a not in universe:
-            raise UnknownBasisError(f"unknown irreducible {a!r}")
-        return Fraction(t.degree(a))
-
     doc = {"kind": "construct", "construct": "rep_ring",
            "character_table": t.to_doc()}
     return BasedRing(name=f"R(order-{t.order} group)", unit=t.trivial,
-                     conj=conj, product=product, dim=dim,
+                     conj=t.conjugate_of.__getitem__,
+                     product=lambda a, b: fusion[(a, b)],
+                     dim=lambda a: Fraction(t.degree(a)),
                      basis=t.irreps, doc=doc)
 
 

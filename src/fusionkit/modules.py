@@ -64,10 +64,12 @@ class BasedModule:
 
     def _validate_table(self, table: Mapping[Tuple[str, str], Element]) -> None:
         assert self._basis is not None
+        ring_labels = set(self.ring.basis) if self.ring.is_finite else None
         for (alpha, j), value in table.items():
-            if j not in self._basis_set:
-                raise InvalidInputError(
-                    f"module {self.name}: action entry for unknown module label {j!r}")
+            if j not in self._basis_set or (ring_labels is not None
+                                            and alpha not in ring_labels):
+                raise InvalidInputError(f"module {self.name}: action entry "
+                                        f"({alpha}, {j}) names an unknown label")
             require_nonnegative(value, f"{alpha} ⊗ {j}")
             for lbl, _ in value.items():
                 if lbl not in self._basis_set:

@@ -119,10 +119,11 @@ class BasedRing:
     """Exact based/fusion ring with a finite or lazily generated basis.
 
     The product, involution and dimension are supplied as callables over
-    labels; products are memoized.  For lazy rings ``generators`` seeds the
-    depth-by-depth basis enumeration: depth k holds every label appearing in
-    a product of at most k generators, ordered by (depth of first
-    appearance, label).
+    labels; products are memoized.  A finite ring rejects a label outside its
+    basis itself, so its callables see only basis labels.  For lazy rings
+    ``generators`` seeds the depth-by-depth basis enumeration: depth k holds
+    every label appearing in a product of at most k generators, ordered by
+    (depth of first appearance, label).
     """
 
     def __init__(self, *, name: str, unit: str,
@@ -140,15 +141,16 @@ class BasedRing:
         self.doc = doc
         if basis is not None:
             self._basis: Optional[Tuple[str, ...]] = tuple(basis)
-            if len(set(self._basis)) != len(self._basis):
+            self._labels: Optional[frozenset] = frozenset(self._basis)
+            if len(self._labels) != len(self._basis):
                 raise InvalidInputError(f"ring {name}: duplicate basis labels")
-            if unit not in self._basis:
+            if unit not in self._labels:
                 raise InvalidInputError(f"ring {name}: unit {unit!r} not in basis")
             self.generators: Tuple[str, ...] = ()
         else:
             if not generators:
                 raise InvalidInputError(f"ring {name}: lazy ring needs generators")
-            self._basis = None
+            self._basis = self._labels = None
             self.generators = tuple(generators)
         self._cache: dict = {}
         self._levels: list = [[unit]]
@@ -165,10 +167,21 @@ class BasedRing:
             raise InvalidInputError(f"ring {self.name} has an infinite basis")
         return self._basis
 
+    def _reject_unknown(self, *labels: str) -> None:
+        """Raise for the first label outside this finite ring's basis."""
+        for label in labels:
+            if label not in self._labels:
+                raise UnknownBasisError(
+                    f"unknown basis label {label!r} in ring {self.name}")
+
     def conj(self, label: str) -> str:
+        if self._labels is not None and label not in self._labels:
+            self._reject_unknown(label)
         return self._conj_fn(label)
 
     def dim(self, label: str) -> Fraction:
+        if self._labels is not None and label not in self._labels:
+            self._reject_unknown(label)
         d = self._dim_fn(label)
         return d if isinstance(d, Fraction) else Fraction(d)
 
@@ -177,6 +190,8 @@ class BasedRing:
         key = (a, b)
         hit = self._cache.get(key)
         if hit is None:
+            if self._labels is not None:
+                self._reject_unknown(a, b)
             hit = require_nonnegative(self._product_fn(a, b), f"{a} ⊗ {b}")
             self._cache[key] = hit
         return hit
@@ -315,55 +330,43 @@ def check_dimension(ring: BasedRing, depth: int = 4) -> Verdict:
 def explicit_ring(*, name: str, basis: Iterable[str], unit: str,
                   conj: dict, dim: dict, fusion: dict,
                   doc: Optional[dict] = None) -> BasedRing:
-    """Build a finite ring from explicit tables.
+    """Build a finite ring from explicit tables, checked once, here.
 
-    ``fusion`` maps non-unit label pairs to Elements; unit products are
-    implied.  Missing pairs are an error when the product is requested, never
-    a silent zero.
+    ``conj`` and ``dim`` map exactly the basis, ``conj`` into it.
+    ``fusion`` maps pairs of basis labels to Elements supported on the
+    basis; every non-unit pair must be listed, because a missing pair is
+    undefined, never a silent zero.  Unit products are implied, and an
+    entry for a unit pair is never read.
     """
-    basis = tuple(basis)
-    basis_set = set(basis)
-    for lbl, target in conj.items():
-        if lbl not in basis_set or target not in basis_set:
-            raise InvalidInputError(f"conj table references unknown label "
-                                    f"{lbl!r} → {target!r}")
-    for lbl in basis:
-        if lbl not in conj:
-            raise InvalidInputError(f"conj table missing entry for {lbl!r}")
-        if lbl not in dim:
-            raise InvalidInputError(f"dim table missing entry for {lbl!r}")
+    conj, dim, fusion = dict(conj), dict(dim), dict(fusion)
 
     def product_fn(a: str, b: str) -> Element:
-        if a not in basis_set:
-            raise UnknownBasisError(f"unknown basis label {a!r} in ring {name}")
-        if b not in basis_set:
-            raise UnknownBasisError(f"unknown basis label {b!r} in ring {name}")
         if a == unit:
             return Element.basis(b)
         if b == unit:
             return Element.basis(a)
-        try:
-            value = fusion[(a, b)]
-        except KeyError:
+        return fusion[(a, b)]
+
+    ring = BasedRing(name=name, unit=unit, conj=conj.__getitem__,
+                     product=product_fn, dim=dim.__getitem__, basis=basis,
+                     doc=doc)
+    labels = ring._labels
+    for what, table in (("conj", conj), ("dim", dim)):
+        if set(table) != labels:
             raise InvalidInputError(
-                f"fusion table has no entry for ({a}, {b}); "
-                "missing pairs are undefined, not zero") from None
-        for lbl, _ in value.items():
-            if lbl not in basis_set:
-                raise InvalidInputError(
-                    f"fusion entry ({a}, {b}) references unknown label {lbl!r}")
-        return value
-
-    def conj_fn(a: str) -> str:
-        if a not in basis_set:
-            raise UnknownBasisError(f"unknown basis label {a!r} in ring {name}")
-        return conj[a]
-
-    def dim_fn(a: str) -> Fraction:
-        if a not in basis_set:
-            raise UnknownBasisError(f"unknown basis label {a!r} in ring {name}")
-        d = dim[a]
-        return d if isinstance(d, Fraction) else Fraction(d)
-
-    return BasedRing(name=name, unit=unit, conj=conj_fn, product=product_fn,
-                     dim=dim_fn, basis=basis, doc=doc)
+                f"{what} table must map exactly the basis labels; it differs "
+                f"at {sorted(set(table) ^ labels, key=str)}")
+    for label, target in conj.items():
+        if target not in labels:
+            raise InvalidInputError(f"conj({label!r}) = {target!r} is not a "
+                                    "basis label")
+    for a, b in itertools.product(ring.basis, repeat=2):
+        if unit not in (a, b) and (a, b) not in fusion:
+            raise InvalidInputError(f"fusion entry for ({a}, {b}) is missing; "
+                                    "unlisted pairs are undefined, not zero")
+    for (a, b), value in fusion.items():
+        stray = {a, b, *value.support} - labels
+        if stray:
+            raise InvalidInputError(f"fusion entry ({a}, {b}) names unknown "
+                                    f"labels {sorted(stray)}")
+    return ring

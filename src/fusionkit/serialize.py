@@ -1,12 +1,14 @@
 """Definition-file schema, canonical JSON, content hashes, product cache.
 
-Definition files are JSON documents with a top-level ``kind``.  Loading
-fully validates the object (ring axioms, module axioms, embedding closure,
-certificate invariants) at a configurable depth; a failed validation raises
-with the witness.  Within one load session a definition reached again, by
-path or inline, is built and validated once.  Unknown fields are rejected.  Fusion and action tables
-must list every non-unit pair: unlisted pairs are undefined, never zero;
-products with the unit are implied by the schema.
+Definition files are JSON documents with a top-level ``kind``.  The loader
+checks what a document alone can get wrong: JSON types, fields, duplicate
+entries and unit entries that contradict the implied unit product.  The
+constructors check the mathematics, a finite ring every label it is given.
+Loading then validates the object (ring axioms, module axioms, embedding
+closure, certificate invariants) at a configurable depth; a failed
+validation raises with the witness.  Within one load session a definition
+reached again, by path or inline, is built and validated once.  Tables
+must list every non-unit pair: unlisted pairs are undefined, never zero.
 """
 
 from __future__ import annotations
@@ -167,64 +169,41 @@ def _as_cyclo(doc: Any, what: str) -> Cyclo:
 # rings
 
 def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
+    """JSON shape, duplicate and unit entries only: ``explicit_ring`` checks
+    the tables against the basis."""
     _require_keys(doc, {"kind", "basis", "unit", "conj", "dim", "fusion"},
                   {"name"}, "explicit_ring")
     basis = _typed(doc["basis"], list, "explicit_ring: basis", str)
     if not basis:
         raise LoadError("explicit_ring: basis must be a non-empty list of labels")
-    basis_set = set(basis)
     unit = _typed(doc["unit"], str, "explicit_ring: unit")
-    if unit not in basis_set:
-        raise LoadError(f"explicit_ring: unit {unit!r} not in basis")
     conj = _typed(doc["conj"], dict, "explicit_ring: conj", str)
-    if set(conj) != basis_set:
-        raise LoadError("explicit_ring: conj must map every basis label")
-    for a, b in conj.items():
-        if b not in basis_set:
-            raise LoadError(f"explicit_ring: conj({a!r}) = {b!r} is unknown")
     dim = {label: _as_fraction(value, f"dim[{label}]") for label, value
            in _typed(doc["dim"], dict, "explicit_ring: dim").items()}
-    if set(dim) != basis_set:
-        raise LoadError("explicit_ring: dim must map every basis label")
     fusion: Dict[Tuple[str, str], Element] = {}
     for triple in _typed(doc["fusion"], list, "explicit_ring: fusion"):
         a, b, value = _row(triple, (str, str, dict), "explicit_ring: fusion "
                            "entries are [a, b, {label: coeff}]")
-        if a not in basis_set or b not in basis_set:
-            raise LoadError(f"explicit_ring: fusion pair ({a!r}, {b!r}) "
-                            "references unknown labels")
-        element = _as_element(value, f"fusion[{a},{b}]")
-        for label, _ in element.items():
-            if label not in basis_set:
-                raise LoadError(f"explicit_ring: fusion[{a},{b}] hits unknown "
-                                f"label {label!r}")
         if (a, b) in fusion:
             raise LoadError(f"explicit_ring: duplicate fusion entry ({a}, {b})")
-        if a == unit or b == unit:
-            implied = Element.basis(b if a == unit else a)
-            if element != implied:
-                raise LoadError(f"explicit_ring: fusion[{a},{b}] contradicts "
-                                "the implied unit product")
-            continue
-        fusion[(a, b)] = element
-    for a in basis:
-        for b in basis:
-            if a != unit and b != unit and (a, b) not in fusion:
-                raise LoadError(f"explicit_ring: fusion entry for ({a}, {b}) "
-                                "is missing; unlisted pairs are undefined")
+        fusion[(a, b)] = element = _as_element(value, f"fusion[{a},{b}]")
+        if unit in (a, b) and element != Element.basis(b if a == unit else a):
+            raise LoadError(f"explicit_ring: fusion[{a},{b}] contradicts "
+                            "the implied unit product")
     normalized = {
         "kind": "explicit_ring",
         "basis": list(basis),
         "unit": unit,
         "conj": {a: conj[a] for a in sorted(conj)},
         "dim": {a: _fraction_doc(dim[a]) for a in sorted(dim)},
-        "fusion": sorted([a, b, dict(v.items())] for (a, b), v in fusion.items()),
+        "fusion": sorted([a, b, dict(v.items())] for (a, b), v in fusion.items()
+                         if unit not in (a, b)),
     }
     if "name" in doc:
         normalized["name"] = doc["name"]
-    return explicit_ring(name=doc.get("name", "explicit ring"), basis=basis,
-                         unit=unit, conj=conj, dim=dim, fusion=fusion,
-                         doc=normalized)
+    return _build("explicit_ring", explicit_ring,
+                  name=doc.get("name", "explicit ring"), basis=basis, unit=unit,
+                  conj=conj, dim=dim, fusion=fusion, doc=normalized)
 
 
 def _load_group(doc: Any, what: str) -> FiniteGroupPresentation:
@@ -346,31 +325,22 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
                   "module")
     ring = _ref(doc["ring"], "ring", base_dir)
     basis = _typed(doc["basis"], list, "module: basis", str)
-    if not basis:
-        raise LoadError("module: basis must be a non-empty list of labels")
-    basis_set = set(basis)
     table: Dict[Tuple[str, str], Element] = {}
     for triple in _typed(doc["action"], list, "module: action"):
         alpha, j, value = _row(triple, (str, str, dict), "module: action "
                                "entries are [alpha, j, {label: coeff}]")
-        if j not in basis_set:
-            raise LoadError(f"module: action references unknown module label {j!r}")
-        if ring.is_finite and alpha not in ring.basis:
-            raise LoadError(f"module: action references unknown ring label {alpha!r}")
-        if alpha == ring.unit:
-            if _as_element(value, "action") != Element.basis(j):
-                raise LoadError(f"module: action[{alpha},{j}] contradicts the "
-                                "implied unit action")
-            continue
         if (alpha, j) in table:
             raise LoadError(f"module: duplicate action entry ({alpha}, {j})")
-        table[(alpha, j)] = _as_element(value, f"action[{alpha},{j}]")
+        table[(alpha, j)] = element = _as_element(value, f"action[{alpha},{j}]")
+        if alpha == ring.unit and element != Element.basis(j):
+            raise LoadError(f"module: action[{alpha},{j}] contradicts the "
+                            "implied unit action")
     normalized = {
         "kind": "module",
         "ring": ring.doc,
         "basis": list(basis),
         "action": sorted([alpha, j, dict(v.items())]
-                         for (alpha, j), v in table.items()),
+                         for (alpha, j), v in table.items() if alpha != ring.unit),
     }
     if "name" in doc:
         normalized["name"] = doc["name"]
@@ -379,7 +349,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
     if "dim" in doc:
         dims = {j: _as_fraction(value, f"module dim[{j}]") for j, value
                 in _typed(doc["dim"], dict, "module: dim").items()}
-        if set(dims) != basis_set:
+        if set(dims) != set(basis):
             raise LoadError("module: dim must cover exactly the module basis")
         _check_module_dimension(module, dims)
         normalized["dim"] = {j: _fraction_doc(dims[j]) for j in sorted(dims)}

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from .elements import Element, EmbeddingDataError, InvalidInputError
+from .elements import (Element, EmbeddingDataError, InvalidInputError,
+                       UnknownBasisError)
 from .rings import BasedRing, Verdict
 
 MapLike = Union[Mapping[str, str], Callable[[str], str]]
@@ -36,10 +37,14 @@ class SubringEmbedding:
                 if missing:
                     raise InvalidInputError(
                         f"embedding {name}: map missing sub labels {missing}")
-            self._map_fn = lambda s: table[s]
+            self._map_fn = table.get
 
     def embed(self, s: str) -> str:
-        return self._map_fn(s)
+        image = self._map_fn(s)
+        if image is None:
+            raise UnknownBasisError(
+                f"map of {self.name} has no image for sub label {s!r}")
+        return image
 
     def image_window(self, depth: int) -> Dict[str, str]:
         """Mapping ambient label -> sub label over the sub window."""

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -80,6 +81,20 @@ def test_exhausted_wall_clock_flags_incomplete(s3):
     result = enumerate_torsion_modules(
         s3, EnumerationBudget(2, 1, max_seconds=0.0))
     assert not result.complete
+
+
+def test_general_candidates_are_generated_lazily():
+    # Rep(S3)'s std tries (4 + 1)^9 ≈ 2M general tuples at rank 3; held as a
+    # list they take over 100 MB before the first deadline check
+    tracemalloc.start()
+    try:
+        result = enumerate_torsion_modules(rep_ring(s3_character_table()),
+                                           EnumerationBudget(3, 4, max_seconds=0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.complete
+    assert peak < 5 * 2**20
 
 
 def test_budget_validation():

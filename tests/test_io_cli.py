@@ -545,6 +545,19 @@ def test_cli_induced_along_swapped_certificate(inline, files, tmp_path, capsys):
         "factorization of a is ('a', 'g'), but a arises as map(e) ⊗ a")
 
 
+@pytest.mark.parametrize("inline", [False, True], ids=["path", "inline"])
+def test_cli_map_embedding_missing_a_lazy_sub_label(inline, tmp_path, capsys):
+    su2 = {"kind": "construct", "construct": "su2"}
+    top = {"kind": "embedding", "sub": _ref_case(tmp_path, "su2.json", su2, inline),
+           "ambient": su2, "map": {"x0": "x0", "x1": "x1"}}
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(top))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 4
+    assert out == ""
+    assert err == "error: map of embedding has no image for sub label 'x2'\n"
+
+
 # --- one validation per definition and command ---------------------------------
 
 def _count_ring_checks(monkeypatch):
@@ -639,6 +652,12 @@ MALFORMED = {
                               "group": dict(Z2_DOC["group"], elements="eg")},
     "fusion-coefficient-overflow": dict(
         EXPLICIT_Z2, fusion=[["g", "g", {"e": 2**63}]]),
+    # unit entries are implied, but their labels are still checked
+    "ring-unit-entry-off-basis": dict(
+        EXPLICIT_Z2, fusion=[["g", "g", {"e": 1}], ["e", "zz", {"zz": 1}]]),
+    "module-unit-entry-off-basis": {
+        "kind": "module", "ring": "z2.json", "basis": ["j"],
+        "action": [["g", "j", {"j": 1}], ["e", "zz", {"zz": 1}]]},
     "refers-to-itself": {"kind": "construct", "construct": "direct_product",
                          "left": "z2.json", "right": {
                              "kind": "construct", "construct": "free_product",

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusionkit import (
     Element,
+    InvalidInputError,
     UnknownBasisError,
     check_dimension,
     check_ring_axioms,
@@ -15,6 +17,8 @@ from fusionkit import (
     explicit_ring,
     free_product,
     group_ring,
+    rep_ring,
+    s3_character_table,
     su2_ring,
     tensor,
 )
@@ -50,6 +54,47 @@ def test_unknown_label_rejected(z2):
         z2.product("g", "nope")
     with pytest.raises(UnknownBasisError):
         tensor(z2, Element.basis("zzz"), Element.basis("g"))
+
+
+Z3_TABLES = dict(basis=["e", "a", "b"], unit="e",
+                 conj={"e": "e", "a": "b", "b": "a"},
+                 dim={"e": 1, "a": 1, "b": 1},
+                 fusion={("a", "a"): Element.basis("b"),
+                         ("a", "b"): Element.basis("e"),
+                         ("b", "a"): Element.basis("e"),
+                         ("b", "b"): Element.basis("a")})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"fusion": {k: v for k, v in Z3_TABLES["fusion"].items() if k != ("b", "a")}},
+     "fusion entry for (b, a) is missing"),
+    ({"fusion": {**Z3_TABLES["fusion"], ("b", "b"): Element({"zz": 1})}},
+     "fusion entry (b, b) names unknown labels ['zz']"),
+    ({"fusion": {**Z3_TABLES["fusion"], ("a", "zz"): Element.basis("a")}},
+     "fusion entry (a, zz) names unknown labels ['zz']"),
+    ({"conj": {"e": "e", "a": "b", "b": "zz"}}, "conj('b') = 'zz'"),
+    ({"dim": {"e": 1, "a": 1}}, "dim table must map exactly the basis labels"),
+], ids=["missing-pair", "off-basis-value", "off-basis-pair", "conj-target",
+        "dim-domain"])
+def test_explicit_ring_rejects_incomplete_tables_when_built(change, message):
+    # at construction, before any product is asked for
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        explicit_ring(name="z3", **{**Z3_TABLES, **change})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: explicit_ring(name="z3", **Z3_TABLES),
+    lambda: group_ring(cyclic_group(3)),
+    lambda: rep_ring(s3_character_table()),
+], ids=["explicit", "group", "rep"])
+def test_finite_rings_reject_unknown_labels_alike(make):
+    ring = make()
+    known = ring.basis[-1]
+    message = re.escape(f"unknown basis label 'zz' in ring {ring.name}")
+    for call in (lambda: ring.product(known, "zz"), lambda: ring.product("zz", known),
+                 lambda: ring.conj("zz"), lambda: ring.dim("zz")):
+        with pytest.raises(UnknownBasisError, match=f"^{message}$"):
+            call()
 
 
 def test_based_axiom_violation_witnessed():
