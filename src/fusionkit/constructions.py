@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from .cyclotomic import Cyclo
 from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
@@ -416,9 +418,7 @@ def so3_subring(ambient: Optional[BasedRing] = None) -> SubringEmbedding:
     sub = so3_ring()
 
     def mapping(s: str) -> str:
-        n = _cg_index(s, sub.name)
-        if n % 2:
-            raise UnknownBasisError(f"odd label {s!r} is not in {sub.name}")
+        sub.dim(s)  # so3_ring's even-label check
         return s
 
     return SubringEmbedding(sub=sub, ambient=amb, mapping=mapping,
@@ -427,7 +427,7 @@ def so3_subring(ambient: Optional[BasedRing] = None) -> SubringEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# direct products
+# products: one label registry, one letters rule, one embedding builder
 
 @dataclass(frozen=True)
 class RingWithFactorEmbeddings:
@@ -436,88 +436,121 @@ class RingWithFactorEmbeddings:
     right: SubringEmbedding
 
 
-def _pair_registry(name: str):
-    registry: Dict[str, Tuple[str, str]] = {}
+class _Labels:
+    """The labels of a product ring and the keys they stand for: a pair of
+    factor labels, or a word of ``(side, letter)`` pairs.
 
-    def make(a: str, b: str) -> str:
-        label = f"({a},{b})"
-        known = registry.get(label)
-        if known is None:
-            registry[label] = (a, b)
-        elif known != (a, b):
-            raise InvalidInputError(
-                f"ambiguous pair label {label!r} in {name}")
+    ``make`` renders a key and registers it on first use; ``decode``
+    inverts it.  Registration takes the registry's own lock, and only on a
+    miss, so products computed concurrently on one ring register the same
+    labels as a serial run.
+    """
+
+    def __init__(self, name: str, render: Callable[[Hashable], str]):
+        self.name = name
+        self._render = render
+        self._label_of: Dict[Hashable, str] = {}
+        self._key_of: Dict[str, Hashable] = {}
+        self._lock = threading.Lock()
+
+    def make(self, key: Hashable) -> str:
+        label = self._label_of.get(key)
+        if label is None:
+            with self._lock:
+                label = self._render(key)
+                known = self._key_of.setdefault(label, key)
+                if known != key:
+                    raise InvalidInputError(
+                        f"ambiguous label {label!r} in {self.name}: it stands "
+                        f"for both {known!r} and {key!r}; relabel a factor")
+                # the key is decodable before its label is handed out
+                self._label_of[key] = label
         return label
 
-    def decode(label: str) -> Tuple[str, str]:
+    def decode(self, label: str) -> Hashable:
         try:
-            return registry[label]
+            return self._key_of[label]
         except KeyError:
             raise UnknownBasisError(
-                f"unknown basis label {label!r} in {name}") from None
+                f"unknown basis label {label!r} in {self.name}") from None
 
-    return make, decode
+
+def _letters(ring: BasedRing) -> List[str]:
+    """A factor's basis minus the unit when finite, its generators otherwise."""
+    if ring.is_finite:
+        return [a for a in ring.basis if a != ring.unit]
+    return list(ring.generators)
+
+
+def _factor_embedding(ring: BasedRing, sub: BasedRing,
+                      mapping: Callable[[str], str], canonical: str,
+                      label: str) -> SubringEmbedding:
+    """The canonical embedding ``label ↪ ring`` of a factor ``sub`` into
+    the product ``ring``; ``mapping`` sees only labels ``sub.dim`` accepts."""
+    def embed(s: str) -> str:
+        sub.dim(s)  # label validation through the factor
+        return mapping(s)
+
+    doc = None
+    if ring.doc is not None:
+        doc = {"kind": "embedding", "canonical": canonical, "ambient": ring.doc}
+    return SubringEmbedding(sub=sub, ambient=ring, mapping=embed,
+                            name=f"{label} ↪ {ring.name}", doc=doc)
+
+
+def _two_factor_doc(construct: str, r1: BasedRing, r2: BasedRing
+                    ) -> Optional[dict]:
+    if r1.doc is None or r2.doc is None:
+        return None
+    return {"kind": "construct", "construct": construct,
+            "left": r1.doc, "right": r2.doc}
+
+
+def _pair_label(pair: Tuple[str, str]) -> str:
+    return f"({pair[0]},{pair[1]})"
 
 
 def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
     """Componentwise fusion on pairs, with both factor embeddings."""
     name = f"{r1.name} × {r2.name}"
-    make, decode = _pair_registry(name)
-    unit = make(r1.unit, r2.unit)
+    labels = _Labels(name, _pair_label)
+    make, decode = labels.make, labels.decode
 
     def product(la: str, lb: str) -> Element:
         a1, a2 = decode(la)
         b1, b2 = decode(lb)
-        return bilinear(lambda x, y: Element.basis(make(x, y)),
+        return bilinear(lambda x, y: Element.basis(make((x, y))),
                         r1.product(a1, b1), r2.product(a2, b2))
 
     def conj(la: str) -> str:
         a1, a2 = decode(la)
-        return make(r1.conj(a1), r2.conj(a2))
+        return make((r1.conj(a1), r2.conj(a2)))
 
     def dim(la: str) -> Fraction:
         a1, a2 = decode(la)
         return r1.dim(a1) * r2.dim(a2)
 
-    doc = None
-    if r1.doc is not None and r2.doc is not None:
-        doc = {"kind": "construct", "construct": "direct_product",
-               "left": r1.doc, "right": r2.doc}
+    unit = make((r1.unit, r2.unit))
     if r1.is_finite and r2.is_finite:
-        basis = [make(a, b) for a in r1.basis for b in r2.basis]
-        ring = BasedRing(name=name, unit=unit, conj=conj, product=product,
-                         dim=dim, basis=basis, doc=doc)
+        basis_kw = {"basis": [make((a, b)) for a in r1.basis for b in r2.basis]}
     else:
-        gens = [make(g, r2.unit) for g in
-                (r1.generators if not r1.is_finite else
-                 [a for a in r1.basis if a != r1.unit])]
-        gens += [make(r1.unit, g) for g in
-                 (r2.generators if not r2.is_finite else
-                  [b for b in r2.basis if b != r2.unit])]
-        ring = BasedRing(name=name, unit=unit, conj=conj, product=product,
-                         dim=dim, generators=gens, doc=doc)
+        basis_kw = {"generators": [make((g, r2.unit)) for g in _letters(r1)]
+                    + [make((r1.unit, g)) for g in _letters(r2)]}
+    ring = BasedRing(name=name, unit=unit, conj=conj, product=product, dim=dim,
+                     doc=_two_factor_doc("direct_product", r1, r2), **basis_kw)
+    return RingWithFactorEmbeddings(
+        ring,
+        _factor_embedding(ring, r1, lambda a: make((a, r2.unit)),
+                          "direct_left", r1.name),
+        _factor_embedding(ring, r2, lambda b: make((r1.unit, b)),
+                          "direct_right", r2.name))
 
-    def embed_left(a: str) -> str:
-        return make(a, r2.unit)
-
-    def embed_right(b: str) -> str:
-        return make(r1.unit, b)
-
-    left_doc = right_doc = None
-    if doc is not None:
-        left_doc = {"kind": "embedding", "canonical": "direct_left", "ambient": doc}
-        right_doc = {"kind": "embedding", "canonical": "direct_right", "ambient": doc}
-    left = SubringEmbedding(sub=r1, ambient=ring, mapping=embed_left,
-                            name=f"{r1.name} ↪ {name}", doc=left_doc)
-    right = SubringEmbedding(sub=r2, ambient=ring, mapping=embed_right,
-                             name=f"{r2.name} ↪ {name}", doc=right_doc)
-    return RingWithFactorEmbeddings(ring, left, right)
-
-
-# ---------------------------------------------------------------------------
-# free products
 
 _FREE_UNIT = "ε"
+
+
+def _word_label(word: Tuple[Tuple[int, str], ...]) -> str:
+    return "".join(letter for _, letter in word) or _FREE_UNIT
 
 
 def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
@@ -527,41 +560,18 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
     factors contract at the boundary: the letters fuse to every non-trivial
     constituent, plus a recursive term when they are conjugate.  Recursion
     terminates because each step shortens the word.
+
+    Every letter is registered as its one-letter word before it is used,
+    so a letter label that both factors use is rejected as ambiguous.
     """
     name = f"{r1.name} ∗ {r2.name}"
     factors = (r1, r2)
-    word_of: Dict[str, Tuple] = {_FREE_UNIT: ()}
-    label_of: Dict[Tuple, str] = {(): _FREE_UNIT}
-    letter_side: Dict[str, int] = {}
+    labels = _Labels(name, _word_label)
+    make, decode = labels.make, labels.decode
 
-    def register_letter(side: int, letter: str) -> None:
-        owner = letter_side.get(letter)
-        if owner is None:
-            letter_side[letter] = side
-        elif owner != side:
-            raise InvalidInputError(
-                f"letter label {letter!r} appears in both factors of {name}; "
-                "relabel one factor")
-
-    def make(word: Tuple) -> str:
-        label = label_of.get(word)
-        if label is None:
-            label = "".join(letter for _, letter in word) or _FREE_UNIT
-            clash = word_of.get(label)
-            if clash is not None and clash != word:
-                raise InvalidInputError(
-                    f"word label {label!r} is ambiguous in {name}")
-            word_of[label] = word
-            label_of[word] = label
-        return label
-
-    def decode(label: str) -> Tuple:
-        try:
-            return word_of[label]
-        except KeyError:
-            raise UnknownBasisError(
-                f"unknown basis label {label!r} in {name}; "
-                "only labels discovered by enumeration resolve") from None
+    def letter(side: int, x: str) -> Tuple[Tuple[int, str], ...]:
+        make(((side, x),))
+        return ((side, x),)
 
     def word_product(u: Tuple, v: Tuple, guard: int, sums: dict) -> None:
         # adds u·v into sums; each contraction strips a letter from both
@@ -579,8 +589,7 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
         for t, coeff in factor.product(x, xp).items():
             if t == factor.unit:
                 continue
-            register_letter(side, t)
-            label = make(u[:-1] + ((side, t),) + v[1:])
+            label = make(u[:-1] + letter(side, t) + v[1:])
             sums[label] = sums.get(label, 0) + coeff
         if factor.conj(x) == xp:
             word_product(u[:-1], v[1:], guard - 2, sums)
@@ -592,56 +601,33 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
         return Element.from_sums(sums)
 
     def conj(la: str) -> str:
-        word = decode(la)
-        flipped = []
-        for side, letter in reversed(word):
-            mate = factors[side].conj(letter)
-            register_letter(side, mate)
-            flipped.append((side, mate))
-        return make(tuple(flipped))
+        flipped: Tuple = ()
+        for side, x in reversed(decode(la)):
+            flipped += letter(side, factors[side].conj(x))
+        return make(flipped)
 
     def dim(la: str) -> Fraction:
         out = Fraction(1)
-        for side, letter in decode(la):
-            out *= factors[side].dim(letter)
+        for side, x in decode(la):
+            out *= factors[side].dim(x)
         return out
 
-    generators: List[str] = []
-    for side, factor in enumerate(factors):
-        letters = ([a for a in factor.basis if a != factor.unit]
-                   if factor.is_finite else list(factor.generators))
-        for letter in letters:
-            register_letter(side, letter)
-            generators.append(make(((side, letter),)))
+    unit = make(())
+    generators = [make(((side, x),))
+                  for side, factor in enumerate(factors)
+                  for x in _letters(factor)]
+    ring = BasedRing(name=name, unit=unit, conj=conj, product=product,
+                     dim=dim, generators=generators,
+                     doc=_two_factor_doc("free_product", r1, r2))
 
-    doc = None
-    if r1.doc is not None and r2.doc is not None:
-        doc = {"kind": "construct", "construct": "free_product",
-               "left": r1.doc, "right": r2.doc}
-    ring = BasedRing(name=name, unit=_FREE_UNIT, conj=conj, product=product,
-                     dim=dim, generators=generators, doc=doc)
+    def embed_side(side: int) -> Callable[[str], str]:
+        unit_of = factors[side].unit
+        return lambda s: unit if s == unit_of else make(((side, s),))
 
-    def embed_side(side: int):
-        factor = factors[side]
-
-        def embed(s: str) -> str:
-            if s == factor.unit:
-                return _FREE_UNIT
-            factor.dim(s)  # label validation through the factor
-            register_letter(side, s)
-            return make(((side, s),))
-
-        return embed
-
-    left_doc = right_doc = None
-    if doc is not None:
-        left_doc = {"kind": "embedding", "canonical": "free_left", "ambient": doc}
-        right_doc = {"kind": "embedding", "canonical": "free_right", "ambient": doc}
-    left = SubringEmbedding(sub=r1, ambient=ring, mapping=embed_side(0),
-                            name=f"{r1.name} ↪ {name}", doc=left_doc)
-    right = SubringEmbedding(sub=r2, ambient=ring, mapping=embed_side(1),
-                             name=f"{r2.name} ↪ {name}", doc=right_doc)
-    return RingWithFactorEmbeddings(ring, left, right)
+    return RingWithFactorEmbeddings(
+        ring,
+        _factor_embedding(ring, r1, embed_side(0), "free_left", r1.name),
+        _factor_embedding(ring, r2, embed_side(1), "free_right", r2.name))
 
 
 # ---------------------------------------------------------------------------
@@ -732,22 +718,22 @@ def semidirect_product(gamma: FiniteGroupPresentation, target: BasedRing,
     if act.group is not gamma and act.group.elements != gamma.elements:
         raise InvalidInputError("action group does not match the given group")
     name = f"{len(gamma.elements)}-group ⋉ {target.name}"
-    make, decode = _pair_registry(name)
-    basis = [make(g, x) for g in gamma.elements for x in target.basis]
-    unit = make(gamma.identity, target.unit)
+    labels = _Labels(name, _pair_label)
+    make, decode = labels.make, labels.decode
+    basis = [make((g, x)) for g in gamma.elements for x in target.basis]
 
     def product(la: str, lb: str) -> Element:
         g1, x = decode(la)
         g2, xp = decode(lb)
         twist = act.perms[gamma.inv(g2)]
         g12 = gamma.mul(g1, g2)
-        # make(g12, ·) is injective, so no two terms share a label
-        return Element.from_sums({make(g12, z): coeff for z, coeff
+        # make((g12, ·)) is injective, so no two terms share a label
+        return Element.from_sums({make((g12, z)): coeff for z, coeff
                                   in target.product(twist[x], xp).items()})
 
     def conj(la: str) -> str:
         g1, x = decode(la)
-        return make(gamma.inv(g1), act.perms[g1][target.conj(x)])
+        return make((gamma.inv(g1), act.perms[g1][target.conj(x)]))
 
     def dim(la: str) -> Fraction:
         _, x = decode(la)
@@ -758,30 +744,12 @@ def semidirect_product(gamma: FiniteGroupPresentation, target: BasedRing,
         doc = {"kind": "construct", "construct": "semidirect_product",
                "group": gamma.to_doc(), "target": target.doc,
                "action": act.to_doc()}
-    ring = BasedRing(name=name, unit=unit, conj=conj, product=product,
-                     dim=dim, basis=basis, doc=doc)
-    group_ring_side = group_ring(gamma)
-
-    def embed_group(g: str) -> str:
-        if g not in gamma.inverse:
-            raise UnknownBasisError(f"unknown group element {g!r}")
-        return make(g, target.unit)
-
-    def embed_target(x: str) -> str:
-        target.dim(x)  # label validation
-        return make(gamma.identity, x)
-
-    g_doc = t_doc = None
-    if doc is not None:
-        g_doc = {"kind": "embedding", "canonical": "semidirect_group",
-                 "ambient": doc}
-        t_doc = {"kind": "embedding", "canonical": "semidirect_target",
-                 "ambient": doc}
-    group_embedding = SubringEmbedding(sub=group_ring_side, ambient=ring,
-                                       mapping=embed_group,
-                                       name=f"group ↪ {name}", doc=g_doc)
-    target_embedding = SubringEmbedding(sub=target, ambient=ring,
-                                        mapping=embed_target,
-                                        name=f"{target.name} ↪ {name}",
-                                        doc=t_doc)
-    return SemidirectProductRing(ring, group_embedding, target_embedding)
+    ring = BasedRing(name=name, unit=make((gamma.identity, target.unit)),
+                     conj=conj, product=product, dim=dim, basis=basis, doc=doc)
+    return SemidirectProductRing(
+        ring,
+        _factor_embedding(ring, group_ring(gamma),
+                          lambda g: make((g, target.unit)),
+                          "semidirect_group", "group"),
+        _factor_embedding(ring, target, lambda x: make((gamma.identity, x)),
+                          "semidirect_target", target.name))

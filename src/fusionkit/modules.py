@@ -70,7 +70,7 @@ class BasedModule:
                                             and alpha not in ring_labels):
                 raise InvalidInputError(f"module {self.name}: action entry "
                                         f"({alpha}, {j}) names an unknown label")
-            require_nonnegative(value, f"{alpha} ⊗ {j}")
+            require_nonnegative(value, f"{alpha} ⊗ {j} of module {self.name}")
             for lbl, _ in value.items():
                 if lbl not in self._basis_set:
                     raise InvalidInputError(

@@ -10,8 +10,8 @@ closing a generator set under products, depth by depth.
 Concurrency: extending a lazy basis window is serialized by a per-ring lock,
 so concurrent ``basis_up_to_depth`` calls on one ring see the same levels as
 a serial run.  The product memo is a fill-on-read dict; a duplicate fill
-computes the same value.  The label registries that constructions fill on
-read (free-product words, pair labels) are not audited for concurrent use.
+computes the same value.  A product ring registers each new label under
+its label registry's own lock.
 """
 
 from __future__ import annotations
@@ -354,19 +354,19 @@ def explicit_ring(*, name: str, basis: Iterable[str], unit: str,
     for what, table in (("conj", conj), ("dim", dim)):
         if set(table) != labels:
             raise InvalidInputError(
-                f"{what} table must map exactly the basis labels; it differs "
-                f"at {sorted(set(table) ^ labels, key=str)}")
+                f"ring {name}: {what} table must map exactly the basis "
+                f"labels; it differs at {sorted(set(table) ^ labels, key=str)}")
     for label, target in conj.items():
         if target not in labels:
-            raise InvalidInputError(f"conj({label!r}) = {target!r} is not a "
-                                    "basis label")
+            raise InvalidInputError(f"ring {name}: conj({label!r}) = "
+                                    f"{target!r} is not a basis label")
     for a, b in itertools.product(ring.basis, repeat=2):
         if unit not in (a, b) and (a, b) not in fusion:
-            raise InvalidInputError(f"fusion entry for ({a}, {b}) is missing; "
-                                    "unlisted pairs are undefined, not zero")
+            raise InvalidInputError(f"ring {name}: fusion entry for ({a}, {b}) is "
+                                    "missing; unlisted pairs are undefined, not zero")
     for (a, b), value in fusion.items():
         stray = {a, b, *value.support} - labels
         if stray:
-            raise InvalidInputError(f"fusion entry ({a}, {b}) names unknown "
-                                    f"labels {sorted(stray)}")
+            raise InvalidInputError(f"ring {name}: fusion entry ({a}, {b}) "
+                                    f"names unknown labels {sorted(stray)}")
     return ring

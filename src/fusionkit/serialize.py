@@ -108,13 +108,14 @@ def _row(value: Any, kinds: Tuple[type, ...], what: str) -> list:
     return value
 
 
-def _build(what: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+def _build(what: Optional[str], make: Callable[..., Any], *args: Any,
+           **kwargs: Any) -> Any:
     """``make(*args, **kwargs)``, with an input error raised as a LoadError
-    prefixed by ``what``."""
+    prefixed by ``what``; None where the message names its object itself."""
     try:
         return make(*args, **kwargs)
     except InvalidInputError as exc:
-        raise LoadError(f"{what}: {exc}") from exc
+        raise LoadError(str(exc) if what is None else f"{what}: {exc}") from exc
 
 
 def _require_keys(doc: Any, required: set, optional: set, what: str) -> None:
@@ -201,7 +202,7 @@ def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
     }
     if "name" in doc:
         normalized["name"] = doc["name"]
-    return _build("explicit_ring", explicit_ring,
+    return _build(None, explicit_ring,
                   name=doc.get("name", "explicit ring"), basis=basis, unit=unit,
                   conj=conj, dim=dim, fusion=fusion, doc=normalized)
 
@@ -344,7 +345,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
     }
     if "name" in doc:
         normalized["name"] = doc["name"]
-    module = _build("module", BasedModule, ring=ring, basis=basis, action=table,
+    module = _build(None, BasedModule, ring=ring, basis=basis, action=table,
                     name=doc.get("name", "module"), doc=normalized)
     if "dim" in doc:
         dims = {j: _as_fraction(value, f"module dim[{j}]") for j, value
@@ -421,7 +422,7 @@ def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
                   "map": {k: mapping[k] for k in sorted(mapping)}}
     if "name" in doc:
         normalized["name"] = doc["name"]
-    return _build("embedding", SubringEmbedding, sub=sub, ambient=ambient,
+    return _build(None, SubringEmbedding, sub=sub, ambient=ambient,
                   mapping=mapping, name=doc.get("name", "embedding"),
                   doc=normalized)
 

@@ -32,11 +32,12 @@ class SubringEmbedding:
             self._map_fn = mapping
         else:
             table = dict(mapping)
-            if sub.is_finite:
+            if sub.is_finite and table.keys() != set(sub.basis):
                 missing = [s for s in sub.basis if s not in table]
-                if missing:
-                    raise InvalidInputError(
-                        f"embedding {name}: map missing sub labels {missing}")
+                stray = sorted(set(table).difference(sub.basis), key=str)
+                raise InvalidInputError(
+                    f"embedding {name}: map keys must be exactly the sub "
+                    f"labels; missing {missing}, stray {stray}")
             self._map_fn = table.get
 
     def embed(self, s: str) -> str:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,28 @@ def test_free_product_colliding_labels_rejected():
         fp = free_product(group_ring(cyclic_group(2, generator="g")),
                           group_ring(cyclic_group(2, generator="g")))
         fp.ring.basis_up_to_depth(2)
+
+
+def cyclic_ring(*labels):
+    """Z/n on the given labels, the first being the identity."""
+    n = len(labels)
+    return group_ring(FiniteGroupPresentation(
+        labels, {(labels[i], labels[k]): labels[(i + k) % n]
+                 for i in range(n) for k in range(n)}))
+
+
+@pytest.mark.parametrize("build, label", [
+    # the pairs ("a,b", "c") and ("a", "b,c") both render as (a,b,c)
+    (lambda: direct_product(cyclic_ring("e", "a", "a,b"),
+                            cyclic_ring("1", "c", "b,c")), "(a,b,c)"),
+    # the one-letter word "ab" and the two-letter word "a"·"b"
+    (lambda: free_product(cyclic_ring("e", "a", "ab"),
+                          cyclic_ring("1", "b")).ring.product("a", "b"), "ab"),
+], ids=["direct", "free"])
+def test_ambiguous_product_labels_rejected(build, label):
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"ambiguous label {label!r} in ")):
+        build()
 
 
 # --- semi-direct products ----------------------------------------------------

@@ -558,6 +558,26 @@ def test_cli_map_embedding_missing_a_lazy_sub_label(inline, tmp_path, capsys):
     assert err == "error: map of embedding has no image for sub label 'x2'\n"
 
 
+STRAY_KEY_EMBEDDING = {"kind": "embedding", "sub": "z2.json",
+                       "ambient": "z4.json",
+                       "map": {"e": "e", "g": "a2", "zz": "a"}}
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["path", "inline"])
+def test_cli_map_embedding_with_a_stray_key(inline, files, tmp_path, capsys):
+    top = {"kind": "module", "restricted": {
+        "source": {"kind": "module", "standard_of": "z4.json"},
+        "embedding": _ref_case(tmp_path, "stray.json", STRAY_KEY_EMBEDDING,
+                               inline)}}
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(top))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 4
+    assert out == ""
+    assert err == ("error: embedding embedding: map keys must be exactly the "
+                   "sub labels; missing [], stray ['zz']\n")
+
+
 # --- one validation per definition and command ---------------------------------
 
 def _count_ring_checks(monkeypatch):
@@ -663,6 +683,21 @@ MALFORMED = {
                              "kind": "construct", "construct": "free_product",
                              "left": "top.json", "right": "z2.json"}},
 }
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "module", "ring": "z2.json", "basis": ["j"],
+      "action": [["g", "j", {"j": 1}], ["g", "k", {"j": 1}]]},
+     "module module: action entry (g, k) names an unknown label"),
+    (dict(EXPLICIT_Z2, unit="z"), "ring explicit ring: unit 'z' not in basis"),
+], ids=["module", "ring"])
+def test_cli_malformed_definition_names_its_object_once(doc, message, files,
+                                                       capsys):
+    path = os.path.join(files["dir"], "top.json")
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -14,6 +14,7 @@ from fusionkit import (
     check_ring_axioms,
     conjugate,
     cyclic_group,
+    direct_product,
     explicit_ring,
     free_product,
     group_ring,
@@ -213,22 +214,20 @@ def modular_group_ring():
                         group_ring(cyclic_group(3))).ring
 
 
-def test_concurrent_window_extension_matches_serial():
-    depth = 7
-    serial = modular_group_ring()
-    expected = serial.basis_up_to_depth(depth)
-    shared = modular_group_ring()
-    start = threading.Barrier(8)
-    results = []
+def _in_threads(task, count=8):
+    """``task(i)`` for i < count, in threads started together and switched
+    as often as the interpreter allows; the results in order of i."""
+    start = threading.Barrier(count)
+    results = {}
 
-    def extend():
+    def run(i):
         start.wait(timeout=30)
-        results.append(shared.basis_up_to_depth(depth))
+        results[i] = task(i)
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=extend) for _ in range(8)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
         for t in threads:
             t.start()
         for t in threads:
@@ -236,10 +235,57 @@ def test_concurrent_window_extension_matches_serial():
     finally:
         sys.setswitchinterval(previous)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 8
+    assert len(results) == count
+    return [results[i] for i in range(count)]
+
+
+def test_concurrent_window_extension_matches_serial():
+    depth = 7
+    serial = modular_group_ring()
+    expected = serial.basis_up_to_depth(depth)
+    shared = modular_group_ring()
+    results = _in_threads(lambda _: shared.basis_up_to_depth(depth))
     assert all(window == expected for window in results)
     assert [len(level) for level in shared._levels] == [1, 3, 4, 6, 8, 12, 16, 24]
     assert shared.basis_up_to_depth(depth) == expected
+
+
+def _walk(ring, depth, turn=0):
+    """Every w ⊗ g and conj(w) for w within ``depth`` of the unit and g a
+    generator, found level by level without the window; ``turn`` rotates
+    the generator order."""
+    k = turn % len(ring.generators)
+    gens = ring.generators[k:] + ring.generators[:k]
+    products, conjs = {}, {}
+    seen, frontier = {ring.unit}, [ring.unit]
+    for _ in range(depth):
+        fresh = []
+        for w in frontier:
+            conjs[w] = ring.conj(w)
+            for g in gens:
+                products[(w, g)] = value = ring.product(w, g)
+                for label, _ in value.items():
+                    if label not in seen:
+                        seen.add(label)
+                        fresh.append(label)
+        frontier = fresh
+    return products, conjs
+
+
+@pytest.mark.parametrize("build, depth", [
+    (modular_group_ring, 7),
+    (lambda: direct_product(su2_ring(),
+                            group_ring(cyclic_group(2, generator="g"))).ring, 8),
+], ids=["Z2*Z3", "SU2xZ2"])
+def test_concurrent_products_match_serial(build, depth):
+    # each product registers the labels it meets; threads racing on a fresh
+    # ring must register the same ones as a serial run
+    serial = build()
+    expected = _walk(serial, depth)
+    shared = build()
+    results = _in_threads(lambda i: _walk(shared, depth, turn=i))
+    assert all(result == expected for result in results)
+    assert shared.basis_up_to_depth(depth) == serial.basis_up_to_depth(depth)
 
 
 @settings(max_examples=15, deadline=None)
