@@ -20,6 +20,7 @@ from .rings import (
     check_ring_axioms,
     conjugate,
     explicit_ring,
+    generating_labels,
     tensor,
 )
 from .modules import (

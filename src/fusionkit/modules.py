@@ -17,7 +17,7 @@ from .elements import (
     bilinear,
     require_nonnegative,
 )
-from .rings import BasedRing, Verdict
+from .rings import BasedRing, Verdict, associative_by_generators
 
 ActionLike = Union[Mapping[Tuple[str, str], Element], Callable[[str, str], Element]]
 
@@ -157,7 +157,13 @@ def _bounded(m: BasedModule, depth: int) -> Optional[int]:
 
 def check_module_axioms(m: BasedModule, depth: int = 4) -> Verdict:
     """Verify unit identity, action associativity over ring decompositions,
-    and based symmetry on all tuples within depth."""
+    and based symmetry on all tuples within depth.
+
+    A finite module over a finite ring is checked in one pass over the
+    action supports and, once its ring is proved associative, only at the
+    ring's generating labels; a failure there is named by the ordered sweep
+    over every tuple, which also decides lazy windows.
+    """
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
     ring = m.ring
@@ -169,18 +175,23 @@ def check_module_axioms(m: BasedModule, depth: int = 4) -> Verdict:
             return Verdict.fails(
                 f"unit does not act as identity: \U0001d7d9 ⊗ {j} = {got.format()}",
                 data=(j,))
-    for alpha in ring_window:
-        calpha = ring.conj(alpha)
-        for j in window:
-            for jp in window:
-                forward = m.action(alpha, jp).coeff(j) != 0
-                backward = m.action(calpha, j).coeff(jp) != 0
-                if forward != backward:
-                    return Verdict.fails(
-                        f"based symmetry fails at (α={alpha}, j={j}, j'={jp}): "
-                        f"{j} ⊂ {alpha}⊗{jp} is {forward} but "
-                        f"{jp} ⊂ conj({alpha})⊗{j} is {backward}",
-                        data=(alpha, j, jp))
+    # the ordered sweeps decide lazy windows and name the first failing tuple
+    finite = ring.is_finite and m.is_finite
+    if not (finite and _symmetric_by_supports(m)):
+        for alpha in ring_window:
+            calpha = ring.conj(alpha)
+            for j in window:
+                for jp in window:
+                    forward = m.action(alpha, jp).coeff(j) != 0
+                    backward = m.action(calpha, j).coeff(jp) != 0
+                    if forward != backward:
+                        return Verdict.fails(
+                            f"based symmetry fails at (α={alpha}, j={j}, j'={jp}): "
+                            f"{j} ⊂ {alpha}⊗{jp} is {forward} but "
+                            f"{jp} ⊂ conj({alpha})⊗{j} is {backward}",
+                            data=(alpha, j, jp))
+    if finite and _associative_by_generators(m):
+        return Verdict.holds()
     single = {j: Element.basis(j) for j in window}
     for alpha in ring_window:
         alpha_single = Element.basis(alpha)
@@ -196,6 +207,66 @@ def check_module_axioms(m: BasedModule, depth: int = 4) -> Verdict:
                         f"({alpha}⊗{beta})⊗{j} = {flat.format()}",
                         data=(alpha, beta, j))
     return Verdict.holds(bound=_bounded(m, depth))
+
+
+def _symmetric_by_supports(m: BasedModule) -> bool:
+    """Based symmetry of a finite module over a finite ring, one pass over
+    the action supports: every j ∈ supp(α ⊗ j') needs j' ∈ supp(conj(α) ⊗ j).
+
+    With conj an involution on the ring basis, the pass at conj(α) is the
+    converse at α, so both directions are covered.  False when conj is not
+    an involution there, when a pair fails, or when an input error is met;
+    the ordered sweep then decides, or raises, as it would alone.
+    """
+    ring = m.ring
+    labels = set(ring.basis)
+    try:
+        if any(ring.conj(a) not in labels or ring.conj(ring.conj(a)) != a
+               for a in ring.basis):
+            return False
+        module_labels = set(m.basis)
+        for alpha in ring.basis:
+            calpha = ring.conj(alpha)
+            for jp in m.basis:
+                for j, _ in m.action(alpha, jp).items():
+                    if j in module_labels and not m.action(calpha, j).coeff(jp):
+                        return False
+    except (ValueError, ArithmeticError):
+        return False
+    return True
+
+
+def _associative_by_generators(m: BasedModule) -> bool:
+    """α ⊗ (β ⊗ j) = (α ⊗ β) ⊗ j for a finite module over a finite ring,
+    checked only for α in the ring's generating labels.
+
+    Let A be the set of ring elements α with α(βj) = (αβ)j for all basis β
+    and j.  A is a subgroup, and it holds the unit, which acts as the
+    identity and is neutral in the ring.  Once the ring is associative, A
+    is closed under products: for α, α' ∈ A, (αα')k = α(α'k) for every
+    basis k, so (αα')(βj) = α(α'(βj)) = α((α'β)j) = (α(α'β))j = ((αα')β)j.
+    N·c ∈ A puts c in A, as the module is a free Z-module, so the
+    generating labels of :func:`~fusionkit.rings.generating_labels` reach
+    every α.  False when the ring's associativity is not proved, a
+    generator fails, or an input error or overflow is met; the ordered
+    sweep then decides, or raises, as it would alone.
+    """
+    ring = m.ring
+    labels = associative_by_generators(ring)
+    if labels is None:
+        return False
+    try:
+        for alpha in labels:
+            alpha_single = Element.basis(alpha)
+            for beta in ring.basis:
+                decomposition = ring.product(alpha, beta)
+                for j in m.basis:
+                    if act(m, alpha_single, m.action(beta, j)) != \
+                            act(m, decomposition, Element.basis(j)):
+                        return False
+    except (ValueError, ArithmeticError):
+        return False
+    return True
 
 
 def support_counts(m: BasedModule, depth: int) -> Dict[Tuple[str, str], int]:

@@ -58,6 +58,8 @@ from .subrings import (
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_DEPTH = 4
+# the name a module or map embedding without one gets, as in "module unnamed: …"
+UNNAMED = "unnamed"
 
 
 class LoadError(Exception):
@@ -346,7 +348,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
     if "name" in doc:
         normalized["name"] = doc["name"]
     module = _build(None, BasedModule, ring=ring, basis=basis, action=table,
-                    name=doc.get("name", "module"), doc=normalized)
+                    name=doc.get("name", UNNAMED), doc=normalized)
     if "dim" in doc:
         dims = {j: _as_fraction(value, f"module dim[{j}]") for j, value
                 in _typed(doc["dim"], dict, "module: dim").items()}
@@ -423,7 +425,7 @@ def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
     if "name" in doc:
         normalized["name"] = doc["name"]
     return _build(None, SubringEmbedding, sub=sub, ambient=ambient,
-                  mapping=mapping, name=doc.get("name", "embedding"),
+                  mapping=mapping, name=doc.get("name", UNNAMED),
                   doc=normalized)
 
 

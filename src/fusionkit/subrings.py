@@ -44,7 +44,7 @@ class SubringEmbedding:
         image = self._map_fn(s)
         if image is None:
             raise UnknownBasisError(
-                f"map of {self.name} has no image for sub label {s!r}")
+                f"embedding {self.name}: map has no image for sub label {s!r}")
         return image
 
     def image_window(self, depth: int) -> Dict[str, str]:

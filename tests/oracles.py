@@ -164,6 +164,44 @@ def bilinear_oracle(rule, a, b):
     return {z: c for z, c in total.items() if c}
 
 
+# --- ring and module axioms over plain dicts; mul[(a, b)] is the
+#     {label: coeff} expansion of a ⊗ b, unit pairs included
+
+def first_nonassociative_triple(basis, mul):
+    """First (a, b, c) in itertools order with (a⊗b)⊗c ≠ a⊗(b⊗c), or None."""
+    def rule(x, y):
+        return mul[(x, y)]
+    for a, b, c in itertools.product(basis, repeat=3):
+        if (bilinear_oracle(rule, mul[(a, b)], {c: 1})
+                != bilinear_oracle(rule, {a: 1}, mul[(b, c)])):
+            return (a, b, c)
+    return None
+
+
+def first_module_failure(ring_basis, conj, mul, basis, action):
+    """First failing tuple of the based-module axioms, in the order of the
+    full sweep: based symmetry at (α, j, j'), then α⊗(β⊗j) = (α⊗β)⊗j at
+    (α, β, j).  ``action[(α, j)]`` is a {label: coeff} dict, unit included.
+    Returns (axiom, tuple) or None."""
+    for alpha in ring_basis:
+        for j in basis:
+            for jp in basis:
+                forward = action[(alpha, jp)].get(j, 0) != 0
+                backward = action[(conj[alpha], j)].get(jp, 0) != 0
+                if forward != backward:
+                    return ("symmetry", (alpha, j, jp))
+
+    def rule(x, k):
+        return action[(x, k)]
+    for alpha in ring_basis:
+        for beta in ring_basis:
+            for j in basis:
+                if (bilinear_oracle(rule, {alpha: 1}, action[(beta, j)])
+                        != bilinear_oracle(rule, mul[(alpha, beta)], {j: 1})):
+                    return ("associativity", (alpha, beta, j))
+    return None
+
+
 # --- Z/n on labels e, a, a2, ..., a{n-1}
 
 def cyclic_exponent(label):

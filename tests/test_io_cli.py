@@ -555,7 +555,7 @@ def test_cli_map_embedding_missing_a_lazy_sub_label(inline, tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 4
     assert out == ""
-    assert err == "error: map of embedding has no image for sub label 'x2'\n"
+    assert err == "error: embedding unnamed: map has no image for sub label 'x2'\n"
 
 
 STRAY_KEY_EMBEDDING = {"kind": "embedding", "sub": "z2.json",
@@ -574,7 +574,7 @@ def test_cli_map_embedding_with_a_stray_key(inline, files, tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 4
     assert out == ""
-    assert err == ("error: embedding embedding: map keys must be exactly the "
+    assert err == ("error: embedding unnamed: map keys must be exactly the "
                    "sub labels; missing [], stray ['zz']\n")
 
 
@@ -688,9 +688,15 @@ MALFORMED = {
 @pytest.mark.parametrize("doc, message", [
     ({"kind": "module", "ring": "z2.json", "basis": ["j"],
       "action": [["g", "j", {"j": 1}], ["g", "k", {"j": 1}]]},
-     "module module: action entry (g, k) names an unknown label"),
+     "module unnamed: action entry (g, k) names an unknown label"),
+    ({"kind": "embedding", "sub": "z2.json", "ambient": "z4.json",
+      "map": {"e": "e"}},
+     "embedding unnamed: map keys must be exactly the sub labels; "
+     "missing ['g'], stray []"),
     (dict(EXPLICIT_Z2, unit="z"), "ring explicit ring: unit 'z' not in basis"),
-], ids=["module", "ring"])
+    (dict(EXPLICIT_Z2, fusion=[["g", "g", {"e": 1, "g": -1}]]),
+     "ring explicit ring: negative coefficient -1·g in fusion entry (g, g)"),
+], ids=["module", "embedding", "ring", "ring-negative-coefficient"])
 def test_cli_malformed_definition_names_its_object_once(doc, message, files,
                                                        capsys):
     path = os.path.join(files["dir"], "top.json")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionkit import (
     BasedModule,
@@ -6,6 +7,11 @@ from fusionkit import (
     InvalidInputError,
     act,
     check_module_axioms,
+    check_ring_axioms,
+    cyclic_group,
+    explicit_ring,
+    generating_labels,
+    group_ring,
     connected_components,
     is_cofinite,
     is_standard,
@@ -13,9 +19,11 @@ from fusionkit import (
     restrict,
     standard_module,
     support_counts,
+    symmetric_group_3,
 )
 from fusionkit.constructions import rep_ring, s3_character_table
 from fusionkit import SubringEmbedding
+from oracles import cyclic_mul_oracle, first_module_failure, s3_mul_oracle
 
 
 def test_standard_module_axioms(z2, z4, s3):
@@ -155,3 +163,112 @@ def test_based_symmetry_failure_detected(z4):
     m = BasedModule(ring=z4, basis=list(z4.basis), action=table)
     verdict = check_module_axioms(m, 4)
     assert verdict.is_fails
+
+
+# --- module axioms against the full sweep ---------------------------------------
+
+def _group_case(group, rule, generators):
+    ring = group_ring(group)
+    mul = {(a, b): rule(a, b) for a in ring.basis for b in ring.basis}
+    conj = {a: next(b for b in ring.basis if mul[(a, b)] == {ring.unit: 1})
+            for a in ring.basis}
+    return ring, mul, conj, generators
+
+
+S3_GROUP = symmetric_group_3()
+GROUP_CASES = [_group_case(cyclic_group(n), cyclic_mul_oracle(n), ["a"])
+               for n in (2, 3, 4)] + [
+    _group_case(S3_GROUP, s3_mul_oracle(S3_GROUP.elements), ["r", "t"])]
+
+
+@st.composite
+def group_actions(draw):
+    """A finite module over Z/n or S3: random permutations for the
+    generators, spread to every element along products (a G-set when the
+    permutations obey the group's relations), perhaps with entries
+    redrawn as random 0/1 vectors."""
+    ring, mul, conj, generators = draw(st.sampled_from(GROUP_CASES))
+    basis = [f"j{i}" for i in range(draw(st.integers(1, 3)))]
+    images = {ring.unit: tuple(range(len(basis)))}
+    for g in generators:
+        images[g] = tuple(draw(st.permutations(range(len(basis)))))
+    frontier = list(images)
+    while frontier:
+        x = frontier.pop(0)
+        for g in generators:
+            (y,) = mul[(x, g)]
+            if y not in images:
+                images[y] = tuple(images[x][images[g][i]] for i in range(len(basis)))
+                frontier.append(y)
+    action = {(a, j): {basis[images[a][i]]: 1}
+              for a in ring.basis for i, j in enumerate(basis)}
+    for _ in range(draw(st.integers(0, 2))):
+        alpha = draw(st.sampled_from([a for a in ring.basis if a != ring.unit]))
+        j = draw(st.sampled_from(basis))
+        action[(alpha, j)] = {k: 1 for k in basis if draw(st.booleans())}
+    return ring, mul, conj, basis, action
+
+
+def _module(ring, basis, action):
+    return BasedModule(ring=ring, basis=basis, name="m", action={
+        (a, j): Element(v) for (a, j), v in action.items() if a != ring.unit})
+
+
+def _assert_matches_full_sweep(verdict, expected):
+    assert verdict.is_holds == (expected is None), verdict
+    if expected is not None:
+        axiom, at = expected
+        assert verdict.data == at
+        prefix = ("based symmetry fails" if axiom == "symmetry"
+                  else "action associativity fails")
+        assert verdict.witness.startswith(f"{prefix} at ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_actions())
+def test_module_verdict_and_witness_match_the_full_sweep(case):
+    ring, mul, conj, basis, action = case
+    _assert_matches_full_sweep(
+        check_module_axioms(_module(ring, basis, action)),
+        first_module_failure(list(ring.basis), conj, mul, basis, action))
+
+
+def test_module_over_a_non_associative_ring_gets_the_full_sweep():
+    # x generates this ring, and α = x passes α ⊗ (β ⊗ j) = (α ⊗ β) ⊗ j,
+    # but the ring is not associative, so that proves nothing about α = y
+    basis = ["1", "x", "y"]
+    products = {("x", "x"): {"1": 1, "x": 1, "y": 1}, ("x", "y"): {"x": 1},
+                ("y", "x"): {"x": 1}, ("y", "y"): {"1": 1, "x": 1}}
+    ring = explicit_ring(name="r", basis=basis, unit="1",
+                         conj={a: a for a in basis}, dim={a: 1 for a in basis},
+                         fusion={k: Element(v) for k, v in products.items()})
+    assert generating_labels(ring) == ["x"]
+    assert check_ring_axioms(ring).is_fails
+    mul = {(a, b): {b: 1} if a == "1" else {a: 1} if b == "1" else products[(a, b)]
+           for a in basis for b in basis}
+    action = {("x", "j"): {"j": 1, "k": 1}, ("x", "k"): {"j": 1, "k": 1},
+              ("y", "j"): {"k": 1}, ("y", "k"): {"j": 1},
+              ("1", "j"): {"j": 1}, ("1", "k"): {"k": 1}}
+    expected = first_module_failure(basis, {a: a for a in basis}, mul,
+                                    ["j", "k"], action)
+    assert expected == ("associativity", ("y", "y", "j"))
+    _assert_matches_full_sweep(
+        check_module_axioms(_module(ring, ["j", "k"], action)), expected)
+
+
+def test_based_symmetry_over_a_non_involutive_conj():
+    # conj(a) = b = conj(b), and a ⊗ j = 0 while b ⊗ j = j: the one-way
+    # test "j ⊂ α ⊗ j' ⇒ j' ⊂ conj(α) ⊗ j" passes, the two-way one fails
+    basis = ["e", "a", "b"]
+    conj = {"e": "e", "a": "b", "b": "b"}
+    ring = explicit_ring(name="r", basis=basis, unit="e", conj=conj,
+                         dim={x: 1 for x in basis},
+                         fusion={(x, y): Element.basis("e")
+                                 for x in "ab" for y in "ab"})
+    mul = {(x, y): {"e": 1} if "e" not in (x, y) else {x if y == "e" else y: 1}
+           for x in basis for y in basis}
+    action = {("e", "j"): {"j": 1}, ("a", "j"): {}, ("b", "j"): {"j": 1}}
+    expected = first_module_failure(basis, conj, mul, ["j"], action)
+    assert expected == ("symmetry", ("a", "j", "j"))
+    _assert_matches_full_sweep(
+        check_module_axioms(_module(ring, ["j"], action)), expected)

@@ -17,13 +17,21 @@ from fusionkit import (
     direct_product,
     explicit_ring,
     free_product,
+    generating_labels,
     group_ring,
     rep_ring,
     s3_character_table,
     su2_ring,
+    symmetric_group_3,
     tensor,
 )
-from oracles import cg_tensor_oracle, dihedral_mul, dihedral_words
+from oracles import (
+    bilinear_oracle,
+    cg_tensor_oracle,
+    dihedral_mul,
+    dihedral_words,
+    first_nonassociative_triple,
+)
 
 
 def test_group_ring_axioms_hold(z2, z3, z4, s3):
@@ -188,6 +196,125 @@ def test_cyclic_group_rings_always_pass(n):
     ring = group_ring(cyclic_group(n))
     assert check_ring_axioms(ring, 4).is_holds
     assert check_dimension(ring, 4).is_holds
+
+
+# --- associativity from generating labels ---------------------------------------
+
+def _plain_tables(ring):
+    """(basis, unit, conj, mul) of a finite ring as plain dicts."""
+    basis = list(ring.basis)
+    return (basis, ring.unit, {a: ring.conj(a) for a in basis},
+            {(a, b): dict(ring.product(a, b).items()) for a in basis for b in basis})
+
+
+def _explicit(basis, unit, conj, mul):
+    return explicit_ring(name="t", basis=basis, unit=unit, conj=conj,
+                         dim={x: 1 for x in basis},
+                         fusion={k: Element(v) for k, v in mul.items()
+                                 if unit not in k})
+
+
+def _self_dual(basis, products):
+    """Commutative, self-dual tables from {(a, b): value} on non-unit pairs."""
+    mul = {(a, b): {b: 1} if a == "1" else {a: 1} if b == "1" else None
+           for a in basis for b in basis}
+    for (a, b), value in products.items():
+        mul[(a, b)] = mul[(b, a)] = value
+    return basis, "1", {x: x for x in basis}, mul
+
+
+# Rep(D4) with std first: std ⊗ std = 1 ⊕ a ⊕ b ⊕ c reaches every label, but
+# the span of the powers of std has dimension 3 of 5
+REP_D4 = _self_dual(["1", "std", "a", "b", "c"], {
+    ("std", "std"): {"1": 1, "a": 1, "b": 1, "c": 1},
+    **{(x, "std"): {"std": 1} for x in "abc"},
+    **{(x, x): {"1": 1} for x in "abc"},
+    ("a", "b"): {"c": 1}, ("a", "c"): {"b": 1}, ("b", "c"): {"a": 1}})
+
+# Rep(S3) with std (t) before sgn (s): t ⊗ t = 1 ⊕ s ⊕ t closes s
+REP_S3 = _self_dual(["1", "t", "s"], {
+    ("t", "t"): {"1": 1, "s": 1, "t": 1}, ("s", "t"): {"t": 1},
+    ("s", "s"): {"1": 1}})
+
+KNOWN_ASSOCIATIVE = [
+    _plain_tables(group_ring(cyclic_group(3))),
+    _plain_tables(group_ring(symmetric_group_3())),
+    _plain_tables(rep_ring(s3_character_table())),
+    REP_D4,
+    REP_S3,
+]
+
+
+@st.composite
+def based_tables(draw):
+    """A known associative ring, or random self-dual commutative tables;
+    a self-dual commutative ring may have pairs redrawn at random; the basis
+    comes in a random order.  Unit
+    coefficients and conjugation obey the based axioms, so associativity
+    is the only axiom that can fail."""
+    if draw(st.booleans()):
+        basis, unit, conj, mul = draw(st.sampled_from(KNOWN_ASSOCIATIVE))
+    else:
+        labels = ["1"] + [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+        basis, unit, conj, mul = _self_dual(labels, {
+            pair: {} for pair in itertools.combinations_with_replacement(labels[1:], 2)})
+    mul = dict(mul)
+    self_dual = all(conj[x] == x for x in basis) and all(
+        mul[(a, b)] == mul[(b, a)] for a in basis for b in basis)
+    for a, b in itertools.combinations_with_replacement(basis, 2):
+        redraw = mul[(a, b)] == {} or (self_dual and unit not in (a, b)
+                                        and draw(st.integers(0, 9)) == 0)
+        if redraw:
+            value = {c: draw(st.integers(0, 2)) for c in basis if c != unit}
+            value[unit] = int(a == b)
+            mul[(a, b)] = mul[(b, a)] = {c: n for c, n in value.items() if n}
+    return draw(st.permutations(basis)), unit, conj, mul
+
+
+@settings(max_examples=200, deadline=None)
+@given(based_tables())
+def test_associativity_verdict_and_witness_match_the_oracle(tables):
+    basis, unit, conj, mul = tables
+    verdict = check_ring_axioms(_explicit(basis, unit, conj, mul))
+    first = first_nonassociative_triple(basis, mul)
+    assert verdict.is_holds == (first is None), verdict
+    if first is not None:
+        assert verdict.data == first
+        assert verdict.witness.startswith(
+            f"associativity fails at ({first[0]}, {first[1]}, {first[2]}): ")
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: group_ring(cyclic_group(48)), ["a"]),
+    (lambda: group_ring(symmetric_group_3()), ["r", "t"]),
+    (lambda: rep_ring(s3_character_table()), ["sgn", "std"]),
+    (lambda: _explicit(*REP_S3), ["t"]),
+    (lambda: _explicit(*REP_D4), ["std", "a", "b"]),
+], ids=["Z48", "S3", "RepS3", "RepS3-std-first", "RepD4-std-first"])
+def test_generating_labels_close_linearly(make, expected):
+    ring = make()
+    assert generating_labels(ring) == expected
+    assert check_ring_axioms(ring).is_holds
+
+
+def test_mutation_off_the_generators_is_caught():
+    # Rep(S3) generated by t, redrawn at t ⊗ t and s ⊗ t: every failing
+    # triple has s, which is not a generating label of Rep(S3), in the middle
+    basis, unit, conj, mul = REP_S3
+    assert generating_labels(_explicit(*REP_S3)) == ["t"]
+    mul = dict(mul)
+    mul[("t", "t")] = {"1": 1}
+    mul[("s", "t")] = mul[("t", "s")] = {"s": 1}
+
+    def rule(x, y):
+        return mul[(x, y)]
+    failing = [(a, b, c) for a, b, c in itertools.product(basis, repeat=3)
+               if bilinear_oracle(rule, mul[(a, b)], {c: 1})
+               != bilinear_oracle(rule, {a: 1}, mul[(b, c)])]
+    assert failing and all(b == "s" for _, b, _ in failing)
+    verdict = check_ring_axioms(_explicit(basis, unit, conj, mul))
+    assert verdict.is_fails
+    assert verdict.data == first_nonassociative_triple(basis, mul) == ("t", "s", "s")
 
 
 def test_concurrent_product_reads_are_safe():
