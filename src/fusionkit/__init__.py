@@ -33,7 +33,6 @@ from .modules import (
     is_standard,
     is_torsion,
     standard_module,
-    support_counts,
 )
 from .subrings import (
     DivisibilityCertificate,
@@ -76,10 +75,8 @@ from .constructions import (
 from .census import (
     CensusResult,
     EnumerationBudget,
-    IsomorphismWitness,
     enumerate_torsion_modules,
     is_torsion_free_finite,
-    modules_isomorphic,
 )
 
 __version__ = "0.1.0"

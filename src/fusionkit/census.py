@@ -8,6 +8,7 @@ as the independent oracle for the induction and restriction machinery.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -20,6 +21,7 @@ from .modules import (
     find_intertwiner,
     is_standard,
     is_torsion,
+    module_doc,
 )
 from .rings import BasedRing, Verdict
 
@@ -33,22 +35,14 @@ class EnumerationBudget:
     def __post_init__(self):
         if self.max_rank < 1 or self.max_coeff < 1:
             raise InvalidInputError("budget needs max_rank >= 1 and max_coeff >= 1")
+        if self.max_seconds is not None and not 0 <= self.max_seconds < math.inf:
+            raise InvalidInputError("budget needs a finite max_seconds >= 0")
 
     def to_doc(self) -> dict:
         doc = {"max_rank": self.max_rank, "max_coeff": self.max_coeff}
         if self.max_seconds is not None:
             doc["max_seconds"] = self.max_seconds
         return doc
-
-
-@dataclass(frozen=True)
-class IsomorphismWitness:
-    """Basis bijection intertwining two module actions coefficient-exactly."""
-
-    mapping: Tuple[Tuple[str, str], ...]
-
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.mapping)
 
 
 @dataclass
@@ -193,10 +187,7 @@ def enumerate_torsion_modules(ring: BasedRing,
     found.sort(key=lambda entry: entry[:2])
     modules = []
     for idx, (_, _, table, leaf) in enumerate(found):
-        doc = None if ring.doc is None else {
-            "kind": "module", "ring": ring.doc, "basis": list(leaf.basis),
-            "action": sorted([alpha, j, dict(value.items())]
-                             for (alpha, j), value in table.items())}
+        doc = None if ring.doc is None else module_doc(ring, leaf.basis, table)
         module = BasedModule(ring=ring, basis=leaf.basis, action=table,
                              name=f"census[{ring.name}][{idx}]", doc=doc)
         verdictA = check_module_axioms(module, depth=4)
@@ -208,18 +199,6 @@ def enumerate_torsion_modules(ring: BasedRing,
         modules.append(module)
     return CensusResult(ring=ring, budget=budget, modules=modules,
                         complete=complete)
-
-
-def modules_isomorphic(m1: BasedModule, m2: BasedModule,
-                       depth: int = 4) -> Optional[IsomorphismWitness]:
-    """Basis bijection intertwining the actions, or None.
-
-    The witness is re-verified before being returned.
-    """
-    mapping = find_intertwiner(m1, m2, depth)
-    if mapping is None:
-        return None
-    return IsomorphismWitness(tuple(sorted(mapping.items())))
 
 
 def is_torsion_free_finite(ring: BasedRing,

@@ -215,8 +215,11 @@ def _emit(document: dict, as_json: bool, highlight: Optional[str] = None) -> Non
 def _maybe_write(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise LoadError(f"cannot write {out}: {exc}") from exc
 
 
 def _resolve_label(ring: BasedRing, label: str, depth: int) -> str:

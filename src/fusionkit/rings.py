@@ -292,16 +292,34 @@ def check_ring_axioms(ring: BasedRing, depth: int = 4) -> Verdict:
     if ring.is_finite and associative_by_generators(ring) is not None:
         return Verdict.holds()
     # the ordered sweep decides lazy windows and names the first failing triple
-    single = {x: Element.basis(x) for x in window}
-    for a, b, c in itertools.product(window, repeat=3):
-        left = tensor(ring, ring.product(a, b), single[c])
-        right = tensor(ring, single[a], ring.product(b, c))
-        if left != right:
-            return Verdict.fails(
-                f"associativity fails at ({a}, {b}, {c}): "
-                f"({a}⊗{b})⊗{c} = {left.format()} ≠ "
-                f"{a}⊗({b}⊗{c}) = {right.format()}", data=(a, b, c))
+    failure = first_nonassociative(ring.product, ring.product, window, window, window)
+    if failure is not None:
+        a, b, c, right, left = failure
+        return Verdict.fails(
+            f"associativity fails at ({a}, {b}, {c}): "
+            f"({a}⊗{b})⊗{c} = {left.format()} ≠ "
+            f"{a}⊗({b}⊗{c}) = {right.format()}", data=(a, b, c))
     return Verdict.holds(bound=_bounded(ring, depth))
+
+
+def first_nonassociative(action: Callable[[str, str], Element],
+                         product: Callable[[str, str], Element], alphas: Sequence[str],
+                         betas: Sequence[str], js: Sequence[str]) -> Optional[tuple]:
+    """The first (α, β, j), in loop order, with α⊗(β⊗j) ≠ (α⊗β)⊗j, as
+    (α, β, j, α⊗(β⊗j), (α⊗β)⊗j), else None.  ``action`` decomposes x ⊗ j
+    and ``product`` α ⊗ β, once per pair: a ring's own product as both is
+    ring associativity, a module's action module associativity."""
+    singles = {j: Element.basis(j) for j in js}
+    for alpha in alphas:
+        alpha_single = Element.basis(alpha)
+        for beta in betas:
+            ab = product(alpha, beta)
+            for j, j_single in singles.items():
+                flat = bilinear(action, ab, j_single)
+                nested = bilinear(action, alpha_single, action(beta, j))
+                if nested != flat:
+                    return alpha, beta, j, nested, flat
+    return None
 
 
 def generating_labels(ring: BasedRing) -> list:
@@ -375,13 +393,9 @@ def associative_by_generators(ring: BasedRing) -> Optional[list]:
                 if not ring._labels.issuperset(ring.product(a, b).support):
                     return None
         labels = generating_labels(ring)
-        for s in labels:
-            for x in basis:
-                xs = ring.product(x, s)
-                for y in basis:
-                    if tensor(ring, xs, single[y]) != tensor(ring, single[x],
-                                                           ring.product(s, y)):
-                        return None
+        if first_nonassociative(ring.product, ring.product,
+                                basis, labels, basis) is not None:
+            return None
     except (ValueError, ArithmeticError):
         return None
     return labels

@@ -39,7 +39,8 @@ from .constructions import (
 )
 from .cyclotomic import Cyclo
 from .elements import Element, InvalidInputError
-from .modules import BasedModule, check_module_axioms, standard_module
+from .modules import (BasedModule, check_module_axioms, check_module_dimension,
+                      module_doc, standard_module)
 from .induction import induce, restrict
 from .rings import (
     BasedRing,
@@ -63,7 +64,7 @@ UNNAMED = "unnamed"
 
 
 class LoadError(Exception):
-    """Parse or schema failure; exit code territory >= 3."""
+    """Parse, schema or file failure; exit code territory >= 3."""
 
 
 class ValidationFailure(Exception):
@@ -338,13 +339,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
         if alpha == ring.unit and element != Element.basis(j):
             raise LoadError(f"module: action[{alpha},{j}] contradicts the "
                             "implied unit action")
-    normalized = {
-        "kind": "module",
-        "ring": ring.doc,
-        "basis": list(basis),
-        "action": sorted([alpha, j, dict(v.items())]
-                         for (alpha, j), v in table.items() if alpha != ring.unit),
-    }
+    normalized = module_doc(ring, basis, table)
     if "name" in doc:
         normalized["name"] = doc["name"]
     module = _build(None, BasedModule, ring=ring, basis=basis, action=table,
@@ -354,32 +349,11 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
                 in _typed(doc["dim"], dict, "module: dim").items()}
         if set(dims) != set(basis):
             raise LoadError("module: dim must cover exactly the module basis")
-        _check_module_dimension(module, dims)
+        verdict = check_module_dimension(module, dims, DEFAULT_DEPTH)
+        if verdict.is_fails:
+            raise ValidationFailure(verdict, "module dimension failed validation")
         normalized["dim"] = {j: _fraction_doc(dims[j]) for j in sorted(dims)}
     return module
-
-
-def _check_module_dimension(module: BasedModule, dims: Dict[str, Fraction]) -> None:
-    """A supplied dimension function is checked, never constructed:
-    positivity and compatibility d_J(α ⊗ j) = d(α) d_J(j)."""
-    for j, value in dims.items():
-        if value <= 0:
-            raise ValidationFailure(
-                Verdict.fails(f"module dimension of {j} is {value}, not positive"),
-                "module dimension failed validation")
-    ring = module.ring
-    for alpha in ring.basis_up_to_depth(DEFAULT_DEPTH):
-        d_alpha = ring.dim(alpha)
-        for j in module.basis:
-            total = sum((c * dims[k] for k, c in module.action(alpha, j).items()),
-                        Fraction(0))
-            if total != d_alpha * dims[j]:
-                raise ValidationFailure(
-                    Verdict.fails(
-                        f"module dimension incompatible at ({alpha}, {j}): "
-                        f"Σ N·d_J = {total} but d({alpha})·d_J({j}) = "
-                        f"{d_alpha * dims[j]}", data=(alpha, j)),
-                    "module dimension failed validation")
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +563,8 @@ def explicit_module_doc(m: BasedModule) -> dict:
     """Explicit table form of a finite module over a serializable finite ring."""
     if not (m.is_finite and m.ring.is_finite and m.ring.doc is not None):
         raise LoadError("module has no explicit serializable form")
-    action = []
-    for alpha in m.ring.basis:
-        if alpha == m.ring.unit:
-            continue
-        for j in m.basis:
-            action.append([alpha, j, dict(m.action(alpha, j).items())])
-    return {"kind": "module", "ring": m.ring.doc, "basis": list(m.basis),
-            "action": sorted(action)}
+    return module_doc(m.ring, m.basis, {(a, j): m.action(a, j)
+                                        for a in m.ring.basis for j in m.basis})
 
 
 def census_doc(result: CensusResult) -> dict:

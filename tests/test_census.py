@@ -15,11 +15,11 @@ from fusionkit import (
     direct_product,
     enumerate_torsion_modules,
     find_divisibility_certificate,
+    find_intertwiner,
     group_ring,
     induce,
     is_torsion,
     is_torsion_free_finite,
-    modules_isomorphic,
     rep_ring,
     restrict_and_decompose,
     s3_character_table,
@@ -38,7 +38,7 @@ def test_z2_census_exactly_two(z2):
     rank1 = [m for m in result.modules if len(m.basis) == 1][0]
     assert rank1.action("g", "m0") == Element.basis("m0")
     rank2 = [m for m in result.modules if len(m.basis) == 2][0]
-    assert modules_isomorphic(rank2, standard_module(z2)) is not None
+    assert find_intertwiner(rank2, standard_module(z2)) is not None
 
 
 def test_z3_rank1_census(z3):
@@ -105,13 +105,13 @@ def test_budget_validation():
 
 
 def test_modules_isomorphic_identity(rank1_z2):
-    witness = modules_isomorphic(rank1_z2, rank1_z2)
+    witness = find_intertwiner(rank1_z2, rank1_z2)
     assert witness is not None
-    assert witness.as_dict() == {"j": "j"}
+    assert witness == {"j": "j"}
 
 
 def test_modules_isomorphic_rank_mismatch(rank1_z2, std_z2):
-    assert modules_isomorphic(rank1_z2, std_z2) is None
+    assert find_intertwiner(rank1_z2, std_z2) is None
 
 
 def test_modules_isomorphic_detects_twist(z4, std_z4):
@@ -125,9 +125,8 @@ def test_modules_isomorphic_detects_twist(z4, std_z4):
             table[(alpha, swap[j])] = z4.product(alpha, j).map_basis(
                 lambda x: swap[x])
     twisted = BasedModule(ring=z4, basis=["e", "a3", "a2", "a"], action=table)
-    witness = modules_isomorphic(twisted, std_z4)
-    assert witness is not None
-    mapping = witness.as_dict()
+    mapping = find_intertwiner(twisted, std_z4)
+    assert mapping is not None
     for alpha in z4.basis:
         for j in twisted.basis:
             assert twisted.action(alpha, j).map_basis(lambda x: mapping[x]) \
@@ -136,7 +135,7 @@ def test_modules_isomorphic_detects_twist(z4, std_z4):
 
 def test_coset_summands_isomorphic(std_z4, z2_in_z4, z2):
     summands = restrict_and_decompose(std_z4, z2_in_z4, 4)
-    witness = modules_isomorphic(summands[0], summands[1])
+    witness = find_intertwiner(summands[0], summands[1])
     assert witness is not None
 
 
@@ -144,10 +143,10 @@ def test_isomorphism_is_equivalence(z2):
     result = enumerate_torsion_modules(z2, EnumerationBudget(2, 1))
     mods = result.modules
     for m in mods:
-        assert modules_isomorphic(m, m) is not None
+        assert find_intertwiner(m, m) is not None
     for m1, m2 in itertools.combinations(mods, 2):
-        forward = modules_isomorphic(m1, m2)
-        backward = modules_isomorphic(m2, m1)
+        forward = find_intertwiner(m1, m2)
+        backward = find_intertwiner(m2, m1)
         assert (forward is None) == (backward is None)
 
 
@@ -181,14 +180,14 @@ def test_census_cross_validates_induction(z2, z4, z2_in_z4_cert, rank1_z2):
     # the induced rank-2 module appears in the exhaustive Z/4 census
     ind = induce(rank1_z2, z2_in_z4_cert)
     census = enumerate_torsion_modules(z4, EnumerationBudget(2, 1))
-    assert any(modules_isomorphic(ind, m) is not None for m in census.modules)
+    assert any(find_intertwiner(ind, m) is not None for m in census.modules)
 
 
 def test_census_cross_validates_induction_s3(z3, s3, z3_in_s3, rank1_z3):
     cert = find_divisibility_certificate(z3_in_s3, 4).certificate
     ind = induce(rank1_z3, cert)
     census = enumerate_torsion_modules(s3, EnumerationBudget(2, 1))
-    assert any(modules_isomorphic(ind, m) is not None for m in census.modules)
+    assert any(find_intertwiner(ind, m) is not None for m in census.modules)
 
 
 def test_census_cross_validates_restriction(std_z4, z2_in_z4, z2):
@@ -196,7 +195,7 @@ def test_census_cross_validates_restriction(std_z4, z2_in_z4, z2):
     # subring's census
     census = enumerate_torsion_modules(z2, EnumerationBudget(2, 1))
     for summand in restrict_and_decompose(std_z4, z2_in_z4, 4):
-        assert any(modules_isomorphic(summand, m) is not None
+        assert any(find_intertwiner(summand, m) is not None
                    for m in census.modules)
 
 

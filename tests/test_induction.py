@@ -10,6 +10,7 @@ from fusionkit import (
     connected_components,
     cyclic_group,
     find_divisibility_certificate,
+    find_intertwiner,
     group_ring,
     identity_embedding,
     induce,
@@ -17,7 +18,6 @@ from fusionkit import (
     inversion_action,
     is_standard,
     is_torsion,
-    modules_isomorphic,
     rep_ring,
     restrict,
     restrict_and_decompose,
@@ -44,7 +44,7 @@ def test_induced_rank1_worked_example(rank1_z2, z2_in_z4_cert):
 def test_induced_standard_is_regular(std_z2, z2_in_z4_cert, z4):
     ind = induce(std_z2, z2_in_z4_cert)
     assert len(ind.basis) == 4
-    witness = modules_isomorphic(ind, standard_module(z4))
+    witness = find_intertwiner(ind, standard_module(z4))
     assert witness is not None
 
 
@@ -133,7 +133,7 @@ def test_decompose_z4_over_z2(std_z4, z2_in_z4, z2):
     assert len(summands) == 2
     target = standard_module(z2)
     for summand in summands:
-        assert modules_isomorphic(summand, target) is not None
+        assert find_intertwiner(summand, target) is not None
 
 
 def test_decompose_s3_over_z3(s3, z3_in_s3):
@@ -229,7 +229,7 @@ def test_semidirect_standard_module_cases():
         assert is_torsion(ind, 4).is_holds
         # inducing the regular module along a divisible embedding gives the
         # regular ambient module
-        assert modules_isomorphic(ind, standard_module(sd.ring)) is not None
+        assert find_intertwiner(ind, standard_module(sd.ring)) is not None
         witness = is_standard(ind, 4)
         assert witness.is_holds
         extraction = standardize_from_induced(ind, witness.data, 4)
@@ -250,7 +250,7 @@ def test_direct_product_standard_module_cases(z2):
         ind = induce(standard_module(emb.sub), cert)
         assert check_module_axioms(ind, 4).is_holds
         assert is_torsion(ind, 4).is_holds
-        assert modules_isomorphic(ind, standard_module(dp.ring)) is not None
+        assert find_intertwiner(ind, standard_module(dp.ring)) is not None
 
 
 def test_induce_past_certificate_depth_refused():

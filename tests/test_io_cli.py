@@ -370,6 +370,34 @@ def test_cli_enumerate(files, tmp_path, capsys):
     assert doc["kind"] == "census"
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])
+def test_cli_enumerate_rejects_a_bad_wall_clock(seconds, files, capsys):
+    # inf would print as Infinity, which is not JSON, and nan never expires
+    code, out, err = run_cli(capsys, "enumerate", files["z2"], "--max-rank", "1",
+                             "--max-coeff", "1", "--max-seconds", seconds,
+                             "--json")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: budget needs a finite max_seconds")
+
+
+@pytest.mark.parametrize("argv", [
+    ["induce", "rank1-z2.json", "--cert", "cert.json"],
+    ["divisible", "z4.json", "--sub", "z2-in-z4.json"],
+    ["restrict", "std-z2.json", "--embed", "emb-z2.json"],
+    ["enumerate", "z2.json", "--max-rank", "1", "--max-coeff", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_is_an_io_error(argv, files, monkeypatch, capsys):
+    monkeypatch.chdir(files["dir"])
+    with open("emb-z2.json", "w") as handle:
+        json.dump({"kind": "embedding", "canonical": "identity",
+                   "ring": "z2.json"}, handle)
+    target = os.path.join("no", "such", "dir", "x.json")
+    code, out, err = run_cli(capsys, *argv, "--out", target, "--json")
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not os.path.exists("no")
+
+
 def test_cli_enumerate_z4_up_to_rank_4(files, capsys):
     # the transitive Z/4-sets: Z/4 / H for H = Z/4, Z/2 and 1
     code, out, _ = run_cli(capsys, "enumerate", files["z4"], "--max-rank", "4",
@@ -715,3 +743,60 @@ def test_cli_malformed_definition_exits_4(name, files, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("error: ")
+
+
+# --- characterization: every subcommand's --json stdout and exit code -----------
+
+EXPECTATIONS = os.path.join(os.path.dirname(__file__), "cli_expectations.json")
+
+CHARACTERIZED = [
+    ["validate", "z2.json"],
+    ["validate", "explicit-z2.json"],
+    ["validate", "z2-in-z4.json"],
+    ["validate", "cert.json"],
+    ["validate", "bad-module.json"],
+    ["validate", "dim-good.json"],
+    ["validate", "dim-bad.json"],
+    ["product", "su2.json", "x1", "x1"],
+    ["product", "su2.json", "x1", "zz"],
+    ["divisible", "z4.json", "--sub", "z2-in-z4.json"],
+    ["divisible", "su2.json", "--sub", "so3-embed.json", "--depth", "8"],
+    ["induce", "rank1-z2.json", "--cert", "cert.json"],
+    ["restrict", "std-z4.json", "--embed", "z2-in-z4.json"],
+    ["restrict", "std-z4.json", "--embed", "z2-in-z4.json", "--decompose"],
+    ["restrict", "std-z2.json", "--embed", "z2-in-z4.json"],
+    ["torsion", "rank1-z2.json"],
+    ["standard", "rank1-z2.json"],
+    ["standard", "std-z2.json"],
+    ["enumerate", "z2.json", "--max-rank", "2", "--max-coeff", "1"],
+    ["enumerate", "z4.json", "--max-rank", "4", "--max-coeff", "1"],
+    ["standardize", "std-z2.json", "--cert", "cert.json"],
+]
+
+
+def test_cli_characterization(files, monkeypatch, capsys):
+    # pins stability, not correctness: the expectations were recorded from
+    # the tool itself, and the oracle tests stay the correctness tests
+    monkeypatch.chdir(files["dir"])
+    extra = {
+        "std-z4.json": {"kind": "module", "standard_of": "z4.json"},
+        "dim-good.json": {"kind": "module", "ring": "z2.json", "basis": ["j"],
+                          "action": [["g", "j", {"j": 1}]],
+                          "dim": {"j": [3, 2]}},
+        "dim-bad.json": {"kind": "module", "ring": "z2.json",
+                         "basis": ["e", "g"],
+                         "action": [["g", "e", {"g": 1}], ["g", "g", {"e": 1}]],
+                         "dim": {"e": 1, "g": 2}},
+    }
+    for name, doc in extra.items():
+        with open(name, "w") as handle:
+            json.dump(doc, handle)
+    got = []
+    for argv in CHARACTERIZED:
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        got.append({"argv": argv, "code": code, "stdout": out})
+    with open(EXPECTATIONS, encoding="utf-8") as handle:
+        want = json.load(handle)
+    assert [entry["argv"] for entry in want] == CHARACTERIZED
+    for have, expected in zip(got, want):
+        assert have == expected, " ".join(have["argv"])

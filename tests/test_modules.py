@@ -18,7 +18,6 @@ from fusionkit import (
     is_torsion,
     restrict,
     standard_module,
-    support_counts,
     symmetric_group_3,
 )
 from fusionkit.constructions import rep_ring, s3_character_table
@@ -76,13 +75,6 @@ def test_cofinite_finite_ring(rank1_z2, s3):
 def test_cofinite_lazy_ring_unknown(su2):
     verdict = is_cofinite(standard_module(su2), 8)
     assert verdict.is_unknown and verdict.bound == 8
-
-
-def test_cg_support_counts(su2):
-    counts = support_counts(standard_module(su2), 8)
-    for (j, jp), count in counts.items():
-        m, n = int(j[1:]), int(jp[1:])
-        assert count <= min(m, n) + 1
 
 
 def test_components_of_restricted_z4(z2, z4, std_z4):
