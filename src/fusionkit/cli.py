@@ -307,8 +307,10 @@ def _cmd_restrict(args, session: _Session):
         result = {"count": len(summands), "summands": docs}
         _maybe_write(args, canonical_json(docs) + "\n")
         return Verdict.holds(), result, None
+    # restrict checks the axioms at this depth and raises when they fail
     restricted = restrict(module, embedding, check_depth=args.depth)
-    verdict = check_module_axioms(restricted, args.depth)
+    verdict = Verdict.holds(bound=None if restricted.ring.is_finite
+                            and restricted.is_finite else args.depth)
     result: dict = {"rank": (len(restricted.basis)
                              if restricted.is_finite else None)}
     if restricted.doc is not None:

@@ -558,8 +558,8 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
 
     Words whose inner letters meet in different factors concatenate; equal
     factors contract at the boundary: the letters fuse to every non-trivial
-    constituent, plus a recursive term when they are conjugate.  Recursion
-    terminates because each step shortens the word.
+    constituent, and when they are conjugate the unit constituent leaves
+    the shortened words to multiply in turn.
 
     Every letter is registered as its one-letter word before it is used,
     so a letter label that both factors use is rejected as ambiguous.
@@ -573,31 +573,24 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
         make(((side, x),))
         return ((side, x),)
 
-    def word_product(u: Tuple, v: Tuple, guard: int, sums: dict) -> None:
-        # adds u·v into sums; each contraction strips a letter from both
-        # sides, so the total length strictly decreases; the guard makes that
-        # assumption fail loudly instead of looping
-        if guard < 0:
-            raise AssertionError("boundary contraction failed to terminate")
-        if not u or not v or u[-1][0] != v[0][0]:
-            label = make(u + v)
-            sums[label] = sums.get(label, 0) + 1
-            return
-        side, x = u[-1]
-        xp = v[0][1]
-        factor = factors[side]
-        for t, coeff in factor.product(x, xp).items():
-            if t == factor.unit:
-                continue
-            label = make(u[:-1] + letter(side, t) + v[1:])
-            sums[label] = sums.get(label, 0) + coeff
-        if factor.conj(x) == xp:
-            word_product(u[:-1], v[1:], guard - 2, sums)
-
     def product(la: str, lb: str) -> Element:
         u, v = decode(la), decode(lb)
         sums: dict = {}
-        word_product(u, v, len(u) + len(v), sums)
+        # each contraction strips a letter from both words, so the loop ends
+        while u and v and u[-1][0] == v[0][0]:
+            side, x = u[-1]
+            xp = v[0][1]
+            factor = factors[side]
+            for t, coeff in factor.product(x, xp).items():
+                if t != factor.unit:
+                    label = make(u[:-1] + letter(side, t) + v[1:])
+                    sums[label] = sums.get(label, 0) + coeff
+            if factor.conj(x) != xp:
+                break
+            u, v = u[:-1], v[1:]
+        else:
+            label = make(u + v)
+            sums[label] = sums.get(label, 0) + 1
         return Element.from_sums(sums)
 
     def conj(la: str) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 I64_MAX = 2**63 - 1
 I64_MIN = -(2**63)
@@ -115,9 +115,17 @@ class Element:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def single_label(self) -> Optional[str]:
+        """The label of a single basis element (coefficient 1), else None."""
+        if len(self._terms) == 1:
+            (label, c), = self._terms.items()
+            if c == 1:
+                return label
+        return None
+
     def is_single_basis(self) -> bool:
         """True when the element is one basis label with coefficient 1."""
-        return len(self._terms) == 1 and next(iter(self._terms.values())) == 1
+        return self.single_label() is not None
 
     def single_basis_label(self) -> str:
         if not self.is_single_basis():
@@ -207,8 +215,8 @@ def bilinear(rule: Callable[[str, str], Element], a: Element,
 
 def require_nonnegative(e: Element, context: str = "") -> Element:
     """Fusion and action data must have non-negative structure constants."""
-    for label, c in e.items():
-        if c < 0:
-            where = f" in {context}" if context else ""
-            raise InvalidInputError(f"negative coefficient {c}·{label}{where}")
+    if min(e._terms.values(), default=0) < 0:
+        label, c = next((label, c) for label, c in e.items() if c < 0)
+        where = f" in {context}" if context else ""
+        raise InvalidInputError(f"negative coefficient {c}·{label}{where}")
     return e

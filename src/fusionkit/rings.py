@@ -9,9 +9,9 @@ closing a generator set under products, depth by depth.
 
 Concurrency: extending a lazy basis window is serialized by a per-ring lock,
 so concurrent ``basis_up_to_depth`` calls on one ring see the same levels as
-a serial run.  The product memo is a fill-on-read dict; a duplicate fill
-computes the same value.  A product ring registers each new label under
-its label registry's own lock.
+a serial run.  The product and dimension memos are fill-on-read dicts; a
+duplicate fill computes the same value.  A product ring registers each new
+label under its label registry's own lock.
 """
 
 from __future__ import annotations
@@ -153,6 +153,7 @@ class BasedRing:
             self._basis = self._labels = None
             self.generators = tuple(generators)
         self._cache: dict = {}
+        self._dims: dict = {}
         self._levels: list = [[unit]]
         self._level_seen = {unit}
         self._levels_lock = threading.Lock()
@@ -180,10 +181,13 @@ class BasedRing:
         return self._conj_fn(label)
 
     def dim(self, label: str) -> Fraction:
-        if self._labels is not None and label not in self._labels:
-            self._reject_unknown(label)
-        d = self._dim_fn(label)
-        return d if isinstance(d, Fraction) else Fraction(d)
+        d = self._dims.get(label)
+        if d is None:
+            if self._labels is not None:
+                self._reject_unknown(label)
+            d = self._dim_fn(label)
+            self._dims[label] = d = d if isinstance(d, Fraction) else Fraction(d)
+        return d
 
     def product(self, a: str, b: str) -> Element:
         """Decomposition of a ⊗ b into basis labels with multiplicities."""
@@ -308,15 +312,26 @@ def first_nonassociative(action: Callable[[str, str], Element],
     """The first (α, β, j), in loop order, with α⊗(β⊗j) ≠ (α⊗β)⊗j, as
     (α, β, j, α⊗(β⊗j), (α⊗β)⊗j), else None.  ``action`` decomposes x ⊗ j
     and ``product`` α ⊗ β, once per pair: a ring's own product as both is
-    ring associativity, a module's action module associativity."""
+    ring associativity, a module's action module associativity.
+
+    Per triple, (α⊗β)⊗j comes first, then β⊗j, then α⊗(β⊗j), so the first
+    call to raise is fixed.  A row that is one label with coefficient 1 is
+    used directly, (α⊗β)⊗j = action(l, j) for α⊗β = l and α⊗(β⊗j) =
+    action(α, m) for β⊗j = m: the bilinear sum of one term with coefficient
+    1 is that term's Element.  Every other row takes the bilinear sum."""
     singles = {j: Element.basis(j) for j in js}
     for alpha in alphas:
         alpha_single = Element.basis(alpha)
         for beta in betas:
             ab = product(alpha, beta)
+            ab_label = ab.single_label()
             for j, j_single in singles.items():
-                flat = bilinear(action, ab, j_single)
-                nested = bilinear(action, alpha_single, action(beta, j))
+                flat = (bilinear(action, ab, j_single) if ab_label is None
+                        else action(ab_label, j))
+                bj = action(beta, j)
+                bj_label = bj.single_label()
+                nested = (bilinear(action, alpha_single, bj) if bj_label is None
+                          else action(alpha, bj_label))
                 if nested != flat:
                     return alpha, beta, j, nested, flat
     return None

@@ -146,7 +146,8 @@ def _fraction_doc(q: Fraction) -> Any:
 
 
 def _as_element(doc: Any, what: str) -> Element:
-    return Element(_typed(doc, dict, what, int))
+    # JSON object keys are strings, and _typed checks that the values are ints
+    return Element.from_sums(_typed(doc, dict, what, int))
 
 
 def _as_cyclo(doc: Any, what: str) -> Cyclo:
@@ -577,7 +578,7 @@ def census_doc(result: CensusResult) -> dict:
         "ring_hash": content_hash(ring_doc),
         "budget": result.budget.to_doc(),
         "complete": result.complete,
-        "modules": [explicit_module_doc(m) for m in result.modules],
+        "modules": [m.doc for m in result.modules],
     }
 
 

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from fusionkit import Element, find_divisibility_certificate, serialize
+from fusionkit import (Element, cli, find_divisibility_certificate, induction,
+                       modules, serialize)
 from fusionkit import group_ring, symmetric_group_3
 from fusionkit.cli import cli_dispatch
 from fusionkit.serialize import (
@@ -633,6 +634,49 @@ def test_cli_divisible_checks_a_ring_named_twice_once(files, capsys, monkeypatch
     code, _, _ = run_cli(capsys, "divisible", files["z4"], "--sub", files["emb"])
     assert code == 0
     assert sorted(calls) == [2, 4]
+
+
+def test_cli_restrict_checks_the_restricted_module_once(files, tmp_path,
+                                                        capsys, monkeypatch):
+    calls = []
+    original = modules.check_module_axioms
+
+    def counted(m, depth=4):
+        calls.append(m.name)
+        return original(m, depth)
+
+    for namespace in (cli, induction, serialize):
+        monkeypatch.setattr(namespace, "check_module_axioms", counted)
+    std_z4 = tmp_path / "std-z4.json"
+    std_z4.write_text(json.dumps({"kind": "module", "standard_of": "z4.json"}))
+    code, out, _ = run_cli(capsys, "restrict", str(std_z4), "--embed",
+                           files["emb"], "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == {"status": "holds"}
+    # once when std-z4.json loads, once inside restrict
+    assert len(calls) == 2 and calls[1].startswith("Res(")
+
+
+def test_cli_restrict_of_a_lazy_module_is_bounded(tmp_path, capsys):
+    z3 = {"kind": "construct", "construct": "group_ring",
+          "group": {"elements": ["e", "a", "b"],
+                    "mult": [[x, y, "eab"[(i + k) % 3]]
+                             for i, x in enumerate("eab")
+                             for k, y in enumerate("eab")]}}
+    free = {"kind": "construct", "construct": "free_product",
+            "left": Z2_DOC, "right": z3}
+    (tmp_path / "std-free.json").write_text(
+        json.dumps({"kind": "module", "standard_of": free}))
+    (tmp_path / "free-left.json").write_text(
+        json.dumps({"kind": "embedding", "canonical": "free_left",
+                    "ambient": free}))
+    code, out, _ = run_cli(capsys, "restrict", str(tmp_path / "std-free.json"),
+                           "--embed", str(tmp_path / "free-left.json"),
+                           "--depth", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == {"status": "holds", "bound": 3}
+    assert doc["result"]["rank"] is None
 
 
 def test_load_doc_builds_a_repeated_definition_once(files):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionkit import (
+    BasedRing,
     Element,
     InvalidInputError,
     UnknownBasisError,
@@ -317,6 +318,119 @@ def test_mutation_off_the_generators_is_caught():
     assert verdict.data == first_nonassociative_triple(basis, mul) == ("t", "s", "s")
 
 
+# --- single-label rows in the associativity sweep ------------------------------
+
+def _third_point(a, b):
+    """The third point of the line through two points pij of the affine
+    plane over Z/3: the points of a line sum to zero."""
+    (i, j), (k, m) = (map(int, a[1:]), map(int, b[1:]))
+    return f"p{(-i - k) % 3}{(-j - m) % 3}"
+
+
+_POINTS = [f"p{i}{j}" for i in range(3) for j in range(3)]
+
+# the loop ring of the order-10 Steiner loop of the affine plane STS(9):
+# x ⊗ x = 1 and x ⊗ y the third point of their line; commutative and
+# self-dual, so associativity is the only axiom it can fail
+STEINER_LOOP = _self_dual(["1", *_POINTS], {
+    (a, b): {"1": 1} if a == b else {_third_point(a, b): 1}
+    for a, b in itertools.combinations_with_replacement(_POINTS, 2)})
+
+
+def test_steiner_loop_ring_fails_only_associativity():
+    verdict = check_ring_axioms(_explicit(*STEINER_LOOP))
+    assert verdict.data == ("p00", "p01", "p10")
+    assert verdict.witness == ("associativity fails at (p00, p01, p10): "
+                               "(p00⊗p01)⊗p10 = p21 ≠ p00⊗(p01⊗p10) = p11")
+
+
+@st.composite
+def steiner_tables(draw):
+    """The Steiner loop ring with some non-unit rows redrawn as one label
+    with coefficient 2 or as two labels, in a random basis order; redrawn
+    rows keep the tables commutative, self-dual and based."""
+    basis, unit, conj, mul = STEINER_LOOP
+    mul = dict(mul)
+    for a, b in itertools.combinations_with_replacement(_POINTS, 2):
+        kind = draw(st.integers(0, 9))
+        if kind < 8:
+            continue
+        x, y = draw(st.lists(st.sampled_from(_POINTS), min_size=2, max_size=2,
+                             unique=True))
+        value = {x: 2} if kind == 8 else {x: 1, y: 1}
+        if a == b:
+            value[unit] = 1
+        mul[(a, b)] = mul[(b, a)] = value
+    return draw(st.permutations(basis)), unit, conj, mul
+
+
+@settings(max_examples=100, deadline=None)
+@given(steiner_tables())
+def test_single_label_rows_match_the_oracle(tables):
+    basis, unit, conj, mul = tables
+    verdict = check_ring_axioms(_explicit(basis, unit, conj, mul))
+    first = first_nonassociative_triple(basis, mul)
+    assert verdict.is_holds == (first is None), verdict
+    if first is not None:
+        a, b, c = first
+
+        def rule(x, y):
+            return mul[(x, y)]
+        flat = Element(bilinear_oracle(rule, mul[(a, b)], {c: 1})).format()
+        nested = Element(bilinear_oracle(rule, {a: 1}, mul[(b, c)])).format()
+        assert verdict.data == first
+        assert verdict.witness == (f"associativity fails at ({a}, {b}, {c}): "
+                                   f"({a}⊗{b})⊗{c} = {flat} ≠ "
+                                   f"{a}⊗({b}⊗{c}) = {nested}")
+
+
+def test_sweep_raises_at_the_first_product_it_asks_for():
+    # the triple (a, ga, ga) is the first to ask for aga ⊗ ga, on its
+    # (α⊗β)⊗j side, and for a ⊗ gaga, on its α⊗(β⊗j) side; (α⊗β)⊗j comes
+    # first, so its failure is the one raised
+    inner = modular_group_ring()
+    missing = {("aga", "ga"), ("a", "gaga")}
+
+    def product(x, y):
+        if (x, y) in missing:
+            raise InvalidInputError(f"no product at ({x}, {y})")
+        return inner.product(x, y)
+
+    ring = BasedRing(name="Z2*Z3 with two products missing", unit=inner.unit,
+                     conj=inner.conj, product=product, dim=inner.dim,
+                     generators=inner.generators)
+    with pytest.raises(InvalidInputError, match=r"^no product at \(aga, ga\)$"):
+        check_ring_axioms(ring, 2)
+
+
+def test_dim_rejects_an_unknown_label_on_every_call(z4):
+    message = re.escape(f"unknown basis label 'zz' in ring {z4.name}")
+    for _ in range(3):
+        with pytest.raises(UnknownBasisError, match=f"^{message}$"):
+            z4.dim("zz")
+    assert z4.dim("a") == 1
+
+
+def test_dim_memo_keeps_no_value_for_a_label_that_raised():
+    inner = modular_group_ring()
+    inner.basis_up_to_depth(2)  # registers the label ga
+    calls = []
+
+    def dim(label):
+        calls.append(label)
+        if len(calls) == 1:
+            raise InvalidInputError(f"no dimension for {label} yet")
+        return inner.dim(label)
+
+    ring = BasedRing(name="Z2*Z3, dimension failing once", unit=inner.unit,
+                     conj=inner.conj, product=inner.product, dim=dim,
+                     generators=inner.generators)
+    with pytest.raises(InvalidInputError, match="no dimension for ga yet"):
+        ring.dim("ga")
+    assert ring.dim("ga") == ring.dim("ga") == 1
+    assert calls == ["ga", "ga"]
+
+
 def test_concurrent_product_reads_are_safe():
     # values are immutable and cache fills idempotent, so concurrent
     # readers racing on a cold cache must agree with the serial answers
@@ -378,17 +492,18 @@ def test_concurrent_window_extension_matches_serial():
 
 
 def _walk(ring, depth, turn=0):
-    """Every w ⊗ g and conj(w) for w within ``depth`` of the unit and g a
-    generator, found level by level without the window; ``turn`` rotates
-    the generator order."""
+    """Every w ⊗ g, conj(w) and dim(w) for w within ``depth`` of the unit
+    and g a generator, found level by level without the window; ``turn``
+    rotates the generator order."""
     k = turn % len(ring.generators)
     gens = ring.generators[k:] + ring.generators[:k]
-    products, conjs = {}, {}
+    products, conjs, dims = {}, {}, {}
     seen, frontier = {ring.unit}, [ring.unit]
     for _ in range(depth):
         fresh = []
         for w in frontier:
             conjs[w] = ring.conj(w)
+            dims[w] = ring.dim(w)
             for g in gens:
                 products[(w, g)] = value = ring.product(w, g)
                 for label, _ in value.items():
@@ -396,7 +511,7 @@ def _walk(ring, depth, turn=0):
                         seen.add(label)
                         fresh.append(label)
         frontier = fresh
-    return products, conjs
+    return products, conjs, dims
 
 
 @pytest.mark.parametrize("build, depth", [
