@@ -213,10 +213,11 @@ def bilinear(rule: Callable[[str, str], Element], a: Element,
     return Element.from_sums(sums)
 
 
-def require_nonnegative(e: Element, context: str = "") -> Element:
-    """Fusion and action data must have non-negative structure constants."""
+def require_nonnegative(e: Element, context: str = "", *args: str) -> Element:
+    """Fusion and action data must have non-negative structure constants.
+    ``context`` is a format string, filled with ``args`` only on a failure."""
     if min(e._terms.values(), default=0) < 0:
         label, c = next((label, c) for label, c in e.items() if c < 0)
-        where = f" in {context}" if context else ""
+        where = f" in {context.format(*args)}" if context else ""
         raise InvalidInputError(f"negative coefficient {c}·{label}{where}")
     return e

@@ -72,7 +72,8 @@ class BasedModule:
                                             and alpha not in ring_labels):
                 raise InvalidInputError(f"module {self.name}: action entry "
                                         f"({alpha}, {j}) names an unknown label")
-            require_nonnegative(value, f"{alpha} ⊗ {j} of module {self.name}")
+            require_nonnegative(value, "{} ⊗ {} of module {}",
+                                alpha, j, self.name)
             for lbl, _ in value.items():
                 if lbl not in self._basis_set:
                     raise InvalidInputError(
@@ -130,7 +131,7 @@ class BasedModule:
         hit = self._cache.get(key)
         if hit is None:
             hit = require_nonnegative(self._action_fn(alpha, j),
-                                      f"{alpha} ⊗ {j}")
+                                      "{} ⊗ {}", alpha, j)
             self._cache[key] = hit
         return hit
 

@@ -9,7 +9,8 @@ closing a generator set under products, depth by depth.
 
 Concurrency: extending a lazy basis window is serialized by a per-ring lock,
 so concurrent ``basis_up_to_depth`` calls on one ring see the same levels as
-a serial run.  The product and dimension memos are fill-on-read dicts; a
+a serial run.  The product, conjugation and dimension memos, and the one
+shared Element per single-label product, are fill-on-read dicts; a
 duplicate fill computes the same value.  A product ring registers each new
 label under its label registry's own lock.
 """
@@ -119,8 +120,10 @@ class BasedRing:
     """Exact based/fusion ring with a finite or lazily generated basis.
 
     The product, involution and dimension are supplied as callables over
-    labels; products are memoized.  A finite ring rejects a label outside its
-    basis itself, so its callables see only basis labels.  For lazy rings
+    labels and memoized on first read; nothing is stored for a call that
+    raised.  Equal products that are one label with coefficient 1 share one
+    Element.  A finite ring rejects a label outside its basis itself, so its
+    callables see only basis labels.  For lazy rings
     ``generators`` seeds the depth-by-depth basis enumeration: depth k holds
     every label appearing in a product of at most k generators, ordered by
     (depth of first appearance, label).
@@ -153,6 +156,8 @@ class BasedRing:
             self._basis = self._labels = None
             self.generators = tuple(generators)
         self._cache: dict = {}
+        self._singles: dict = {}  # label → the shared Element 1·label
+        self._conjs: dict = {}
         self._dims: dict = {}
         self._levels: list = [[unit]]
         self._level_seen = {unit}
@@ -176,9 +181,12 @@ class BasedRing:
                     f"unknown basis label {label!r} in ring {self.name}")
 
     def conj(self, label: str) -> str:
-        if self._labels is not None and label not in self._labels:
-            self._reject_unknown(label)
-        return self._conj_fn(label)
+        c = self._conjs.get(label)
+        if c is None:
+            if self._labels is not None:
+                self._reject_unknown(label)
+            self._conjs[label] = c = self._conj_fn(label)
+        return c
 
     def dim(self, label: str) -> Fraction:
         d = self._dims.get(label)
@@ -196,7 +204,10 @@ class BasedRing:
         if hit is None:
             if self._labels is not None:
                 self._reject_unknown(a, b)
-            hit = require_nonnegative(self._product_fn(a, b), f"{a} ⊗ {b}")
+            hit = self._product_fn(a, b)
+            label = hit.single_label()
+            hit = (require_nonnegative(hit, "{} ⊗ {}", a, b) if label is None
+                   else self._singles.setdefault(label, hit))
             self._cache[key] = hit
         return hit
 
@@ -315,24 +326,31 @@ def first_nonassociative(action: Callable[[str, str], Element],
     ring associativity, a module's action module associativity.
 
     Per triple, (α⊗β)⊗j comes first, then β⊗j, then α⊗(β⊗j), so the first
-    call to raise is fixed.  A row that is one label with coefficient 1 is
-    used directly, (α⊗β)⊗j = action(l, j) for α⊗β = l and α⊗(β⊗j) =
-    action(α, m) for β⊗j = m: the bilinear sum of one term with coefficient
-    1 is that term's Element.  Every other row takes the bilinear sum."""
-    singles = {j: Element.basis(j) for j in js}
+    call to raise is fixed; β⊗j is asked during the first α only, and kept.
+    A row that is one label with coefficient 1 is used directly,
+    (α⊗β)⊗j = action(l, j) for α⊗β = l and α⊗(β⊗j) = action(α, m) for
+    β⊗j = m: the bilinear sum of one term with coefficient 1 is that term's
+    Element, which a ring shares, so the sides are compared by identity
+    first.  Every other row takes the bilinear sum."""
+    singles = [(j, Element.basis(j)) for j in js]
+    rows: dict = {}  # β → [(β⊗j, its single label)] in the order of js
     for alpha in alphas:
         alpha_single = Element.basis(alpha)
         for beta in betas:
             ab = product(alpha, beta)
             ab_label = ab.single_label()
-            for j, j_single in singles.items():
+            fill = beta not in rows
+            row = rows.setdefault(beta, [])
+            for k, (j, j_single) in enumerate(singles):
                 flat = (bilinear(action, ab, j_single) if ab_label is None
                         else action(ab_label, j))
-                bj = action(beta, j)
-                bj_label = bj.single_label()
+                if fill:
+                    bj = action(beta, j)
+                    row.append((bj, bj.single_label()))
+                bj, bj_label = row[k]
                 nested = (bilinear(action, alpha_single, bj) if bj_label is None
                           else action(alpha, bj_label))
-                if nested != flat:
+                if nested is not flat and nested != flat:
                     return alpha, beta, j, nested, flat
     return None
 
@@ -418,7 +436,8 @@ def associative_by_generators(ring: BasedRing) -> Optional[list]:
 
 def check_dimension(ring: BasedRing, depth: int = 4) -> Verdict:
     """Verify positivity, conjugation invariance and multiplicativity of the
-    dimension function on all pairs within depth."""
+    dimension function on all pairs within depth.  A pair whose dimensions
+    all have denominator 1 is compared in integers, any other as Fractions."""
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
     window = ring.basis_up_to_depth(depth)
@@ -433,13 +452,19 @@ def check_dimension(ring: BasedRing, depth: int = 4) -> Verdict:
                 f"d(conj({a})) = {ring.dim(ring.conj(a))} ≠ d({a}) = {da}",
                 data=(a,))
     for a in window:
+        da = ring.dim(a)
         for b in window:
-            total = sum((c * ring.dim(lbl) for lbl, c in ring.product(a, b).items()),
-                        Fraction(0))
-            if total != ring.dim(a) * ring.dim(b):
+            db = ring.dim(b)
+            terms = [(c, ring.dim(lbl)) for lbl, c in ring.product(a, b).items()]
+            if all(d.denominator == 1 for d in (da, db, *(d for _, d in terms))):
+                total = sum(c * d.numerator for c, d in terms)
+                want = da.numerator * db.numerator
+            else:
+                total, want = sum((c * d for c, d in terms), Fraction(0)), da * db
+            if total != want:
                 return Verdict.fails(
                     f"dimension not multiplicative at ({a}, {b}): "
-                    f"d({a})·d({b}) = {ring.dim(a) * ring.dim(b)} but "
+                    f"d({a})·d({b}) = {da * db} but "
                     f"Σ N·d = {total}", data=(a, b))
     return Verdict.holds(bound=_bounded(ring, depth))
 

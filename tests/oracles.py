@@ -2,10 +2,11 @@
 
 These stay deliberately naive and separate from the library code paths:
 polynomial character arithmetic for the Clebsch-Gordan rules, free-word
-reduction for the infinite dihedral group, plain-integer character
-convolution, cyclic and permutation arithmetic on labels, a Counter fold
-for bilinear extensions, transitive G-sets from subgroup classes, and an
-unpruned torsion-module census.
+reduction for the infinite dihedral group, the recursive word product of
+a free product of fusion rings, plain-integer character convolution,
+cyclic and permutation arithmetic on labels, a Counter fold for bilinear
+extensions, transitive G-sets from subgroup classes, and an unpruned
+torsion-module census.
 """
 
 import itertools
@@ -126,6 +127,27 @@ def modular_words(max_len):
 
 def modular_mul(u, v):
     return modular_reduce(tuple(u) + tuple(v))
+
+
+# --- free products of fusion rings: words are tuples of (side, letter)
+#     pairs with alternating sides; rules[side](x, y) is the {label: coeff}
+#     expansion of x ⊗ y in that factor, whose unit is units[side]
+
+def free_word_product(rules, units, u, v):
+    """u ⊗ v by the defining recursion: words meeting in different factors
+    concatenate; at a same-factor boundary x | y every constituent N·t of
+    x ⊗ y with t ≠ 1 gives N·(u' t v'), and N·1 gives N·(u' ⊗ v')."""
+    if not u or not v or u[-1][0] != v[0][0]:
+        return {u + v: 1}
+    side = u[-1][0]
+    total = Counter()
+    for t, n in rules[side](u[-1][1], v[0][1]).items():
+        if t == units[side]:
+            for w, m in free_word_product(rules, units, u[:-1], v[1:]).items():
+                total[w] += n * m
+        else:
+            total[u[:-1] + ((side, t),) + v[1:]] += n
+    return {w: c for w, c in total.items() if c}
 
 
 # --- S3 character convolution with plain integers

@@ -1,7 +1,9 @@
+import itertools
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionkit import (
     CharacterTable,
@@ -21,12 +23,13 @@ from fusionkit import (
     s3_character_table,
     semidirect_product,
     so3_subring,
+    su2_ring,
     symmetric_group_3,
     trivial_character_table,
     verify_subring,
 )
 from fusionkit.cyclotomic import Cyclo
-from oracles import s3_fusion_oracle
+from oracles import cg_tensor_oracle, free_word_product, s3_fusion_oracle
 
 
 # --- groups ---------------------------------------------------------------
@@ -47,6 +50,44 @@ def test_group_axioms_rejected_with_witness():
     with pytest.raises(InvalidInputError):
         FiniteGroupPresentation(["x", "y"], {("x", "x"): "x", ("x", "y"): "y",
                                              ("y", "x"): "y", ("y", "y"): "y"})
+
+
+@st.composite
+def broken_group_tables(draw):
+    """Z/4, the Klein group or S3 with a few products off the identity row
+    and column redrawn, so the table stays closed with the same identity."""
+    group = draw(st.sampled_from([
+        cyclic_group(4),
+        FiniteGroupPresentation(["1", "x", "y", "z"], {
+            (a, b): "1xyz"["1xyz".index(a) ^ "1xyz".index(b)]
+            for a in "1xyz" for b in "1xyz"}),
+        symmetric_group_3()]))
+    mult = dict(group.mult)
+    others = [g for g in group.elements if g != group.identity]
+    for _ in range(draw(st.integers(1, 2))):
+        pair = (draw(st.sampled_from(others)), draw(st.sampled_from(others)))
+        mult[pair] = draw(st.sampled_from(group.elements))
+    return group.elements, mult
+
+
+@settings(max_examples=150, deadline=None)
+@given(broken_group_tables())
+def test_group_associativity_witness_is_the_first_failing_triple(tables):
+    # Light's test over the generating elements decides; the message still
+    # names the first failing triple of the ordered loop
+    elements, mult = tables
+    first = next(((a, b, c) for a, b, c in itertools.product(elements, repeat=3)
+                  if mult[(mult[(a, b)], c)] != mult[(a, mult[(b, c)])]), None)
+    try:
+        FiniteGroupPresentation(elements, mult)
+    except InvalidInputError as err:
+        message = str(err)
+    else:
+        message = None
+    if first is None:
+        assert message is None or not message.startswith("table not associative")
+    else:
+        assert message == "table not associative at ({}, {}, {})".format(*first)
 
 
 def test_symmetric_group_3():
@@ -292,6 +333,71 @@ def test_free_product_with_higher_rank_letters(z2):
         Element({"sgn": 1, "std": 1, "ε": 1})
     assert fp.ring.dim("stdgstd") == 4
     assert check_ring_axioms(fp.ring, 3).is_holds
+
+
+def _su2_rule(x, y):
+    return {f"x{k}": c for k, c in cg_tensor_oracle(int(x[1:]), int(y[1:])).items()}
+
+
+def _z2_rule(x, y):
+    return {"e": 1}  # g ⊗ g, the only pair of non-unit letters
+
+
+# name → (factors, each factor's non-unit letters, oracle rules, units)
+FREE_CASES = {
+    "SU2*Z2": (lambda: (su2_ring(), group_ring(cyclic_group(2, generator="g"))),
+               (["x1", "x2", "x3"], ["g"]), (_su2_rule, _z2_rule), ("x0", "e")),
+    "RepS3*Z2": (lambda: (rep_ring(s3_character_table()),
+                          group_ring(cyclic_group(2, generator="g"))),
+                 (["sgn", "std"], ["g"]), (s3_fusion_oracle, _z2_rule),
+                 ("triv", "e")),
+}
+
+
+@st.composite
+def free_words(draw):
+    """A case of FREE_CASES and two alternating words u, v; when ``cancel``
+    is set, v is conj(u), so u ⊗ v reaches the empty word."""
+    name = draw(st.sampled_from(sorted(FREE_CASES)))
+    letters = FREE_CASES[name][1]
+
+    def word():
+        side, out = draw(st.integers(0, 1)), []
+        for _ in range(draw(st.integers(0, 4))):
+            out.append((side, draw(st.sampled_from(letters[side]))))
+            side = 1 - side
+        return tuple(out)
+
+    u = word()
+    cancel = draw(st.booleans())
+    # every letter here is self-conjugate, so conj(u) is u reversed
+    return name, u, tuple(reversed(u)) if cancel else word(), cancel
+
+
+def _render(word):
+    return "".join(letter for _, letter in word) or "ε"
+
+
+@settings(max_examples=200, deadline=None)
+@given(free_words())
+def test_free_word_products_match_the_oracle(case):
+    name, u, v, cancel = case
+    build, _, rules, units = FREE_CASES[name]
+    ring = free_product(*build()).ring
+    ring.basis_up_to_depth(3)  # registers the letters x2 and x3 of SU2
+
+    def label(word):  # words meeting in different factors concatenate
+        out = ring.unit
+        for _, letter in word:
+            out = ring.product(out, letter).single_label()
+        assert out == _render(word)
+        return out
+
+    expected = free_word_product(rules, units, u, v)
+    if cancel:
+        assert expected[()] == 1
+    assert ring.product(label(u), label(v)) == Element(
+        {_render(w): c for w, c in expected.items()})
 
 
 def test_free_product_colliding_labels_rejected():

@@ -2,6 +2,8 @@ import itertools
 import re
 import sys
 import threading
+from fractions import Fraction
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,9 +28,11 @@ from fusionkit import (
     symmetric_group_3,
     tensor,
 )
+from fusionkit.rings import first_nonassociative
 from oracles import (
     bilinear_oracle,
     cg_tensor_oracle,
+    cyclic_mul_oracle,
     dihedral_mul,
     dihedral_words,
     first_nonassociative_triple,
@@ -105,6 +109,37 @@ def test_finite_rings_reject_unknown_labels_alike(make):
                  lambda: ring.conj("zz"), lambda: ring.dim("zz")):
         with pytest.raises(UnknownBasisError, match=f"^{message}$"):
             call()
+
+
+def _rep_a4(dim_x):
+    """Rep(A4) as the near-group ring of Z/3 with multiplicity 2:
+    a ⊗ x = x and x ⊗ x = 1 ⊕ a ⊕ a2 ⊕ 2·x, so d(x) = 3."""
+    group = {(p, q): Element.basis(["1", "a", "a2"][(i + k) % 3])
+             for i, p in enumerate(["1", "a", "a2"])
+             for k, q in enumerate(["1", "a", "a2"])}
+    fusion = {**group, ("x", "x"): Element({"1": 1, "a": 1, "a2": 1, "x": 2}),
+              **{pair: Element.basis("x")
+                 for g in ("a", "a2") for pair in ((g, "x"), ("x", g))}}
+    return explicit_ring(name="RepA4", basis=["1", "a", "a2", "x"], unit="1",
+                         conj={"1": "1", "a": "a2", "a2": "a", "x": "x"},
+                         dim={"1": 1, "a": 1, "a2": 1, "x": dim_x},
+                         fusion={k: v for k, v in fusion.items() if "1" not in k})
+
+
+@pytest.mark.parametrize("dim_x, witness", [
+    (3, None),
+    (4, "d(x)·d(x) = 16 but Σ N·d = 11"),  # integers only
+    (Fraction(5, 2), "d(x)·d(x) = 25/4 but Σ N·d = 8"),  # Fractions
+])
+def test_dimension_with_multiplicity_two(dim_x, witness):
+    ring = _rep_a4(dim_x)
+    assert check_ring_axioms(ring).is_holds
+    verdict = check_dimension(ring)
+    if witness is None:
+        assert verdict.is_holds
+    else:
+        assert verdict.data == ("x", "x")
+        assert verdict.witness == f"dimension not multiplicative at (x, x): {witness}"
 
 
 def test_based_axiom_violation_witnessed():
@@ -403,6 +438,83 @@ def test_sweep_raises_at_the_first_product_it_asks_for():
         check_ring_axioms(ring, 2)
 
 
+def test_sweep_asks_each_row_once():
+    # β⊗j is asked during the first α and read back for every later α
+    ring = group_ring(cyclic_group(4))
+    basis = ring.basis
+    calls = Counter()
+
+    def action(x, j):
+        calls[(x, j)] += 1
+        return ring.product(x, j)
+
+    assert first_nonassociative(action, ring.product, basis, basis, basis) is None
+    mul = cyclic_mul_oracle(4)
+    expected = Counter(itertools.product(basis, repeat=2))  # each β⊗j once
+    for a, b, j in itertools.product(basis, repeat=3):
+        (ab,), (bj,) = mul(a, b), mul(b, j)
+        expected[(ab, j)] += 1  # (α⊗β)⊗j
+        expected[(a, bj)] += 1  # α⊗(β⊗j)
+    assert calls == expected
+
+
+def test_equal_single_label_products_are_one_object():
+    # every value below comes from its own Element in the fusion table
+    ring = _explicit(*STEINER_LOOP)
+    shared = ring.product("p00", "p01")
+    assert shared == Element.basis("p02")
+    assert (ring.product("p01", "p00") is ring.product("p02", "1")
+            is ring.product("1", "p02") is shared)
+    basis, unit, conj, mul = STEINER_LOOP
+    mul = dict(mul)
+    mul[("p00", "p01")] = mul[("p01", "p00")] = {"p02": 2}
+    mul[("p00", "p10")] = mul[("p10", "p00")] = {"p20": 1, "p21": 1}
+    ring = _explicit(basis, unit, conj, mul)
+    for a, b in (("p00", "p01"), ("p00", "p10")):
+        assert ring.product(a, b) == ring.product(b, a)
+        assert ring.product(a, b) is not ring.product(b, a)
+    assert ring.product("p00", "p01") == 2 * ring.product("p02", "1")
+
+
+def test_product_names_a_negative_coefficient(z2):
+    ring = BasedRing(name="negative", unit="e", conj=z2.conj, dim=z2.dim,
+                     product=lambda a, b: Element({"e": 2, "g": -1}), basis=z2.basis)
+    with pytest.raises(InvalidInputError,
+                       match=r"^negative coefficient -1·g in g ⊗ g$"):
+        ring.product("g", "g")
+
+
+def test_conj_rejects_an_unknown_label_on_every_call(z4):
+    message = re.escape(f"unknown basis label 'zz' in ring {z4.name}")
+    for _ in range(3):
+        with pytest.raises(UnknownBasisError, match=f"^{message}$"):
+            z4.conj("zz")
+    assert z4.conj("a") == "a3" and z4.conj("a3") == "a"
+
+
+def test_conj_memo_keeps_no_value_for_a_label_that_raised():
+    inner = modular_group_ring()
+    inner.basis_up_to_depth(2)  # registers the label ga
+    calls = []
+
+    def conj(label):
+        calls.append(label)
+        if len(calls) == 1:
+            raise InvalidInputError(f"no conjugate for {label} yet")
+        return inner.conj(label)
+
+    ring = BasedRing(name="Z2*Z3, conj failing once", unit=inner.unit,
+                     conj=conj, product=inner.product, dim=inner.dim,
+                     generators=inner.generators)
+    with pytest.raises(InvalidInputError, match="no conjugate for ga yet"):
+        ring.conj("ga")
+    assert ring.conj("ga") == ring.conj("ga") == "a2g"
+    assert calls == ["ga", "ga"]
+    for _ in range(2):  # a free product rejects a word it never met, each time
+        with pytest.raises(UnknownBasisError, match="unknown basis label 'gag'"):
+            inner.conj("gag")
+
+
 def test_dim_rejects_an_unknown_label_on_every_call(z4):
     message = re.escape(f"unknown basis label 'zz' in ring {z4.name}")
     for _ in range(3):
@@ -527,6 +639,11 @@ def test_concurrent_products_match_serial(build, depth):
     shared = build()
     results = _in_threads(lambda i: _walk(shared, depth, turn=i))
     assert all(result == expected for result in results)
+    one = {}  # every thread got the ring's one Element for each single label
+    for products, _, _ in results:
+        for value in products.values():
+            if value.single_label() is not None:
+                assert one.setdefault(value.single_label(), value) is value
     assert shared.basis_up_to_depth(depth) == serial.basis_up_to_depth(depth)
 
 
