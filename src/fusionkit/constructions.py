@@ -179,29 +179,21 @@ def _lift(value: Cyclo, n: int) -> Lifted:
             for e, c in value.coeffs.items()}
 
 
-def _class_products(n: int, *rows: Sequence[Lifted]) -> List[Lifted]:
-    """Per class, the product of the rows' lifted values mod x^n − 1."""
-    out = []
-    for values in zip(*rows):
-        acc: Lifted = {0: 1}
-        for value in values:
-            term: Lifted = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in value.items():
-                    e = (e1 + e2) % n
-                    term[e] = term.get(e, 0) + c1 * c2
-            acc = term
-        out.append(acc)
+def _times(n: int, p: Lifted, q: Lifted, into: Optional[Lifted] = None) -> Lifted:
+    """``into`` (a new dict by default) plus p·q mod x^n − 1."""
+    out: Lifted = {} if into is None else into
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = (e1 + e2) % n
+            out[e] = out.get(e, 0) + c1 * c2
     return out
 
 
-def _class_sum(n: int, *rows: Sequence[Lifted]) -> Cyclo:
-    """Σ over classes of the product of the rows' values, accumulated mod
-    x^n − 1 and reduced mod Φ_n once."""
+def _class_sum(n: int, u: Sequence[Lifted], v: Sequence[Lifted]) -> Cyclo:
+    """Σ_k u_k·v_k over the classes k mod x^n − 1, reduced mod Φ_n once."""
     total: Lifted = {}
-    for term in _class_products(n, *rows):
-        for e, c in term.items():
-            total[e] = total.get(e, 0) + c
+    for p, q in zip(u, v):
+        _times(n, p, q, total)
     return Cyclo(n, total)
 
 
@@ -245,20 +237,21 @@ class CharacterTable:
             if degree is None or degree < 1:
                 raise InvalidInputError(
                     f"degree of {label} is not a positive integer")
-        # every value lifted once to the common order n of the table
+        # every value lifted once to the common order n of the table, and
+        # each conjugate row once more with the class sizes folded in
         n = self._n = lcm(*(v.order for v in self.values.values()))
         self._lifted = {a: [_lift(self.values[(a, cls)], n)
                             for cls in self.classes] for a in self.irreps}
-        self._lifted_conj = {a: [{-e % n: c for e, c in v.items()}
-                                 for v in row]
-                             for a, row in self._lifted.items()}
-        sizes = [{0: size} for size in self.sizes]
-        for a in self.irreps:
-            for b in self.irreps:
-                total = _class_sum(n, sizes, self._lifted[a],
-                                   self._lifted_conj[b])
+        self._sized_conj = {a: [{-e % n: size * c for e, c in v.items()}
+                                for size, v in zip(self.sizes, row)]
+                            for a, row in self._lifted.items()}
+        # the (b, a) sum is the conjugate of the (a, b) sum, so b < a could
+        # fail only after (b, a) had failed: those pairs are skipped
+        for i, a in enumerate(self.irreps):
+            for b in self.irreps[i:]:
+                total = _class_sum(n, self._lifted[a], self._sized_conj[b])
                 expected = self.order if a == b else 0
-                if total != expected:
+                if total.as_rational() != expected:
                     raise InvalidInputError(
                         f"row orthogonality fails for ({a}, {b})")
         trivial = [a for a in self.irreps
@@ -271,7 +264,7 @@ class CharacterTable:
         reduced = {a: [Cyclo(n, v) for v in row]
                    for a, row in self._lifted.items()}
         for a in self.irreps:
-            conj_a = [Cyclo(n, v) for v in self._lifted_conj[a]]
+            conj_a = [v.conj() for v in reduced[a]]
             matches = [b for b in self.irreps if reduced[b] == conj_a]
             if not matches:
                 raise InvalidInputError(
@@ -285,9 +278,7 @@ class CharacterTable:
         def value_doc(v: Cyclo):
             q = v.as_rational()
             if q is not None:
-                if q.denominator == 1:
-                    return q.numerator
-                return [q.numerator, q.denominator]
+                return q.numerator if q.denominator == 1 else [q.numerator, q.denominator]
             return {"zeta": v.order,
                     "coeffs": {str(e): [c.numerator, c.denominator]
                                for e, c in sorted(v.coeffs.items())}}
@@ -309,22 +300,23 @@ def rep_ring(t: CharacterTable) -> BasedRing:
     as inconsistent.
     """
     n = t._n
-    sizes = [{0: size} for size in t.sizes]
     fusion: Dict[Tuple[str, str], Element] = {}
-    for a in t.irreps:
-        for b in t.irreps:
-            weighted = _class_products(n, sizes, t._lifted[a], t._lifted[b])
+    # (a, b) and (b, a) have equal class sums, so b < a copies (b, a), which
+    # was checked first: the first bad triple in loop order is unchanged
+    for i, a in enumerate(t.irreps):
+        for b in t.irreps[i:]:
+            product = [_times(n, p, q) for p, q in zip(t._lifted[a], t._lifted[b])]
             terms = {}
             for c in t.irreps:
-                total = _class_sum(n, weighted, t._lifted_conj[c]).as_rational()
-                coeff = None if total is None else total / t.order
-                if coeff is None or coeff.denominator != 1 or coeff < 0:
+                total = _class_sum(n, product, t._sized_conj[c]).as_rational()
+                if (total is None or total.denominator != 1
+                        or total.numerator < 0 or total.numerator % t.order):
                     raise InvalidInputError(
                         f"fusion coefficient of {c} in {a} ⊗ {b} is not a "
                         "non-negative integer; character table inconsistent")
-                if coeff:
-                    terms[c] = coeff.numerator
-            fusion[(a, b)] = Element(terms)
+                if total:
+                    terms[c] = total.numerator // t.order
+            fusion[(a, b)] = fusion[(b, a)] = Element(terms)
     doc = {"kind": "construct", "construct": "rep_ring",
            "character_table": t.to_doc()}
     return BasedRing(name=f"R(order-{t.order} group)", unit=t.trivial,

@@ -5,6 +5,14 @@ coefficients computed from them must come out as exact non-negative
 integers; any rounding would hide bad input.  Values are kept as rational
 polynomials in ζ_n, canonicalized modulo the n-th cyclotomic polynomial so
 that equality of values is equality of forms.
+
+Reduction works in integers.  Φ_n is monic and integral, so for
+d = deg Φ_n ≤ e < n the row x^e mod Φ_n follows from x^(e−1) mod Φ_n by a
+shift and the subtraction of t·(Φ_n − x^d), t the coefficient shifted out:
+every row is an integer vector of length d.  Reduction mod Φ_n is linear,
+so Σ c_e·x^e reduces to Σ c_e·(x^(e mod n) mod Φ_n), the canonical
+remainder that long division gives (Φ_n divides x^n − 1).  Each order keeps
+a fill-on-read memo of the rows read; long division only builds Φ_n.
 """
 
 from __future__ import annotations
@@ -12,45 +20,25 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .elements import InvalidInputError
 
-Poly = Tuple[Fraction, ...]  # coefficients, low degree first, no trailing zeros
-
-
-def _trim(coeffs: list) -> Poly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for k, b in enumerate(q):
-                out[i + k] += a * b
-    return _trim(out)
+Poly = Tuple[int, ...]  # coefficients, low degree first, no trailing zeros
+Terms = Union[Mapping[int, Fraction], Iterable[Tuple[int, Fraction]]]
 
 
 def _poly_divmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
+    """Quotient and remainder of p by the monic q, in integers."""
+    rem, quot = list(p), [0] * max(0, len(p) - len(q) + 1)
     while len(rem) >= len(q):
-        factor = rem[-1] / lead
         shift = len(rem) - len(q)
-        quot[shift] = factor
+        quot[shift] = factor = rem[-1]
         for i, b in enumerate(q):
             rem[shift + i] -= factor * b
         while rem and rem[-1] == 0:
             rem.pop()
-    return _trim(quot), _trim(rem)
+    return tuple(quot), tuple(rem)
 
 
 @lru_cache(maxsize=None)
@@ -58,9 +46,7 @@ def cyclotomic_polynomial(n: int) -> Poly:
     """Coefficients of Φ_n, computed by exact division of x^n - 1."""
     if n < 1:
         raise InvalidInputError("cyclotomic order must be positive")
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num: Poly = tuple([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
+    num: Poly = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
@@ -68,21 +54,52 @@ def cyclotomic_polynomial(n: int) -> Poly:
     return num
 
 
+# order n → {e: x^e mod Φ_n} for the exponents d ≤ e < n read so far
+_ROWS: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+
+
+def _row(n: int, e: int) -> Tuple[int, ...]:
+    """x^e mod Φ_n as d = deg Φ_n integer coefficients, for d ≤ e < n."""
+    rows = _ROWS.get(n) or _ROWS.setdefault(n, {})
+    row = rows.get(e)
+    if row is None:
+        tail = cyclotomic_polynomial(n)[:-1]  # Φ_n − x^d
+        k = e - 1
+        while k >= len(tail) and k not in rows:
+            k -= 1
+        # below d no row is stored: start from x^(d−1) itself
+        row = rows.get(k, (0,) * (len(tail) - 1) + (1,))
+        for _ in range(e - k):
+            top = row[-1]
+            row = tuple(r - top * t for r, t in zip((0,) + row[:-1], tail))
+        row = rows.setdefault(e, row)
+    return row
+
+
 class Cyclo:
     """A value in Q(ζ_order), stored in canonical reduced form."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Mapping[int, Fraction]):
+    def __init__(self, order: int, coeffs: Terms):
+        """Σ c·ζ^exp over ``coeffs``: a mapping, or (exp, c) pairs."""
         if order < 1:
             raise InvalidInputError("cyclotomic order must be positive")
-        poly = [Fraction(0)] * order
-        for exp, c in coeffs.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            poly[exp % order] += c
-        _, rem = _poly_divmod(_trim(poly), cyclotomic_polynomial(order))
+        d = len(cyclotomic_polynomial(order)) - 1
+        acc = [0] * d
+        for exp, c in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            e = exp % order
+            if e < d:
+                acc[e] += c
+            else:
+                for i, r in enumerate(_row(order, e)):
+                    acc[i] += c * r
         self.order = order
-        self.coeffs: Dict[int, Fraction] = {i: c for i, c in enumerate(rem) if c}
+        self.coeffs: Dict[int, Fraction] = {
+            i: c if type(c) is Fraction else Fraction(c)
+            for i, c in enumerate(acc) if c}
 
     @classmethod
     def from_rational(cls, value) -> "Cyclo":
@@ -112,10 +129,7 @@ class Cyclo:
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
         a, b = self._pair(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Cyclo(a.order, out)
+        return Cyclo(a.order, [*a.coeffs.items(), *b.coeffs.items()])
 
     def __neg__(self) -> "Cyclo":
         return Cyclo(self.order, {e: -c for e, c in self.coeffs.items()})
@@ -125,12 +139,8 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         a, b = self._pair(other)
-        out: Dict[int, Fraction] = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = (e1 + e2) % a.order
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Cyclo(a.order, out)
+        return Cyclo(a.order, [(e1 + e2, c1 * c2) for e1, c1 in a.coeffs.items()
+                               for e2, c2 in b.coeffs.items()])
 
     def scale(self, k) -> "Cyclo":
         k = Fraction(k)
@@ -143,10 +153,8 @@ class Cyclo:
         return not self.coeffs
 
     def as_rational(self) -> Optional[Fraction]:
-        if not self.coeffs:
-            return Fraction(0)
-        if set(self.coeffs) == {0}:
-            return self.coeffs[0]
+        if self.coeffs.keys() <= {0}:
+            return self.coeffs.get(0, Fraction(0))
         return None
 
     def as_integer(self) -> Optional[int]:

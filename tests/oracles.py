@@ -4,11 +4,13 @@ These stay deliberately naive and separate from the library code paths:
 polynomial character arithmetic for the Clebsch-Gordan rules, free-word
 reduction for the infinite dihedral group, the recursive word product of
 a free product of fusion rings, plain-integer character convolution,
+representation rings from complex floating-point characters,
 cyclic and permutation arithmetic on labels, a Counter fold for bilinear
 extensions, transitive G-sets from subgroup classes, and an unpruned
 torsion-module census.
 """
 
+import cmath
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -172,6 +174,37 @@ def s3_fusion_oracle(a, b):
         if value:
             out[c] = int(value)
     return out
+
+
+# --- representation rings from complex character values, in floating point
+
+def root_of_unity(n, e):
+    return cmath.exp(2j * cmath.pi * e / n)
+
+
+def float_rep_ring_oracle(sizes, characters):
+    """(fusion, conj) of the ring of ``characters`` (label → complex values,
+    class by class; class sizes ``sizes``): fusion[(a, b)] = {c: N} with
+    N = (1/|G|) Σ_k |k|·χ_a(k)·χ_b(k)·conj χ_c(k) rounded, after checking
+    that it lies within 1e-9 of a non-negative integer; conj[a] is the label
+    whose values are the complex conjugates of a's."""
+    order = sum(sizes)
+    fusion = {}
+    for a, xa in characters.items():
+        for b, xb in characters.items():
+            terms = {}
+            for c, xc in characters.items():
+                z = sum(s * u * v * w.conjugate()
+                        for s, u, v, w in zip(sizes, xa, xb, xc)) / order
+                n = round(z.real)
+                assert abs(z - n) < 1e-9 and n >= 0, (a, b, c, z)
+                if n:
+                    terms[c] = n
+            fusion[(a, b)] = terms
+    conj = {a: next(c for c, xc in characters.items()
+                    if all(abs(u.conjugate() - w) < 1e-9 for u, w in zip(xa, xc)))
+            for a, xa in characters.items()}
+    return fusion, conj
 
 
 # --- bilinear extension: a Counter fold over a rule returning {label: coeff}

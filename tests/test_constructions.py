@@ -28,8 +28,10 @@ from fusionkit import (
     trivial_character_table,
     verify_subring,
 )
-from fusionkit.cyclotomic import Cyclo
-from oracles import cg_tensor_oracle, free_word_product, s3_fusion_oracle
+from fusionkit.cyclotomic import Cyclo, cyclotomic_polynomial
+from oracles import (cg_tensor_oracle, float_rep_ring_oracle,
+                     free_word_product, root_of_unity, s3_fusion_oracle)
+from test_rings import _in_threads
 
 
 # --- groups ---------------------------------------------------------------
@@ -196,6 +198,94 @@ def test_non_integral_fusion_coefficient_message():
     assert str(info.value) == (
         "fusion coefficient of x in x ⊗ x is not a non-negative integer; "
         "character table inconsistent")
+
+
+# A4 (values in Q(ζ3)) and D5 (values ζ5^k + ζ5^−k): a value is an integer or
+# {e: c} for Σ c·ζ_n^e, read exactly as a Cyclo and in floating point by the
+# oracle
+_A4 = (3, [("e", 1), ("v", 3), ("c", 4), ("c2", 4)],
+       [("triv", [1, 1, 1, 1]), ("x1", [1, 1, {1: 1}, {2: 1}]),
+        ("x2", [1, 1, {2: 1}, {1: 1}]), ("x3", [3, -1, 0, 0])])
+_D5 = (5, [("e", 1), ("r", 2), ("r2", 2), ("s", 5)],
+       [("triv", [1, 1, 1, 1]), ("sgn", [1, 1, 1, -1]),
+        ("psi1", [2, {1: 1, 4: 1}, {2: 1, 3: 1}, 0]),
+        ("psi2", [2, {2: 1, 3: 1}, {1: 1, 4: 1}, 0])])
+
+
+def _exact_rows(n, irreps):
+    return [(a, [Cyclo(n, v) if isinstance(v, dict) else Cyclo.from_rational(v)
+                 for v in row]) for a, row in irreps]
+
+
+@pytest.mark.parametrize("n, classes, irreps", [_A4, _D5], ids=["A4", "D5"])
+def test_irrational_rep_rings_match_float_oracle(n, classes, irreps):
+    ring = rep_ring(CharacterTable(classes, _exact_rows(n, irreps)))
+    fusion, conj = float_rep_ring_oracle(
+        [size for _, size in classes],
+        {a: [sum(c * root_of_unity(n, e) for e, c in v.items())
+             if isinstance(v, dict) else complex(v) for v in row]
+         for a, row in irreps})
+    assert len(fusion) == len(ring.basis) ** 2
+    for (a, b), terms in fusion.items():
+        assert dict(ring.product(a, b).items()) == terms
+    assert {a: ring.conj(a) for a in ring.basis} == conj
+    assert check_ring_axioms(ring, 4).is_holds
+    assert check_dimension(ring, 4).is_holds
+
+
+def test_corrupted_d5_table_message():
+    # psi2 takes psi1's values at r and r²: its sums against triv and sgn
+    # still vanish, so the first pair that fails is (psi1, psi2)
+    rows = _exact_rows(5, _D5[2])
+    values = rows[3][1]
+    values[1], values[2] = values[2], values[1]
+    with pytest.raises(InvalidInputError) as info:
+        CharacterTable(_D5[1], rows)
+    assert str(info.value) == "row orthogonality fails for (psi1, psi2)"
+
+
+def test_row_norm_checked_on_the_diagonal():
+    # std doubled stays orthogonal to triv and sgn; only its own norm fails
+    q = Cyclo.from_rational
+    with pytest.raises(InvalidInputError) as info:
+        CharacterTable(classes=[("e", 1), ("transposition", 3), ("3-cycle", 2)],
+                       irreps=[("triv", [q(1), q(1), q(1)]),
+                               ("sgn", [q(1), q(-1), q(1)]),
+                               ("std", [q(4), q(0), q(-2)])])
+    assert str(info.value) == "row orthogonality fails for (std, std)"
+
+
+def test_concurrent_rep_ring_and_fresh_order_match_serial():
+    # the per-order reduction memo of an order that no other test uses is
+    # filled by 8 threads at once; each value is checked against long
+    # division by Φ_n, which the memo does not use
+    order = 143
+    phi = [int(c) for c in cyclotomic_polynomial(order)]
+
+    def divided(coeffs):
+        rem = [0] * order
+        for e, c in coeffs.items():
+            rem[e % order] += c
+        for top in range(order - 1, len(phi) - 2, -1):
+            lead = rem[top]
+            for i, p in enumerate(phi):
+                rem[top - len(phi) + 1 + i] -= lead * p
+        return {i: c for i, c in enumerate(rem) if c}
+
+    def products(ring):
+        return {(a, b): ring.product(a, b) for a in ring.basis for b in ring.basis}
+
+    def task(i):
+        values = [Cyclo(order, {e: 1, e + i + 1: -2, -e: i})
+                  for e in range(order - 1, 0, -7)]
+        return products(rep_ring(cyclic_character_table(12))), values
+
+    serial = products(rep_ring(cyclic_character_table(12)))
+    for i, (got, values) in enumerate(_in_threads(task)):
+        assert got == serial
+        assert [v.coeffs for v in values] == [
+            divided({e: 1, e + i + 1: -2, -e: i})
+            for e in range(order - 1, 0, -7)]
 
 
 def test_trivial_character_table():

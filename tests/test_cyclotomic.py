@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fusionkit.cyclotomic import Cyclo, cyclotomic_polynomial
 from fusionkit.elements import InvalidInputError
@@ -127,3 +127,51 @@ def test_cyclo_arithmetic_agrees_with_sympy(a, b, k):
     za, zb = _sympy_complex(sympy, a), _sympy_complex(sympy, b)
     assert abs(_sympy_complex(sympy, a * b) - za * zb) < 1e-12
     assert abs(_sympy_complex(sympy, a.conj()) - za.conjugate()) < 1e-12
+
+
+# Reduction against sympy at the orders the test above does not reach: 105,
+# the least n whose Φ_n has a coefficient of absolute value 2, and 1 and 2,
+# where Φ_n has degree 1; exponents run past n and below 0, and coefficients
+# are ints and Fractions.  The oracle reduces Σ c·x^e mod sympy's Φ_n, with
+# x^e for e < 0 taken as sympy's inverse of x^|e| mod Φ_n.
+
+def test_phi_105_has_a_coefficient_two():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(105, x), x).all_coeffs()[::-1]
+    assert as_tuple(cyclotomic_polynomial(105)) == tuple(want)
+    assert min(want) == -2
+
+
+@st.composite
+def raw_terms(draw):
+    n = draw(st.sampled_from([1, 2, 105]) | st.integers(1, 40))
+    coeffs = draw(st.dictionaries(
+        st.integers(-3 * n, 3 * n),
+        st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5,
+                                          max_denominator=4),
+        max_size=6))
+    return n, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_terms())
+@example((105, {-1: 1, 48: 3, 105: Fraction(1, 2), 200: -2, -211: Fraction(-3, 4)}))
+@example((1, {-3: 2, 0: Fraction(1, 3), 5: -1}))
+@example((2, {-1: Fraction(5, 2), 3: 1, 4: -4}))
+def test_reduction_agrees_with_sympy(terms):
+    sympy = pytest.importorskip("sympy")
+    n, coeffs = terms
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+    want = sympy.Poly(0, x, domain="QQ")
+    for e, c in coeffs.items():
+        power = (sympy.Poly(x ** e, x, domain="QQ") if e >= 0 else
+                 sympy.Poly(sympy.invert(x ** -e, phi.as_expr(), x), x,
+                            domain="QQ"))
+        want += power * sympy.Rational(c.numerator, c.denominator)
+    want = want.rem(phi)
+    got = Cyclo(n, coeffs).coeffs
+    assert all(type(c) is Fraction for c in got.values())
+    assert got == {e: Fraction(int(c.p), int(c.q))
+                   for (e,), c in want.terms() if c}
