@@ -34,7 +34,6 @@ from .serialize import (
     canonical_json,
     census_doc,
     content_hash,
-    explicit_module_doc,
     load_doc,
     load_session,
     loaded_verdict,
@@ -298,12 +297,8 @@ def _cmd_restrict(args, session: _Session):
     embedding = session.load(args.embed, "embed", expect="embedding")
     if args.decompose:
         summands = restrict_and_decompose(module, embedding, args.depth)
-        docs = []
-        for summand in summands:
-            try:
-                docs.append(explicit_module_doc(summand))
-            except LoadError:
-                docs.append({"basis": list(summand.basis)})
+        docs = [summand.doc or {"basis": list(summand.basis)}
+                for summand in summands]
         result = {"count": len(summands), "summands": docs}
         _maybe_write(args, canonical_json(docs) + "\n")
         return Verdict.holds(), result, None

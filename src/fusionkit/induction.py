@@ -28,6 +28,7 @@ from .modules import (
     check_module_axioms,
     connected_components,
     is_torsion,
+    module_doc,
 )
 from .rings import BasedRing, Verdict
 from .subrings import DivisibilityCertificate, SubringEmbedding
@@ -144,7 +145,8 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
     """Split the restricted module along its connected components.
 
     Each summand is re-verified torsion, which over the finite subring
-    decides connectedness exactly.  Needs a finite module basis and a finite
+    decides connectedness exactly, and carries its explicit module document
+    when the subring has one.  Needs a finite module basis and a finite
     subring: on a lazy subring the component structure of a window is not a
     based module, so the computation is refused.
     """
@@ -172,7 +174,9 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
                             f"({beta}, {j}): reaches {lbl}")
                 table[(beta, j)] = value
         summand = BasedModule(ring=e.sub, basis=comp, action=table,
-                              name=f"{restricted.name}[{idx}]")
+                              name=f"{restricted.name}[{idx}]",
+                              doc=None if e.sub.doc is None
+                              else module_doc(e.sub, comp, table))
         verdict = is_torsion(summand, depth)
         if not verdict.is_holds:
             raise InvalidInputError(

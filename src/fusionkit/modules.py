@@ -357,15 +357,20 @@ def is_torsion(m: BasedModule, depth: int = 4) -> Verdict:
     return Verdict.combine(cofinite, connected)
 
 
-def _action_signature(m: BasedModule, ring_window: list, j: str) -> tuple:
-    basis = m.basis
-    sig = []
+def _supports(m: BasedModule, ring_window: list) -> Dict[str, list]:
+    """Per module label j and ring label α: the row α ⊗ j, then the column of
+    j's coefficients in α ⊗ k, on the module basis; each action read once."""
+    lines: Dict[str, list] = {j: [] for j in m.basis}
     for alpha in ring_window:
-        into = m.action(alpha, j)
-        out_coeffs = tuple(sorted(m.action(alpha, k).coeff(j) for k in basis))
-        in_coeffs = tuple(sorted(into.coeff(k) for k in basis))
-        sig.append((in_coeffs, out_coeffs, into.coeff(j)))
-    return tuple(sig)
+        cols: Dict[str, dict] = {j: {} for j in m.basis}
+        for k in m.basis:
+            row = {j: c for j, c in m.action(alpha, k).items() if j in lines}
+            lines[k].append(row)
+            for j, c in row.items():
+                cols[j][k] = c
+        for j in m.basis:
+            lines[j].append(cols[j])
+    return lines
 
 
 def find_intertwiner(m1: BasedModule, m2: BasedModule,
@@ -373,62 +378,57 @@ def find_intertwiner(m1: BasedModule, m2: BasedModule,
     """Search for a basis bijection carrying the action of ``m1`` to ``m2``
     coefficient-exactly, for all ring labels within depth.
 
-    Backtracking with degree-sequence pruning; candidates are tried in label
-    order so the witness is deterministic.  Returns the mapping or None.
+    Labels go by fewest signature-equal candidates, then by label; each tries
+    its candidates in label order against the assigned labels on the row and
+    column supports.  Returns the first bijection, re-checked in full, or None.
     """
     if not m1.ring.same_as(m2.ring):
         raise InvalidInputError("modules live over different rings")
     if not (m1.is_finite and m2.is_finite):
         raise InvalidInputError("intertwiner search needs finite module bases")
-    b1, b2 = m1.basis, m2.basis
-    if len(b1) != len(b2):
+    if len(m1.basis) != len(m2.basis):
         return None
     ring_window = m1.ring.basis_up_to_depth(depth)
-    sig1 = {j: _action_signature(m1, ring_window, j) for j in b1}
-    sig2 = {k: _action_signature(m2, ring_window, k) for k in b2}
+    lines1, lines2 = _supports(m1, ring_window), _supports(m2, ring_window)
+    # sorted non-zero entries of each row and column, and j's own coefficient
+    # per row: at equal ranks, the classes of the full sorted vectors
+    sig1, sig2 = ({j: (tuple(tuple(sorted(x.values())) for x in lines[j]),
+                       tuple(row.get(j, 0) for row in lines[j][::2]))
+                   for j in lines} for lines in (lines1, lines2))
     if Counter(sig1.values()) != Counter(sig2.values()):
         return None
-    candidates = {j: sorted(k for k in b2 if sig2[k] == sig1[j]) for j in b1}
-    order = sorted(b1, key=lambda j: (len(candidates[j]), j))
+    classes: Dict[tuple, list] = {}
+    for k in sorted(m2.basis):
+        classes.setdefault(sig2[k], []).append(k)
+    candidates = {j: classes[sig1[j]] for j in m1.basis}
+    order = sorted(m1.basis, key=lambda j: (len(candidates[j]), j))
     assignment: Dict[str, str] = {}
-    used: set = set()
+    inverse: Dict[str, str] = {}
 
     def consistent(j: str, k: str) -> bool:
-        for alpha in ring_window:
-            row_j = m1.action(alpha, j)
-            row_k = m2.action(alpha, k)
-            if row_j.coeff(j) != row_k.coeff(k):
-                return False
-            for jp, kp in assignment.items():
-                if row_j.coeff(jp) != row_k.coeff(kp):
-                    return False
-                if m1.action(alpha, jp).coeff(j) != m2.action(alpha, kp).coeff(k):
-                    return False
-        return True
+        # equal signatures already match j's coefficient in α ⊗ j to k's
+        return all({assignment[x]: c for x, c in u.items() if x in assignment}
+                   == {y: c for y, c in v.items() if y in inverse}
+                   for u, v in zip(lines1[j], lines2[k]))
 
     def backtrack(pos: int) -> bool:
         if pos == len(order):
             return True
         j = order[pos]
         for k in candidates[j]:
-            if k in used or not consistent(j, k):
-                continue
-            assignment[j] = k
-            used.add(k)
-            if backtrack(pos + 1):
-                return True
-            del assignment[j]
-            used.discard(k)
+            if k not in inverse and consistent(j, k):
+                assignment[j], inverse[k] = k, j
+                if backtrack(pos + 1):
+                    return True
+                del assignment[j], inverse[k]
         return False
 
-    if not backtrack(0):
-        return None
     # full re-verification; the witness must stand on its own
-    for alpha in ring_window:
-        for j in b1:
-            if m1.action(alpha, j).map_basis(lambda x: assignment[x]) != \
-                    m2.action(alpha, assignment[j]):
-                return None
+    if not backtrack(0) or any(
+            m1.action(alpha, j).map_basis(assignment.__getitem__)
+            != m2.action(alpha, assignment[j])
+            for alpha in ring_window for j in m1.basis):
+        return None
     return dict(assignment)
 
 

@@ -83,7 +83,9 @@ class Verdict:
 
     @classmethod
     def combine(cls, *verdicts: "Verdict") -> "Verdict":
-        """Conjunction with three-valued propagation: any Fails wins, then Unknown."""
+        """Conjunction with three-valued propagation: any Fails wins, then
+        Unknown; Holds keeps the smallest bound of its parts, the depth
+        to which every part was checked."""
         for v in verdicts:
             if v.is_fails:
                 return v
@@ -91,7 +93,7 @@ class Verdict:
         if unknowns:
             return unknowns[0]
         bounds = [v.bound for v in verdicts if v.bound is not None]
-        return cls.holds(bound=max(bounds) if bounds else None)
+        return cls.holds(bound=min(bounds) if bounds else None)
 
     def to_doc(self) -> dict:
         doc: dict = {"status": self.status}

@@ -560,14 +560,6 @@ def object_doc(obj: Any) -> dict:
     return doc
 
 
-def explicit_module_doc(m: BasedModule) -> dict:
-    """Explicit table form of a finite module over a serializable finite ring."""
-    if not (m.is_finite and m.ring.is_finite and m.ring.doc is not None):
-        raise LoadError("module has no explicit serializable form")
-    return module_doc(m.ring, m.basis, {(a, j): m.action(a, j)
-                                        for a in m.ring.basis for j in m.basis})
-
-
 def census_doc(result: CensusResult) -> dict:
     ring_doc = result.ring.doc
     if ring_doc is None:

@@ -6,8 +6,9 @@ reduction for the infinite dihedral group, the recursive word product of
 a free product of fusion rings, plain-integer character convolution,
 representation rings from complex floating-point characters,
 cyclic and permutation arithmetic on labels, a Counter fold for bilinear
-extensions, transitive G-sets from subgroup classes, and an unpruned
-torsion-module census.
+extensions, transitive G-sets from subgroup classes with Mackey's orbit
+sizes, an unpruned torsion-module census, and the backtracking
+intertwiner search on plain tables.
 """
 
 import cmath
@@ -322,22 +323,69 @@ def permutation_table(degree):
             for p in perms]
 
 
-def transitive_gset_ranks(table, max_rank):
-    """Sizes [G:H] ≤ max_rank of the transitive G-sets G/H, one per
-    conjugacy class of subgroups H, found by closing every subset."""
+def subgroups(table):
+    """Every subgroup, as a frozenset, found by closing every subset."""
     n = len(table)
-    inverse = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
-    subgroups = set()
+    found = []
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             h = frozenset(subset)
             if 0 in h and all(table[x][y] in h for x in h for y in h):
-                subgroups.add(h)
-    classes = set()
-    for h in subgroups:
-        classes.add(min(tuple(sorted(table[table[g][x]][inverse[g]] for x in h))
-                        for g in range(n)))
-    return sorted(n // len(h) for h in classes if n // len(h) <= max_rank)
+                found.append(h)
+    return found
+
+
+def _inverses(table):
+    return [next(y for y in range(len(table)) if table[x][y] == 0)
+            for x in range(len(table))]
+
+
+def conjugate(table, g, h):
+    """g·h·g⁻¹ as a frozenset."""
+    inverse = _inverses(table)
+    return frozenset(table[table[g][x]][inverse[g]] for x in h)
+
+
+def subgroup_classes(table):
+    """One subgroup per conjugacy class: the least conjugate, as a sorted
+    tuple."""
+    return sorted({min(tuple(sorted(conjugate(table, g, h)))
+                       for g in range(len(table)))
+                   for h in subgroups(table)})
+
+
+def transitive_gset_ranks(table, max_rank):
+    """Sizes [G:H] ≤ max_rank of the transitive G-sets G/H, one per
+    conjugacy class of subgroups H."""
+    n = len(table)
+    return sorted(n // len(h) for h in subgroup_classes(table)
+                  if n // len(h) <= max_rank)
+
+
+def left_cosets(table, k):
+    """The G-set G/K: the cosets gK in order of their least element, and
+    ``perm[g][i]``, the index of the coset g·(coset i)."""
+    cosets = []
+    for g in range(len(table)):
+        coset = frozenset(table[g][x] for x in k)
+        if coset not in cosets:
+            cosets.append(coset)
+    index = {c: i for i, c in enumerate(cosets)}
+    perm = [[index[frozenset(table[g][x] for x in c)] for c in cosets]
+            for g in range(len(table))]
+    return cosets, perm
+
+
+def mackey_orbit_sizes(table, h, k):
+    """|H| / |H ∩ gKg⁻¹| over the double cosets HgK, sorted: the orbit
+    sizes of H on G/K."""
+    sizes, seen = [], set()
+    for g in range(len(table)):
+        double = frozenset(table[table[x][g]][y] for x in h for y in k)
+        if double not in seen:
+            seen.add(double)
+            sizes.append(len(h) // len(h & conjugate(table, g, k)))
+    return sorted(sizes)
 
 
 def is_permutation_matrix(rows):
@@ -423,3 +471,82 @@ def canonical_form(matrices):
     return min(tuple(tuple(m[p[i]][p[j]] for i in range(rank)
                            for j in range(rank)) for m in matrices)
                for p in itertools.permutations(range(rank)))
+
+
+# --- the backtracking intertwiner search on plain tables
+
+def _action_signature(window, basis, action, j):
+    sig = []
+    for alpha in window:
+        into = action[(alpha, j)]
+        out_coeffs = tuple(sorted(action[(alpha, k)].get(j, 0) for k in basis))
+        in_coeffs = tuple(sorted(into.get(k, 0) for k in basis))
+        sig.append((in_coeffs, out_coeffs, into.get(j, 0)))
+    return tuple(sig)
+
+
+def intertwiner_oracle(window, basis1, action1, basis2, action2):
+    """First basis bijection carrying ``action1`` to ``action2``, or None.
+
+    ``action[(alpha, j)]`` is the {label: coefficient} expansion of
+    alpha ⊗ j for every ring label alpha of ``window``, the unit included.
+    Labels are ordered by fewest signature-equal candidates, then by label;
+    candidates are tried in label order, and every coefficient between
+    assigned labels is compared at each step."""
+    if len(basis1) != len(basis2):
+        return None
+    sig1 = {j: _action_signature(window, basis1, action1, j) for j in basis1}
+    sig2 = {k: _action_signature(window, basis2, action2, k) for k in basis2}
+    if Counter(sig1.values()) != Counter(sig2.values()):
+        return None
+    candidates = {j: sorted(k for k in basis2 if sig2[k] == sig1[j])
+                  for j in basis1}
+    order = sorted(basis1, key=lambda j: (len(candidates[j]), j))
+    assignment = {}
+
+    def consistent(j, k):
+        for alpha in window:
+            row_j, row_k = action1[(alpha, j)], action2[(alpha, k)]
+            if row_j.get(j, 0) != row_k.get(k, 0):
+                return False
+            for jp, kp in assignment.items():
+                if row_j.get(jp, 0) != row_k.get(kp, 0):
+                    return False
+                if action1[(alpha, jp)].get(j, 0) != action2[(alpha, kp)].get(k, 0):
+                    return False
+        return True
+
+    def backtrack(pos):
+        if pos == len(order):
+            return True
+        j = order[pos]
+        for k in candidates[j]:
+            if k in assignment.values() or not consistent(j, k):
+                continue
+            assignment[j] = k
+            if backtrack(pos + 1):
+                return True
+            del assignment[j]
+        return False
+
+    if not backtrack(0) or not intertwines(window, basis1, action1, basis2,
+                                           action2, assignment):
+        return None
+    return dict(assignment)
+
+
+def intertwines(window, basis1, action1, basis2, action2, mapping):
+    """``mapping`` is a bijection from ``basis1`` onto ``basis2`` carrying
+    alpha ⊗ j of ``action1`` to alpha ⊗ mapping[j] of ``action2``,
+    coefficient by coefficient, for every alpha of the window."""
+    if (sorted(mapping) != sorted(basis1)
+            or sorted(mapping.values()) != sorted(basis2)):
+        return False
+    for alpha in window:
+        for j in basis1:
+            image = Counter()
+            for x, c in action1[(alpha, j)].items():
+                image[mapping[x]] += c
+            if +image != +Counter(action2[(alpha, mapping[j])]):
+                return False
+    return True

@@ -136,6 +136,14 @@ def test_decompose_z4_over_z2(std_z4, z2_in_z4, z2):
         assert find_intertwiner(summand, target) is not None
 
 
+def test_decompose_summands_carry_their_documents(std_z4, z2_in_z4, z2):
+    for summand in restrict_and_decompose(std_z4, z2_in_z4, 4):
+        assert summand.doc == {
+            "kind": "module", "ring": z2.doc, "basis": list(summand.basis),
+            "action": [["g", j, dict(summand.action("g", j).items())]
+                       for j in sorted(summand.basis)]}
+
+
 def test_decompose_s3_over_z3(s3, z3_in_s3):
     summands = restrict_and_decompose(standard_module(s3), z3_in_s3, 4)
     assert len(summands) == 2

@@ -1,15 +1,20 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from fusionkit import (
     BasedModule,
     Element,
+    FiniteGroupPresentation,
     InvalidInputError,
     act,
     check_module_axioms,
     check_ring_axioms,
     cyclic_group,
     explicit_ring,
+    find_intertwiner,
     generating_labels,
     group_ring,
     connected_components,
@@ -264,3 +269,194 @@ def test_based_symmetry_over_a_non_involutive_conj():
     assert expected == ("symmetry", ("a", "j", "j"))
     _assert_matches_full_sweep(
         check_module_axioms(_module(ring, ["j"], action)), expected)
+
+
+# --- the intertwiner witness against the backtracking oracle ---------------------
+
+def _table_ring(table):
+    labels = [f"g{i}" for i in range(len(table))]
+    return group_ring(FiniteGroupPresentation(labels, {
+        (labels[x], labels[y]): labels[table[x][y]]
+        for x in range(len(table)) for y in range(len(table))}))
+
+
+GSET_CASES = [(_table_ring(t), t, oracles.subgroups(t)) for t in
+              [oracles.cyclic_table(n) for n in range(2, 7)]
+              + [oracles.permutation_table(3), oracles.klein_table()]]
+Z2_RING = GSET_CASES[0][0]
+REP_S3 = rep_ring(s3_character_table())
+# the connected based modules of Rep(S3) at rank ≤ 3 with coefficients ≤ 2,
+# as {(label, j): row}; std's rows hold several labels
+REP_S3_BLOCKS = [
+    {("sgn", 0): {0: 1}, ("std", 0): {0: 2}},
+    {("sgn", 0): {1: 1}, ("sgn", 1): {0: 1},
+     ("std", 0): {0: 1, 1: 1}, ("std", 1): {0: 1, 1: 1}},
+    {("sgn", 0): {0: 1}, ("sgn", 1): {1: 1},
+     ("std", 0): {1: 2}, ("std", 1): {0: 1, 1: 1}},
+    {("sgn", 0): {0: 1}, ("sgn", 1): {1: 1},
+     ("std", 0): {1: 1}, ("std", 1): {0: 2, 1: 1}},
+    {("sgn", 0): {2: 1}, ("sgn", 1): {1: 1}, ("sgn", 2): {0: 1},
+     ("std", 0): {1: 1}, ("std", 1): {0: 1, 1: 1, 2: 1}, ("std", 2): {1: 1}},
+    {("sgn", 0): {0: 1}, ("sgn", 1): {1: 1}, ("sgn", 2): {2: 1},
+     ("std", 0): {1: 1, 2: 1}, ("std", 1): {0: 1, 2: 1},
+     ("std", 2): {0: 1, 1: 1}},
+]
+LABEL_POOL = [a + b for a in "pqrs" for b in "uvwxyz"]
+
+
+def _direct_sum(blocks):
+    """Blocks {(α, i): {i': c}} on 0..r-1, side by side on 0..Σr-1."""
+    table, offset = {}, 0
+    for block in blocks:
+        for (alpha, i), row in block.items():
+            table[(alpha, offset + i)] = {offset + k: c for k, c in row.items()}
+        offset += 1 + max(i for _, i in block)
+    return table, offset
+
+
+def _named(draw, ring, table, rank):
+    """The table on ``rank`` labels drawn from the pool, in a drawn order,
+    with the unit rows and the zero rows filled in."""
+    names = draw(st.permutations(LABEL_POOL))[:rank]
+    full = {(alpha, names[i]): {names[k]: c for k, c in
+                                table.get((alpha, i), {}).items() if c}
+            for alpha in ring.basis for i in range(rank)}
+    for j in names:
+        full[(ring.unit, j)] = {j: 1}
+    return names, full
+
+
+@st.composite
+def gset_pairs(draw):
+    """Disjoint unions of coset spaces G/K of rank ≤ 8 over Z/n (n ≤ 6), S3
+    and Z2×Z2, against a union of conjugates of the same K (isomorphic) or of other
+    subgroups, each on drawn labels."""
+    ring, table, subs = draw(st.sampled_from(GSET_CASES))
+    n = len(table)
+    small = [k for k in subs if n // len(k) <= 6]
+    unions = st.lists(st.sampled_from(small), min_size=1, max_size=3).filter(
+        lambda pieces: sum(n // len(k) for k in pieces) <= 8)
+
+    def union(pieces):
+        blocks = []
+        for k in pieces:
+            _, perm = oracles.left_cosets(table, k)
+            blocks.append({(ring.basis[g], i): {perm[g][i]: 1}
+                           for g in range(1, n) for i in range(n // len(k))})
+        return _direct_sum(blocks)
+
+    pieces = draw(unions)
+    if draw(st.booleans()):
+        other = [oracles.conjugate(table, draw(st.integers(0, n - 1)), k)
+                 for k in pieces]
+    else:
+        other = draw(unions)
+    return ring, _named(draw, ring, *union(pieces)), _named(draw, ring, *union(other))
+
+
+@st.composite
+def rep_s3_pairs(draw):
+    """Direct sums of Rep(S3) modules of rank ≤ 5, against a reordering of
+    the same summands or other summands."""
+    blocks = draw(st.lists(st.sampled_from(REP_S3_BLOCKS), min_size=1,
+                           max_size=3).filter(lambda b: _direct_sum(b)[1] <= 5))
+    if draw(st.booleans()):
+        other = draw(st.permutations(blocks))
+    else:
+        other = draw(st.lists(st.sampled_from(REP_S3_BLOCKS), min_size=1,
+                              max_size=3).filter(lambda b: _direct_sum(b)[1] <= 5))
+    return (REP_S3, _named(draw, REP_S3, *_direct_sum(blocks)),
+            _named(draw, REP_S3, *_direct_sum(other)))
+
+
+@st.composite
+def table_pairs(draw):
+    """Arbitrary non-negative tables over Z/2 and Rep(S3) at rank ≤ 5: a
+    table against a relabelling of itself, perhaps with one entry redrawn,
+    or against another table.  A table is random, a circulant over Z/2
+    (g·mᵢ = Σ_d mᵢ₊d), or copies of one random block, whose swaps leave
+    several bijections for the search to choose from."""
+    ring = draw(st.sampled_from([Z2_RING, REP_S3]))
+    rank = draw(st.integers(1, 5))
+    alphas = [a for a in ring.basis if a != ring.unit]
+    cell = st.integers(0, 2)
+
+    def block(size):
+        return {(a, i): {k: draw(cell) for k in range(size)
+                         if draw(st.integers(0, 2)) == 0}
+                for a in alphas for i in range(size)}
+
+    def table():
+        kind = draw(st.sampled_from(["random", "circulant", "copies"]))
+        if kind == "circulant" and ring is Z2_RING:
+            offsets = draw(st.lists(st.integers(0, rank - 1), max_size=3))
+            return {(alphas[0], i): {(i + d) % rank: offsets.count(d)
+                                     for d in offsets} for i in range(rank)}
+        if kind == "copies" and rank > 1:
+            size = draw(st.integers(1, rank // 2))
+            copies = _direct_sum([block(size)] * (rank // size))[0]
+            return {**block(rank), **copies}
+        return block(rank)
+
+    first = table()
+    second = draw(st.sampled_from([dict(first), table()]))
+    if draw(st.booleans()):
+        second[(draw(st.sampled_from(alphas)), draw(st.integers(0, rank - 1)))] = \
+            {draw(st.integers(0, rank - 1)): draw(cell)}
+    return ring, _named(draw, ring, first, rank), _named(draw, ring, second, rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gset_pairs(), rep_s3_pairs(), table_pairs()))
+def test_find_intertwiner_witness_contract(case):
+    # the first bijection, or None, is the backtracking oracle's
+    ring, (basis1, table1), (basis2, table2) = case
+    expected = oracles.intertwiner_oracle(list(ring.basis), basis1, table1,
+                                          basis2, table2)
+    assert find_intertwiner(_module(ring, basis1, table1),
+                            _module(ring, basis2, table2)) == expected
+
+
+# over Z/2, g's rows: a search without the column check misses the first, and
+# signatures without the column part or without g's own coefficient order
+# the labels differently and find another bijection first
+Z2_FIRST_WITNESS_CASES = [
+    ({"rw": {}, "ru": {"rw": 1, "ru": 1}, "sx": {}, "qu": {"sx": 1, "qu": 1}},
+     {"rv": {}, "rx": {"rv": 1, "rx": 1}, "qu": {}, "pz": {"qu": 1, "pz": 1}}),
+    ({"rw": {}, "qy": {}, "ry": {"rw": 1}, "rv": {}, "rx": {}, "sy": {"rv": 1}},
+     {"qw": {}, "ry": {}, "qx": {"qw": 1}, "rw": {}, "rz": {}, "qy": {"rw": 1}}),
+    ({"su": {"su": 2, "pv": 1}, "pv": {"su": 1}, "ru": {"ru": 2, "sw": 1},
+      "sw": {"ru": 1}, "qz": {"qz": 1}},
+     {"pw": {"pw": 2, "qz": 1}, "qz": {"pw": 1}, "rz": {"rz": 1},
+      "qu": {"qu": 2, "ry": 1}, "ry": {"qu": 1}}),
+]
+
+
+@pytest.mark.parametrize("rows1, rows2", Z2_FIRST_WITNESS_CASES)
+def test_find_intertwiner_first_witness_cases(rows1, rows2):
+    tables = [{**{("g0", j): {j: 1} for j in rows},
+               **{("g1", j): row for j, row in rows.items()}}
+              for rows in (rows1, rows2)]
+    expected = oracles.intertwiner_oracle(list(Z2_RING.basis), list(rows1),
+                                          tables[0], list(rows2), tables[1])
+    assert expected is not None
+    assert find_intertwiner(_module(Z2_RING, list(rows1), tables[0]),
+                            _module(Z2_RING, list(rows2), tables[1])) == expected
+
+
+def test_equal_signatures_without_intertwiner():
+    # g·mᵢ = mᵢ₊₁ ⊕ mᵢ₊₂ against g·mᵢ = mᵢ₊₁ ⊕ mᵢ₋₁, indices mod 4: every
+    # row and column holds two ones, but only the second is symmetric
+    basis = [f"m{i}" for i in range(4)]
+    tables = [{("g0", basis[i]): {basis[i]: 1} for i in range(4)}
+              for _ in range(2)]
+    for table, offsets in zip(tables, [(1, 2), (1, 3)]):
+        for i in range(4):
+            table[("g1", basis[i])] = {basis[(i + d) % 4]: 1 for d in offsets}
+    window = list(Z2_RING.basis)
+    signatures = [Counter(oracles._action_signature(window, basis, t, j)
+                          for j in basis) for t in tables]
+    assert signatures[0] == signatures[1]
+    assert oracles.intertwiner_oracle(window, basis, tables[0],
+                                      basis, tables[1]) is None
+    assert find_intertwiner(*(_module(Z2_RING, basis, t) for t in tables)) is None

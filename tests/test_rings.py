@@ -667,3 +667,12 @@ def test_window_is_prefix_closed_and_duplicate_free(name, depths):
         assert len(set(window)) == len(window)
         assert ring.basis_up_to_depth(d + 1)[: len(window)] == window
         assert window == build().basis_up_to_depth(d)
+
+
+def test_combine_claims_the_smallest_bound():
+    # holds within depth 6 and within depth 4 is checked only to depth 4
+    from fusionkit.rings import Verdict
+    assert Verdict.combine(Verdict.holds(bound=4), Verdict.holds(bound=6)).bound == 4
+    assert Verdict.combine(Verdict.holds(bound=6), Verdict.holds(bound=4)).bound == 4
+    assert Verdict.combine(Verdict.holds(), Verdict.holds(bound=6)).bound == 6
+    assert Verdict.combine(Verdict.holds(), Verdict.holds()).bound is None
