@@ -100,24 +100,28 @@ class FiniteGroupPresentation:
         return f"FiniteGroupPresentation(order {len(self.elements)})"
 
 
-def cyclic_group(n: int, generator: str = "a", identity: str = "e") -> FiniteGroupPresentation:
+# the label of the identity in the groups built from generators
+_IDENTITY = "e"
+
+
+def cyclic_group(n: int, generator: str = "a") -> FiniteGroupPresentation:
     """Z/n with elements e, a, a2, ..., a{n-1}."""
     if n < 1:
         raise InvalidInputError("cyclic group order must be positive")
-    labels = [identity] + [generator if k == 1 else f"{generator}{k}"
+    labels = [_IDENTITY] + [generator if k == 1 else f"{generator}{k}"
                            for k in range(1, n)]
     mult = {(labels[i], labels[k]): labels[(i + k) % n]
             for i in range(n) for k in range(n)}
     return FiniteGroupPresentation(labels, mult)
 
 
-def group_from_permutations(generators: Mapping[str, Sequence[int]],
-                            identity: str = "e") -> FiniteGroupPresentation:
+def group_from_permutations(generators: Mapping[str, Sequence[int]]
+                            ) -> FiniteGroupPresentation:
     """Close a set of named permutations under composition.
 
     Elements are labeled by the first word (in breadth-first generator
-    order) that reaches them; composition is function composition, so the
-    word "rt" acts by t first, then r.
+    order) that reaches them, the identity by e; composition is function
+    composition, so the word "rt" acts by t first, then r.
     """
     degree = None
     perms: Dict[str, Tuple[int, ...]] = {}
@@ -135,7 +139,7 @@ def group_from_permutations(generators: Mapping[str, Sequence[int]],
     def compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(p[q[i]] for i in range(degree))
 
-    label_of: Dict[Tuple[int, ...], str] = {ident: identity}
+    label_of: Dict[Tuple[int, ...], str] = {ident: _IDENTITY}
     order: List[Tuple[int, ...]] = [ident]
     queue = [ident]
     while queue:
@@ -353,60 +357,43 @@ def trivial_character_table() -> CharacterTable:
 _CG_LABEL = re.compile(r"^x(0|[1-9][0-9]*)$")
 
 
-def _cg_index(label: str, ring_name: str) -> int:
-    m = _CG_LABEL.match(label)
-    if not m:
-        raise UnknownBasisError(f"unknown basis label {label!r} in {ring_name}")
-    return int(m.group(1))
-
-
-def _cg_product(m: int, n: int) -> Element:
-    return Element({f"x{k}": 1 for k in range(abs(m - n), m + n + 1, 2)})
-
-
-def su2_ring() -> BasedRing:
-    """Lazy ring on x0, x1, x2, ... with x_m ⊗ x_n = x_|m-n| ⊕ ... ⊕ x_{m+n}
-    in steps of two, self-conjugate basis, d(x_n) = n + 1."""
-    name = "SU2"
-
-    def product(a: str, b: str) -> Element:
-        return _cg_product(_cg_index(a, name), _cg_index(b, name))
-
-    def conj(a: str) -> str:
-        _cg_index(a, name)
-        return a
-
-    def dim(a: str) -> Fraction:
-        return Fraction(_cg_index(a, name) + 1)
-
-    return BasedRing(name=name, unit="x0", conj=conj, product=product, dim=dim,
-                     generators=("x1",),
-                     doc={"kind": "construct", "construct": "su2"})
-
-
-def so3_ring() -> BasedRing:
-    """The even-label subring of the Clebsch-Gordan ring, generated by x2."""
-    name = "SO3"
-
-    def check(a: str) -> int:
-        n = _cg_index(a, name)
-        if n % 2:
+def _cg_ring(construct: str, name: str, step: int) -> BasedRing:
+    """The lazy ring on the labels x_n with n a multiple of ``step``,
+    generated by x_step: x_m ⊗ x_n = x_|m-n| ⊕ ... ⊕ x_{m+n} in steps of
+    two, self-conjugate basis, d(x_n) = n + 1."""
+    def index(a: str) -> int:
+        m = _CG_LABEL.match(a)
+        if not m:
+            raise UnknownBasisError(f"unknown basis label {a!r} in {name}")
+        n = int(m.group(1))
+        if n % step:
             raise UnknownBasisError(f"odd label {a!r} is not in {name}")
         return n
 
     def product(a: str, b: str) -> Element:
-        return _cg_product(check(a), check(b))
+        m, n = index(a), index(b)
+        return Element({f"x{k}": 1 for k in range(abs(m - n), m + n + 1, 2)})
 
     def conj(a: str) -> str:
-        check(a)
+        index(a)
         return a
 
     def dim(a: str) -> Fraction:
-        return Fraction(check(a) + 1)
+        return Fraction(index(a) + 1)
 
     return BasedRing(name=name, unit="x0", conj=conj, product=product, dim=dim,
-                     generators=("x2",),
-                     doc={"kind": "construct", "construct": "so3"})
+                     generators=(f"x{step}",),
+                     doc={"kind": "construct", "construct": construct})
+
+
+def su2_ring() -> BasedRing:
+    """The Clebsch-Gordan ring on x0, x1, x2, ..., generated by x1."""
+    return _cg_ring("su2", "SU2", 1)
+
+
+def so3_ring() -> BasedRing:
+    """The even-label subring of the Clebsch-Gordan ring, generated by x2."""
+    return _cg_ring("so3", "SO3", 2)
 
 
 def so3_subring(ambient: Optional[BasedRing] = None) -> SubringEmbedding:

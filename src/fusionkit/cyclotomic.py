@@ -142,10 +142,6 @@ class Cyclo:
         return Cyclo(a.order, [(e1 + e2, c1 * c2) for e1, c1 in a.coeffs.items()
                                for e2, c2 in b.coeffs.items()])
 
-    def scale(self, k) -> "Cyclo":
-        k = Fraction(k)
-        return Cyclo(self.order, {e: c * k for e, c in self.coeffs.items()})
-
     def conj(self) -> "Cyclo":
         return Cyclo(self.order, {-e: c for e, c in self.coeffs.items()})
 

@@ -96,10 +96,6 @@ class Element:
         out._terms = {label: coeff} if coeff else {}
         return out
 
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls.from_sums({})
-
     def coeff(self, label: str) -> int:
         return self._terms.get(label, 0)
 
@@ -122,15 +118,6 @@ class Element:
             if c == 1:
                 return label
         return None
-
-    def is_single_basis(self) -> bool:
-        """True when the element is one basis label with coefficient 1."""
-        return self.single_label() is not None
-
-    def single_basis_label(self) -> str:
-        if not self.is_single_basis():
-            raise InvalidInputError(f"{self} is not a single basis element")
-        return next(iter(self._terms))
 
     def map_basis(self, fn: Callable[[str], str]) -> "Element":
         """Relabel the support through ``fn``, merging any collisions."""
@@ -172,7 +159,7 @@ class Element:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def format(self, plus: str = " ⊕ ") -> str:
+    def format(self) -> str:
         """Render as a direct sum, e.g. ``x0 ⊕ 2·x2``."""
         if not self._terms:
             return "0"
@@ -184,7 +171,7 @@ class Element:
                 parts.append(f"-{label}")
             else:
                 parts.append(f"{c}·{label}")
-        return plus.join(parts)
+        return " ⊕ ".join(parts)
 
     def __repr__(self) -> str:
         return f"Element({self.format()})"

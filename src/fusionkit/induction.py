@@ -41,16 +41,12 @@ def induced_label(t: str, j: str) -> str:
 class InducedModule(BasedModule):
     """Based module on class representatives × source basis, with provenance."""
 
-    def __init__(self, *, ring: BasedRing, basis, action, pairs: Dict[str, Tuple[str, str]],
+    def __init__(self, *, ring: BasedRing, basis, action,
                  source: BasedModule, certificate: DivisibilityCertificate,
                  name: str, doc: Optional[dict] = None):
         super().__init__(ring=ring, basis=basis, action=action, name=name, doc=doc)
-        self.pairs = pairs
         self.source = source
         self.certificate = certificate
-
-    def pair_of(self, label: str) -> Tuple[str, str]:
-        return self.pairs[label]
 
 
 def induce(n: BasedModule, c: DivisibilityCertificate, *,
@@ -105,7 +101,7 @@ def induce(n: BasedModule, c: DivisibilityCertificate, *,
     if n.doc is not None and e.doc is not None:
         doc = {"kind": "module", "induced": {"source": n.doc,
                                              "certificate": c.to_doc()}}
-    return InducedModule(ring=amb, basis=basis, action=action, pairs=pairs,
+    return InducedModule(ring=amb, basis=basis, action=action,
                          source=n, certificate=c,
                          name=f"Ind({n.name})", doc=doc)
 

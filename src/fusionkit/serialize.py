@@ -420,13 +420,18 @@ def _load_certificate_doc(doc: dict, base_dir: str) -> DivisibilityCertificate:
     depth = doc["verified_depth"]
     if not _is(depth, int) or depth < 1:
         raise LoadError("certificate: verified_depth must be a positive integer")
-    exhaustive = _typed(doc.get("exhaustive", embedding.sub.is_finite
-                                and embedding.ambient.is_finite),
-                        bool, "certificate: exhaustive")
-    return DivisibilityCertificate(
+    cert = DivisibilityCertificate(
         embedding=embedding, classes=tuple(classes),
-        factorization=factorization, verified_depth=depth,
-        exhaustive=exhaustive)
+        factorization=factorization, verified_depth=depth)
+    # exhaustive is derived: the field is accepted only when it agrees
+    if "exhaustive" in doc:
+        claimed = _typed(doc["exhaustive"], bool, "certificate: exhaustive")
+        if claimed != cert.exhaustive:
+            raise LoadError(
+                f"certificate: exhaustive must be {canonical_json(cert.exhaustive)}"
+                ": it is true exactly when the sub and ambient rings are both "
+                "finite")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +478,8 @@ def loaded_verdict(obj: Any) -> Verdict:
 
 
 def validation_verdict(obj: Any, depth: int = DEFAULT_DEPTH) -> Verdict:
-    """The validation check appropriate to the object's type."""
+    """The validation check appropriate to the object's type: a ring, a
+    module, an embedding or a certificate, the four kinds the loaders build."""
     if isinstance(obj, BasedRing):
         return Verdict.combine(check_ring_axioms(obj, depth),
                                check_dimension(obj, depth))
@@ -481,9 +487,7 @@ def validation_verdict(obj: Any, depth: int = DEFAULT_DEPTH) -> Verdict:
         return check_module_axioms(obj, depth)
     if isinstance(obj, SubringEmbedding):
         return verify_subring(obj, depth)
-    if isinstance(obj, DivisibilityCertificate):
-        return verify_certificate(obj, depth)
-    raise LoadError(f"no validation for {type(obj).__name__}")
+    return verify_certificate(obj, depth)
 
 
 def _ref(ref: Any, kind: str, base_dir: str) -> Any:
@@ -572,12 +576,6 @@ def census_doc(result: CensusResult) -> dict:
         "complete": result.complete,
         "modules": [m.doc for m in result.modules],
     }
-
-
-def save(obj: Any, path: str) -> None:
-    text = dumps(obj)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
 
 
 def dumps(obj: Any) -> str:

@@ -127,8 +127,7 @@ def test_cyclic_rep_ring_matches_group_ring():
     for a in ring.basis:
         for b in ring.basis:
             value = ring.product(a, b)
-            assert value.is_single_basis()
-            got = relabel[value.single_basis_label()]
+            got = relabel[value.single_label()]
             assert got == (relabel[a] + relabel[b]) % 3
     assert relabel[ring.conj("chi1")] == 2
 
@@ -549,9 +548,7 @@ def test_semidirect_matches_s3_group_ring():
     for la in labels:
         for lb in labels:
             value = sd.ring.product(la, lb)
-            assert value.is_single_basis()
-            assert to_s3(value.single_basis_label()) == \
-                s3.mul(to_s3(la), to_s3(lb))
+            assert to_s3(value.single_label()) == s3.mul(to_s3(la), to_s3(lb))
 
 
 def test_semidirect_embeddings_verify():

@@ -57,7 +57,7 @@ def test_as_integer():
 def test_gaussian_pairs():
     i = Cyclo.from_pair(0, 1)
     assert i * i == Cyclo.from_rational(-1)
-    assert Cyclo.from_pair(2, 3) == Cyclo.from_rational(2) + i.scale(3)
+    assert Cyclo.from_pair(2, 3) == Cyclo.from_rational(2) + i * Cyclo.from_rational(3)
 
 
 def test_arithmetic_mixed_orders():

@@ -58,10 +58,9 @@ def test_nonnegative_guard():
 
 
 def test_single_basis_detection():
-    assert Element({"a": 1}).is_single_basis()
-    assert not Element({"a": 2}).is_single_basis()
-    assert not Element({"a": 1, "b": 1}).is_single_basis()
-    assert Element({"a": 1}).single_basis_label() == "a"
+    assert Element({"a": 1}).single_label() == "a"
+    assert Element({"a": 2}).single_label() is None
+    assert Element({"a": 1, "b": 1}).single_label() is None
 
 
 @given(elements, elements)

@@ -1,0 +1,220 @@
+"""Every `fails` site of the ring, dimension, subring and certificate
+checks, the certificate search's failure witnesses, and the CLI's
+document for broken embedding data, each reached by a minimal input.
+
+Where no definition document can reach a site (the loader validates what
+the site would reject, or builds the unit products itself), the input is
+a ring built in the library.  Each case pins the status, the exact
+witness and the data.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from fusionkit import (
+    BasedRing,
+    DivisibilityCertificate,
+    Element,
+    SubringEmbedding,
+    check_dimension,
+    check_ring_axioms,
+    cyclic_group,
+    find_divisibility_certificate,
+    group_ring,
+    rep_ring,
+    s3_character_table,
+    so3_subring,
+    su2_ring,
+    verify_certificate,
+    verify_subring,
+)
+from fusionkit.cli import cli_dispatch
+
+
+def table_ring(basis, table=(), conj=None, dim=None):
+    """A finite ring on ``basis`` (unit first) read from plain dicts.
+    ``table`` maps a pair to its product's terms; a pair it leaves out is
+    the unit product, and anything else the label ``?``.  No axiom is
+    checked."""
+    unit, table = basis[0], dict(table)
+    conj = conj or {a: a for a in basis}
+    dim = dim or {a: 1 for a in basis}
+
+    def product(a, b):
+        default = {b: 1} if a == unit else {a: 1} if b == unit else {"?": 1}
+        return Element(table.get((a, b), default))
+
+    return BasedRing(name="table", unit=unit, conj=conj.__getitem__,
+                     product=product, dim=dim.__getitem__, basis=basis)
+
+
+def z2():
+    return group_ring(cyclic_group(2, generator="g"))
+
+
+def z2_in(ambient, image):
+    return SubringEmbedding(sub=z2(), ambient=ambient,
+                            mapping={"e": ambient.unit, "g": image})
+
+
+def z2_in_z4():
+    return z2_in(group_ring(cyclic_group(4)), "a2")
+
+
+def certificate(embedding, classes, factorization):
+    return DivisibilityCertificate(embedding=embedding, classes=classes,
+                                   factorization=factorization,
+                                   verified_depth=4)
+
+
+def verdict(v):
+    return v.status, v.witness, v.data
+
+
+def search(embedding):
+    """A failed search reads as the CLI reports it: unknown, with every
+    witness the search saw."""
+    found = find_divisibility_certificate(embedding, 4)
+    assert found.certificate is None
+    return "unknown", found.witnesses, None
+
+
+def cli(docs, *argv):
+    """Run the CLI on definition files written from ``docs``; the files
+    are named by their keys, and argv names them the same way."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, doc in docs.items():
+            with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        paths = [os.path.join(workdir, a) if a in docs else a for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_dispatch(paths + ["--json"])
+    doc = json.loads(out.getvalue())["verdict"]
+    assert code == {"holds": 0, "fails": 1, "unknown": 2}[doc["status"]]
+    return doc["status"], doc.get("witness"), doc.get("data")
+
+
+REP_S3 = rep_ring(s3_character_table())
+Z2_DOC = {"kind": "construct", "construct": "group_ring",
+          "group": cyclic_group(2, generator="g").to_doc()}
+Z2_H_DOC = {"kind": "construct", "construct": "group_ring",
+            "group": cyclic_group(2, generator="h").to_doc()}
+FREE_DOC = {"kind": "construct", "construct": "free_product",
+            "left": Z2_DOC, "right": Z2_H_DOC}
+# block-copy ambient for Z2 = {e, g} with classes e and x, where
+# g ⊗ y should be x; the table is not associative, so no document loads it
+NONASSOCIATIVE = table_ring(["e", "g", "x", "y"], {
+    ("g", "g"): {"e": 1}, ("g", "x"): {"y": 1}, ("g", "y"): {"y": 1}})
+
+CASES = {
+    "ring: conj(unit) is not the unit": (
+        lambda: verdict(check_ring_axioms(table_ring(
+            ["e", "g"], {("g", "g"): {"e": 1}}, conj={"e": "g", "g": "e"}))),
+        ("fails", "conj(unit) = g ≠ e", None)),
+    "ring: conj is not an involution": (
+        lambda: verdict(check_ring_axioms(table_ring(
+            ["e", "g", "h"], conj={"e": "e", "g": "h", "h": "h"}))),
+        ("fails", "conj is not involutive at g: conj(conj(g)) = h", ("g",))),
+    "ring: unit not left-neutral": (
+        lambda: verdict(check_ring_axioms(table_ring(
+            ["e", "g"], {("e", "g"): {"e": 1}}))),
+        ("fails", "unit not left-neutral at g: \U0001d7d9 ⊗ g = e", ("g",))),
+    "ring: unit not right-neutral": (
+        lambda: verdict(check_ring_axioms(table_ring(
+            ["e", "g"], {("g", "e"): {"g": 2}}))),
+        ("fails", "unit not right-neutral at g: g ⊗ \U0001d7d9 = 2·g", ("g",))),
+    # Z/3 with a ⊗ a = a instead of b: the unit coefficients still pass
+    "ring: conj is not anti-multiplicative": (
+        lambda: verdict(check_ring_axioms(table_ring(
+            ["e", "a", "b"], {("a", "a"): {"a": 1}, ("a", "b"): {"e": 1},
+                              ("b", "a"): {"e": 1}, ("b", "b"): {"a": 1}},
+            conj={"e": "e", "a": "b", "b": "a"}))),
+        ("fails", "conj(a ⊗ a) = b ≠ conj(a) ⊗ conj(a) = a", ("a", "a"))),
+    "dimension: d(unit) is not 1": (
+        lambda: verdict(check_dimension(table_ring(
+            ["e", "g"], {("g", "g"): {"e": 1}}, dim={"e": 2, "g": 1}))),
+        ("fails", "d(unit) = 2 ≠ 1", None)),
+    "dimension: d is not positive": (
+        lambda: verdict(check_dimension(table_ring(
+            ["e", "g"], {("g", "g"): {"e": 1}}, dim={"e": 1, "g": -1}))),
+        ("fails", "d(g) = -1 is not positive", ("g",))),
+    "subring: product closure": (
+        lambda: verdict(verify_subring(z2_in(REP_S3, "std"))),
+        ("fails", "product closure fails at (g, g): ambient std ⊗ std = "
+         "sgn ⊕ std ⊕ triv but the embedded sub product is triv "
+         "(first discrepancy at sgn)", ("g", "g"))),
+    "certificate: the embedding fails": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in(REP_S3, "std"), ("triv",), {}))),
+        ("fails", "product closure fails at (g, g): ambient std ⊗ std = "
+         "sgn ⊕ std ⊕ triv but the embedded sub product is triv "
+         "(first discrepancy at sgn)", ("g", "g"))),
+    "certificate: no unit class": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in_z4(), ("a",), {"e": ("e", "e")}))),
+        ("fails", "no class is represented by the ambient unit e", None)),
+    "certificate: s ⊗ t is reducible": (
+        lambda: verdict(verify_certificate(certificate(
+            so3_subring(su2_ring()), ("x0", "x1"),
+            {"x0": ("x0", "x0"), "x2": ("x0", "x2"), "x4": ("x0", "x4"),
+             "x1": ("x1", "x0")}), 2)),
+        ("fails", "x2 ⊗ x1 = x1 ⊕ x3 is reducible", ("x2", "x1"))),
+    "certificate: missing factorization entry": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in_z4(), ("e",), {"e": ("e", "e"), "a2": ("e", "g")}))),
+        ("fails", "ambient basis label a has no factorization entry within "
+         "depth 4", ("a", "a3"))),
+    "certificate: unknown class": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in_z4(), ("e",), {"e": ("e", "e"), "a2": ("e", "g"),
+                                 "a": ("b", "e"), "a3": ("b", "g")}))),
+        ("fails", "factorization of a references unknown class b", None)),
+    "certificate: factorization not reproduced": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in_z4(), ("e",), {"e": ("e", "e"), "a2": ("e", "g"),
+                                 "a": ("e", "e"), "a3": ("e", "g")}))),
+        ("fails", "factorization of a = (e, e) is not reproduced by "
+         "map(e) ⊗ e", ("e", "e", "a"))),
+    "certificate: not block regular": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in(NONASSOCIATIVE, "g"), ("e", "x"),
+            {"e": ("e", "e"), "g": ("e", "g"), "x": ("x", "e"),
+             "y": ("x", "g")}))),
+        ("fails", "sub action is not block regular at (β=g, t=x, s=g): "
+         "map(g) ⊗ y = y ≠ x", ("g", "x", "g"))),
+    # sgn ⊗ std = std: the class of std has no injective representative
+    "search: representative not injective": (
+        lambda: search(z2_in(REP_S3, "sgn")),
+        ("unknown", ("std is not injective: e ⊗ std and g ⊗ std both give "
+                     "std",), None)),
+    # x ~ y, but the only image label, e, sends x to x alone; the
+    # relation has no Frobenius reciprocity here, so no document loads it
+    "search: factorization does not cover": (
+        lambda: search(SubringEmbedding(
+            sub=group_ring(cyclic_group(1)),
+            ambient=table_ring(["e", "x", "y"],
+                               {(a, b): {"e": 1} for a in "xy" for b in "xy"},
+                               conj={"e": "e", "x": "y", "y": "x"}),
+            mapping={"e": "e"})),
+        ("unknown", ("factorization does not cover y within depth 4",), None)),
+    # the identity embedding of Z2 ∗ Z2 at depth 1: g ~ ε ~ h, but h ⊗ g
+    # lies outside the window's image
+    "cli: broken embedding data document": (
+        lambda: cli({"free.json": FREE_DOC,
+                     "id.json": {"kind": "embedding", "canonical": "identity",
+                                 "ring": FREE_DOC}},
+                    "divisible", "free.json", "--sub", "id.json", "--depth", "1"),
+        ("fails", "coset relation not transitive at (g, ε, h)", None)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CASES))
+def test_fails_site(site):
+    run, expected = CASES[site]
+    assert run() == expected

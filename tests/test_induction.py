@@ -76,12 +76,14 @@ def test_induction_frobenius_transport(std_z2, rank1_z2, z2_in_z4_cert):
 
     for n in (std_z2, rank1_z2):
         ind = induce(n, cert)
+        pair_of = {induced_label(t, j): (t, j)
+                   for t in cert.classes for j in n.basis}
         for alpha in amb.basis:
             for x in ind.basis:
-                t_p, j_p = ind.pair_of(x)
+                t_p, j_p = pair_of[x]
                 value = ind.action(alpha, x)
                 for y in ind.basis:
-                    t, j = ind.pair_of(y)
+                    t, j = pair_of[y]
                     direct = False
                     for i, _ in amb.product(alpha, amb.conj(t_p)).items():
                         ti, si = right_factor(i)

@@ -6,7 +6,7 @@ import pytest
 
 from fusionkit import (Element, cli, find_divisibility_certificate, induction,
                        modules, serialize)
-from fusionkit import group_ring, symmetric_group_3
+from fusionkit import cyclic_group, group_ring, symmetric_group_3
 from fusionkit.cli import cli_dispatch
 from fusionkit.serialize import (
     LoadError,
@@ -17,7 +17,6 @@ from fusionkit.serialize import (
     dumps,
     load,
     load_doc,
-    save,
 )
 
 Z2_DOC = {
@@ -77,7 +76,7 @@ def files(tmp_path):
     emb = load(out["emb"], expect="embedding")
     cert = find_divisibility_certificate(emb, 4).certificate
     cert_path = tmp_path / "cert.json"
-    save(cert, str(cert_path))
+    cert_path.write_text(dumps(cert), encoding="utf-8")
     out["cert"] = str(cert_path)
     out["dir"] = str(tmp_path)
     return out
@@ -413,7 +412,8 @@ def test_cli_enumerate_s3_document_is_pinned(tmp_path, monkeypatch, capsys):
     # the S3 census up to rank 4, byte for byte: the census may change how it
     # searches, never what it emits
     monkeypatch.chdir(tmp_path)
-    save(group_ring(symmetric_group_3()), "s3.json")
+    (tmp_path / "s3.json").write_text(dumps(group_ring(symmetric_group_3())),
+                                      encoding="utf-8")
     code, out, _ = run_cli(capsys, "enumerate", "s3.json", "--max-rank", "4",
                            "--max-coeff", "1", "--json")
     assert code == 0
@@ -723,6 +723,86 @@ def test_canonical_embedding_ambient_is_the_loaded_ring(canonical, inline,
         ring = load(str(tmp_path / "amb.json"), depth=5)
         emb = load(str(tmp_path / "emb.json"), expect="embedding")
     assert emb.ambient is ring
+
+
+# --- certificates: lazy product rings and the derived exhaustive flag ----------
+
+Z3_DOC = group_ring(cyclic_group(3)).doc
+LAZY_PRODUCTS = {
+    "free_left": {"kind": "construct", "construct": "free_product",
+                  "left": Z2_DOC, "right": Z3_DOC},
+    "direct_right": {"kind": "construct", "construct": "direct_product",
+                     "left": {"kind": "construct", "construct": "su2"},
+                     "right": Z2_DOC},
+}
+
+
+def _lazy_certificate(canonical, depth, tmp_path, capsys):
+    """`divisible` along a canonical embedding into a lazy product ring;
+    returns the path of the certificate it writes."""
+    ambient = LAZY_PRODUCTS[canonical]
+    (tmp_path / "amb.json").write_text(json.dumps(ambient))
+    (tmp_path / "emb.json").write_text(json.dumps(
+        {"kind": "embedding", "canonical": canonical, "ambient": ambient}))
+    cert = str(tmp_path / "cert.json")
+    code, _, err = run_cli(capsys, "divisible", str(tmp_path / "amb.json"),
+                           "--sub", str(tmp_path / "emb.json"),
+                           "--depth", str(depth), "--out", cert)
+    assert (code, err) == (0, "")
+    return cert
+
+
+@pytest.mark.parametrize("depth", [3, 4, 6])
+@pytest.mark.parametrize("canonical", sorted(LAZY_PRODUCTS))
+def test_cli_certificate_over_lazy_product_loads_back(canonical, depth,
+                                                      tmp_path, capsys):
+    # the product ring decodes only labels it has generated, so the
+    # certificate's classes are read after the window is enumerated
+    cert = _lazy_certificate(canonical, depth, tmp_path, capsys)
+    code, out, err = run_cli(capsys, "validate", cert, "--depth", str(depth),
+                             "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == {"status": "holds", "bound": depth}
+
+
+@pytest.mark.parametrize("canonical", sorted(LAZY_PRODUCTS))
+def test_cli_deep_certificate_validates_at_default_depth(canonical, tmp_path,
+                                                         capsys):
+    # classes beyond the depth-4 window lie beyond the bound
+    cert = _lazy_certificate(canonical, 6, tmp_path, capsys)
+    code, out, err = run_cli(capsys, "validate", cert, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == {"status": "holds", "bound": 4}
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "certificate: exhaustive must be false: it is true exactly when "
+           "the sub and ambient rings are both finite"),
+    ("yes", "certificate: exhaustive: expected bool"),
+], ids=["forged", "not-bool"])
+def test_cli_certificate_exhaustive_over_lazy_ring_is_checked(
+        value, message, tmp_path, capsys):
+    # a forged flag would turn a depth-4 check into an unbounded holds
+    cert = _lazy_certificate("free_left", 4, tmp_path, capsys)
+    doc = json.loads(open(cert, encoding="utf-8").read())
+    assert doc["exhaustive"] is False
+    doc["exhaustive"] = value
+    (tmp_path / "forged.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(tmp_path / "forged.json"))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+def test_certificate_exhaustive_is_derived(files, tmp_path):
+    doc = json.loads(open(files["cert"], encoding="utf-8").read())
+    assert doc["exhaustive"] is True
+    assert load(files["cert"]).exhaustive
+    del doc["exhaustive"]
+    (tmp_path / "omitted.json").write_text(json.dumps(doc))
+    assert load(str(tmp_path / "omitted.json")).exhaustive
+    doc["exhaustive"] = False
+    (tmp_path / "forged.json").write_text(json.dumps(doc))
+    with pytest.raises(LoadError, match="exhaustive must be true: "):
+        load(str(tmp_path / "forged.json"))
 
 
 # --- the loader's exit-code contract -------------------------------------------

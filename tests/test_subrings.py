@@ -1,5 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
+from oracles import s3_fusion_oracle, s3_mul_oracle
+
 from fusionkit import (
     BasedModule,
     DivisibilityCertificate,
@@ -14,6 +16,8 @@ from fusionkit import (
     find_divisibility_certificate,
     group_ring,
     identity_embedding,
+    rep_ring,
+    s3_character_table,
     so3_subring,
     verify_certificate,
     verify_subring,
@@ -66,8 +70,37 @@ def test_identity_embedding_single_class(s3):
     assert coset_classes(emb, 4) == [list(s3.basis)]
 
 
-def test_coset_cross_check_agrees(z3_in_s3):
-    coset_classes(z3_in_s3, 4, cross_check=True)
+def _classes_by_conjugate_form(window, meets):
+    """Partition ``window``, in window order, by x ~ y ⇔ meets(x, y)."""
+    classes = []
+    for x in window:
+        cls = next((c for c in classes if meets(x, c[0])), None)
+        if cls is None:
+            classes.append([x])
+        else:
+            cls.append(x)
+    return classes
+
+
+def test_coset_classes_match_conjugate_form_oracle(z3_in_s3, z2):
+    # coset_classes relates x and y when y ⊗ conj(x) meets the image; the
+    # oracle uses x ⊗ conj(y), from plain tables: permutation words for S3,
+    # integer characters for Rep(S3), whose labels are self-conjugate
+    labels = list(z3_in_s3.ambient.basis)
+    mul = s3_mul_oracle(labels)
+    inverse = {x: next(y for y in labels if mul(x, y) == {"e": 1})
+               for x in labels}
+    image = {"e", "r", "rr"}
+    assert coset_classes(z3_in_s3, 4) == _classes_by_conjugate_form(
+        labels, lambda x, y: bool(image & set(mul(x, inverse[y]))))
+    rep_s3 = rep_ring(s3_character_table())
+    sgn = SubringEmbedding(sub=z2, ambient=rep_s3,
+                           mapping={"e": "triv", "g": "sgn"})
+    expected = _classes_by_conjugate_form(
+        ["triv", "sgn", "std"],
+        lambda x, y: bool({"triv", "sgn"} & set(s3_fusion_oracle(x, y))))
+    assert expected == [["triv", "sgn"], ["std"]]
+    assert coset_classes(sgn, 4) == expected
 
 
 def test_certificate_z2_in_z4(z2_in_z4):
@@ -105,7 +138,7 @@ def test_alternate_representative_also_verifies(z2_in_z4):
         embedding=cert.embedding, classes=("e", "a3"),
         factorization={"e": ("e", "e"), "a2": ("e", "g"),
                        "a3": ("a3", "e"), "a": ("a3", "g")},
-        verified_depth=4, exhaustive=True)
+        verified_depth=4)
     assert verify_certificate(other, 4).is_holds
 
 
@@ -115,7 +148,7 @@ def test_tampered_factorization_fails(z2_in_z4):
     swapped["a"], swapped["a3"] = swapped["a3"], swapped["a"]
     tampered = DivisibilityCertificate(
         embedding=cert.embedding, classes=cert.classes,
-        factorization=swapped, verified_depth=4, exhaustive=True)
+        factorization=swapped, verified_depth=4)
     verdict = verify_certificate(tampered, 4)
     assert verdict.is_fails
 
