@@ -399,9 +399,6 @@ def cli_dispatch(argv: List[str]) -> int:
                 verdict, result, highlight = _HANDLERS[args.command](args, session)
             finally:
                 session.finish()
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValidationFailure as exc:
         document = _document(args.command, _argument_doc(args), session,
                              exc.verdict, {"error": exc.what})

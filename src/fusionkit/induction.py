@@ -27,7 +27,7 @@ from .modules import (
     BasedModule,
     check_module_axioms,
     connected_components,
-    is_torsion,
+    first_nonintertwining,
     module_doc,
 )
 from .rings import BasedRing, Verdict
@@ -138,13 +138,16 @@ def restrict(m: BasedModule, e: SubringEmbedding, *,
 
 def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
                            depth: int = 4) -> List[BasedModule]:
-    """Split the restricted module along its connected components.
+    """Split the restricted module along its connected components, each
+    with its explicit module document when the subring has one.
 
-    Each summand is re-verified torsion, which over the finite subring
-    decides connectedness exactly, and carries its explicit module document
-    when the subring has one.  Needs a finite module basis and a finite
-    subring: on a lazy subring the component structure of a window is not a
-    based module, so the computation is refused.
+    ``restrict`` has checked the based axioms, which the summands inherit,
+    and no summand needs a torsion re-check: over the finite subring a
+    component joins j' to every j ⊂ β ⊗ j', so it is closed under the
+    action, its own edges keep it connected, and it is co-finite.  Needs a
+    finite module basis and a finite subring: on a lazy subring the
+    component structure of a window is not a based module, so the
+    computation is refused.
     """
     if not m.is_finite:
         raise InvalidInputError("decomposition needs a finite module basis")
@@ -153,31 +156,14 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
             "decomposition along a lazily generated subring is refused: "
             "component closure cannot be certified on a window")
     restricted = restrict(m, e, check_depth=depth)
-    components = connected_components(restricted, depth)
     summands: List[BasedModule] = []
-    for idx, comp in enumerate(components):
-        comp_set = set(comp)
-        table: Dict[Tuple[str, str], Element] = {}
-        for beta in e.sub.basis:
-            if beta == e.sub.unit:
-                continue
-            for j in comp:
-                value = restricted.action(beta, j)
-                for lbl, _ in value.items():
-                    if lbl not in comp_set:
-                        raise InvalidInputError(
-                            f"component {idx} is not action-closed at "
-                            f"({beta}, {j}): reaches {lbl}")
-                table[(beta, j)] = value
-        summand = BasedModule(ring=e.sub, basis=comp, action=table,
-                              name=f"{restricted.name}[{idx}]",
-                              doc=None if e.sub.doc is None
-                              else module_doc(e.sub, comp, table))
-        verdict = is_torsion(summand, depth)
-        if not verdict.is_holds:
-            raise InvalidInputError(
-                f"summand {idx} is not torsion: {verdict.witness}")
-        summands.append(summand)
+    for idx, comp in enumerate(connected_components(restricted, depth)):
+        table = {(beta, j): restricted.action(beta, j)
+                 for beta in e.sub.basis if beta != e.sub.unit for j in comp}
+        summands.append(BasedModule(
+            ring=e.sub, basis=comp, action=table,
+            name=f"{restricted.name}[{idx}]",
+            doc=None if e.sub.doc is None else module_doc(e.sub, comp, table)))
     return summands
 
 
@@ -204,14 +190,13 @@ def standardize_from_induced(ind: InducedModule, witness: Dict[str, str],
                 "witness is not a bijection onto the ambient basis")
     elif len(set(targets)) != len(targets):
         return Verdict.fails("witness is not injective")
-    for alpha in amb_window:
-        for x in basis:
-            lhs = ind.action(alpha, x).map_basis(lambda y: witness[y])
-            rhs = amb.product(alpha, witness[x])
-            if lhs != rhs:
-                return Verdict.fails(
-                    f"witness does not intertwine at ({alpha}, {x}): "
-                    f"{lhs.format()} ≠ {rhs.format()}", data=(alpha, x))
+    failure = first_nonintertwining(witness.__getitem__, ind.action,
+                                    amb.product, amb_window, basis)
+    if failure is not None:
+        alpha, x, lhs, rhs = failure
+        return Verdict.fails(
+            f"witness does not intertwine at ({alpha}, {x}): "
+            f"{lhs.format()} ≠ {rhs.format()}", data=(alpha, x))
     anchor = [x for x in basis if witness[x] == amb.unit]
     if not anchor:
         return Verdict.fails("no induced basis element is sent to the unit")
@@ -228,29 +213,26 @@ def standardize_from_induced(ind: InducedModule, witness: Dict[str, str],
     # the unit-class block carries the source module through the embedding;
     # its image under w is one coset class, and projecting to the sub
     # component of the factorization extracts the isomorphism
-    unit_class = [t for t in c.classes if t == amb.unit]
-    if not unit_class:
+    if amb.unit not in c.classes:
         return Verdict.fails("certificate has no unit-class representative")
-    tu = unit_class[0]
     bijection: Dict[str, str] = {}
     for j in n.basis:
-        y = witness[induced_label(tu, j)]
+        y = witness[induced_label(amb.unit, j)]
         located = c.factorization.get(y)
         if located is None:
             return Verdict.fails(
-                f"w(1_{tu}⊙{j}) = {y} has no factorization entry",
+                f"w(1_{amb.unit}⊙{j}) = {y} has no factorization entry",
                 data=(j, y))
         bijection[j] = located[1]
     if len(set(bijection.values())) != len(bijection):
         return Verdict.fails("extracted map is not injective")
-    sub_window = sub.basis_up_to_depth(depth)
-    for beta in sub_window:
-        for j in n.basis:
-            lhs = n.action(beta, j).map_basis(lambda k: bijection[k])
-            rhs = sub.product(beta, bijection[j])
-            if lhs != rhs:
-                return Verdict.fails(
-                    f"extracted map does not intertwine at ({beta}, {j}): "
-                    f"{lhs.format()} ≠ {rhs.format()}", data=(beta, j))
+    failure = first_nonintertwining(bijection.__getitem__, n.action,
+                                    sub.product, sub.basis_up_to_depth(depth),
+                                    n.basis)
+    if failure is not None:
+        beta, j, lhs, rhs = failure
+        return Verdict.fails(
+            f"extracted map does not intertwine at ({beta}, {j}): "
+            f"{lhs.format()} ≠ {rhs.format()}", data=(beta, j))
     bound = None if (sub.is_finite and amb.is_finite) else depth
     return Verdict.holds(bound=bound, data=bijection)

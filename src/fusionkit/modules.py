@@ -373,6 +373,21 @@ def _supports(m: BasedModule, ring_window: list) -> Dict[str, list]:
     return lines
 
 
+def first_nonintertwining(f: Callable[[str], str], left: Callable[[str, str], Element],
+                          right: Callable[[str, str], Element], alphas: Sequence[str],
+                          xs: Sequence[str]) -> Optional[tuple]:
+    """The first (α, x), in loop order, with f(α ⊗ x) ≠ α ⊗ f(x), as
+    (α, x, f(α ⊗ x), α ⊗ f(x)), else None; ``left`` acts on ``xs``,
+    ``right`` on their images under the label map ``f``."""
+    for alpha in alphas:
+        for x in xs:
+            lhs = left(alpha, x).map_basis(f)
+            rhs = right(alpha, f(x))
+            if lhs != rhs:
+                return alpha, x, lhs, rhs
+    return None
+
+
 def find_intertwiner(m1: BasedModule, m2: BasedModule,
                      depth: int = 4) -> Optional[Dict[str, str]]:
     """Search for a basis bijection carrying the action of ``m1`` to ``m2``
@@ -424,10 +439,9 @@ def find_intertwiner(m1: BasedModule, m2: BasedModule,
         return False
 
     # full re-verification; the witness must stand on its own
-    if not backtrack(0) or any(
-            m1.action(alpha, j).map_basis(assignment.__getitem__)
-            != m2.action(alpha, assignment[j])
-            for alpha in ring_window for j in m1.basis):
+    if not backtrack(0) or first_nonintertwining(
+            assignment.__getitem__, m1.action, m2.action, ring_window,
+            m1.basis) is not None:
         return None
     return dict(assignment)
 

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .elements import (Element, EmbeddingDataError, InvalidInputError,
                        UnknownBasisError)
+from .modules import BasedModule, connected_components
 from .rings import BasedRing, Verdict
 
 MapLike = Union[Mapping[str, str], Callable[[str], str]]
@@ -46,13 +47,6 @@ class SubringEmbedding:
             raise UnknownBasisError(
                 f"embedding {self.name}: map has no image for sub label {s!r}")
         return image
-
-    def image_window(self, depth: int) -> Dict[str, str]:
-        """Mapping ambient label -> sub label over the sub window."""
-        out: Dict[str, str] = {}
-        for s in self.sub.basis_up_to_depth(depth):
-            out[self.embed(s)] = s
-        return out
 
     def __repr__(self) -> str:
         return f"SubringEmbedding({self.sub.name} ↪ {self.ambient.name})"
@@ -100,57 +94,23 @@ def verify_subring(e: SubringEmbedding, depth: int = 4) -> Verdict:
     return Verdict.holds(bound=bound)
 
 
-def _image_meets(e: SubringEmbedding, value: Element, image: Mapping[str, str]) -> bool:
-    return any(lbl in image for lbl, _ in value.items())
-
-
 def coset_classes(e: SubringEmbedding, depth: int = 4) -> List[List[str]]:
-    """Equivalence classes of the ambient basis window under
-    x ~ y ⇔ y ⊗ conj(x) meets the embedded image.
+    """Coset classes of the ambient basis window: the connected components
+    of the ambient ring as a based module over ``e.sub``, s ⊗ x := map(s) ⊗ x.
 
-    Reflexivity, symmetry and transitivity are verified on the window, not
-    assumed; a violation means the embedding data is broken and raises
-    :class:`EmbeddingDataError`.
+    Its edges join x and y when y ⊂ map(s) ⊗ x for a sub label s within
+    depth.  By Frobenius reciprocity, which the ring axioms imply, that is
+    when s ⊂ y ⊗ conj(x), so the classes close the coset relation x ~ y ⇔
+    y ⊗ conj(x) meets the embedded sub window; a link beyond a lazy window
+    splits a class there, never contradicts it.  Classes come in order of
+    their least window index, members in window order.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
     amb = e.ambient
-    window = amb.basis_up_to_depth(depth)
-    image = e.image_window(depth)
-    n = len(window)
-    rel = [[False] * n for _ in range(n)]
-    for ix, x in enumerate(window):
-        cx = amb.conj(x)
-        for iy, y in enumerate(window):
-            rel[ix][iy] = _image_meets(e, amb.product(y, cx), image)
-    for i in range(n):
-        if not rel[i][i]:
-            raise EmbeddingDataError(
-                f"coset relation not reflexive at {window[i]}")
-        for k in range(n):
-            if rel[i][k] != rel[k][i]:
-                raise EmbeddingDataError(
-                    f"coset relation not symmetric at ({window[i]}, {window[k]})")
-    for i in range(n):
-        for k in range(n):
-            if not rel[i][k]:
-                continue
-            for l in range(n):
-                if rel[k][l] and not rel[i][l]:
-                    raise EmbeddingDataError(
-                        f"coset relation not transitive at "
-                        f"({window[i]}, {window[k]}, {window[l]})")
-    classes: List[List[str]] = []
-    assigned: Dict[int, int] = {}
-    for i in range(n):
-        if i in assigned:
-            continue
-        members = [window[k] for k in range(n) if rel[i][k]]
-        for k in range(n):
-            if rel[i][k]:
-                assigned[k] = len(classes)
-        classes.append(members)
-    return classes
+    over_sub = BasedModule(
+        ring=e.sub, basis=amb.basis if amb.is_finite else None,
+        action=lambda s, x: amb.product(e.embed(s), x),
+        name=f"Res({amb.name})", window_fn=amb.basis_up_to_depth)
+    return connected_components(over_sub, depth)
 
 
 @dataclass(frozen=True)
@@ -210,17 +170,12 @@ def find_divisibility_certificate(e: SubringEmbedding,
     sub, amb = e.sub, e.ambient
     sub_window = sub.basis_up_to_depth(depth)
     window = amb.basis_up_to_depth(depth)
-    rank = {lbl: i for i, lbl in enumerate(window)}
-    classes = coset_classes(e, depth)
-    classes = sorted(classes, key=lambda cls: min(rank[m] for m in cls))
     failures: List[str] = []
     reps: List[str] = []
     factorization: Dict[str, Tuple[str, str]] = {}
 
-    for cls in classes:
-        candidates = ([amb.unit] if amb.unit in cls
-                      else sorted(cls, key=lambda m: rank[m]))
-        for cand in candidates:
+    for cls in coset_classes(e, depth):
+        for cand in [amb.unit] if amb.unit in cls else cls:
             targets: Dict[str, str] = {}
             for s in sub_window:
                 value = amb.product(e.embed(s), cand)
@@ -268,6 +223,9 @@ def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
     coefficients through the factorization.  The ambient window comes first,
     so a product ring knows its labels; a lazy ring's representative outside
     it lies beyond the bound, and a window label factored through one fails.
+    Such a representative t must still carry the entry t ↦ (t, sub unit),
+    as t = map(unit) ⊗ t gives every true one at any depth, so a listed
+    class that no product generates fails.
     """
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
@@ -278,7 +236,6 @@ def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
         return pre
     window = amb.basis_up_to_depth(depth)
     inside = set(window)
-    reps = [t for t in c.classes if amb.is_finite or t in inside]
     if amb.unit not in c.classes:
         return Verdict.fails(
             f"no class is represented by the ambient unit {amb.unit}")
@@ -287,6 +244,15 @@ def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
         return Verdict.fails(
             f"factorization of the unit is {got}, expected "
             f"({amb.unit}, {sub.unit})")
+    reps = []
+    for t in c.classes:
+        got = c.factorization.get(t)
+        if amb.is_finite or t in inside:
+            reps.append(t)
+        elif got != (t, sub.unit):
+            return Verdict.fails(
+                f"factorization of class {t} is {got}, expected "
+                f"({t}, {sub.unit})", data=(t,))
     sub_window = sub.basis_up_to_depth(depth)
     blocks: Dict[Tuple[str, str], str] = {}
     for t in reps:

@@ -1,11 +1,12 @@
 """Every `fails` site of the ring, dimension, subring and certificate
-checks, the certificate search's failure witnesses, and the CLI's
-document for broken embedding data, each reached by a minimal input.
+checks and the certificate search's failure witnesses, each reached by a
+minimal input, and the CLI's verdict on the identity embedding of a lazy
+ring, whose window links every label to the unit.
 
 Where no definition document can reach a site (the loader validates what
 the site would reject, or builds the unit products itself), the input is
 a ring built in the library.  Each case pins the status, the exact
-witness and the data.
+witness and the data, and the CLI case the bound.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from fusionkit import (
     check_ring_axioms,
     cyclic_group,
     find_divisibility_certificate,
+    free_product,
     group_ring,
     rep_ring,
     s3_character_table,
@@ -72,6 +74,12 @@ def certificate(embedding, classes, factorization):
                                    verified_depth=4)
 
 
+def with_class(embedding, t):
+    """The depth-4 certificate the search finds, with one more class t."""
+    found = find_divisibility_certificate(embedding, 4).certificate
+    return certificate(embedding, found.classes + (t,), found.factorization)
+
+
 def verdict(v):
     return v.status, v.witness, v.data
 
@@ -86,7 +94,8 @@ def search(embedding):
 
 def cli(docs, *argv):
     """Run the CLI on definition files written from ``docs``; the files
-    are named by their keys, and argv names them the same way."""
+    are named by their keys, and argv names them the same way.  Reads the
+    verdict's status, witness, data and bound."""
     with tempfile.TemporaryDirectory() as workdir:
         for name, doc in docs.items():
             with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
@@ -97,7 +106,7 @@ def cli(docs, *argv):
             code = cli_dispatch(paths + ["--json"])
     doc = json.loads(out.getvalue())["verdict"]
     assert code == {"holds": 0, "fails": 1, "unknown": 2}[doc["status"]]
-    return doc["status"], doc.get("witness"), doc.get("data")
+    return doc["status"], doc.get("witness"), doc.get("data"), doc.get("bound")
 
 
 REP_S3 = rep_ring(s3_character_table())
@@ -159,6 +168,18 @@ CASES = {
         lambda: verdict(verify_certificate(certificate(
             z2_in_z4(), ("a",), {"e": ("e", "e")}))),
         ("fails", "no class is represented by the ambient unit e", None)),
+    "certificate: unit factorization": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in_z4(), ("e", "a"), {"e": ("e", "g")}))),
+        ("fails", "factorization of the unit is ('e', 'g'), expected (e, e)",
+         None)),
+    # a lazy ring's class beyond the window must carry its entry t ↦ (t, e)
+    "certificate: class no product generates": (
+        lambda: verdict(verify_certificate(with_class(
+            free_product(z2(), group_ring(cyclic_group(2, generator="h"))).left,
+            "zzz"))),
+        ("fails", "factorization of class zzz is None, expected (zzz, e)",
+         ("zzz",))),
     "certificate: s ⊗ t is reducible": (
         lambda: verdict(verify_certificate(certificate(
             so3_subring(su2_ring()), ("x0", "x1"),
@@ -193,24 +214,22 @@ CASES = {
         lambda: search(z2_in(REP_S3, "sgn")),
         ("unknown", ("std is not injective: e ⊗ std and g ⊗ std both give "
                      "std",), None)),
-    # x ~ y, but the only image label, e, sends x to x alone; the
-    # relation has no Frobenius reciprocity here, so no document loads it
+    # g ⊗ x = g puts x in the class of e, but map(s) ⊗ e reaches e and g
+    # only; x ⊄ g ⊗ g = e breaks Frobenius reciprocity, so no document
+    # loads the ring
     "search: factorization does not cover": (
-        lambda: search(SubringEmbedding(
-            sub=group_ring(cyclic_group(1)),
-            ambient=table_ring(["e", "x", "y"],
-                               {(a, b): {"e": 1} for a in "xy" for b in "xy"},
-                               conj={"e": "e", "x": "y", "y": "x"}),
-            mapping={"e": "e"})),
-        ("unknown", ("factorization does not cover y within depth 4",), None)),
-    # the identity embedding of Z2 ∗ Z2 at depth 1: g ~ ε ~ h, but h ⊗ g
-    # lies outside the window's image
+        lambda: search(z2_in(table_ring(["e", "g", "x"], {
+            ("g", "g"): {"e": 1}, ("g", "x"): {"g": 1},
+            ("x", "g"): {"g": 1}, ("x", "x"): {"e": 1}}), "g")),
+        ("unknown", ("factorization does not cover x within depth 4",), None)),
+    # the identity embedding of Z2 ∗ Z2 at depth 1: g and h are each linked
+    # to ε, though h ⊗ g lies outside the window, so the window is one class
     "cli: broken embedding data document": (
         lambda: cli({"free.json": FREE_DOC,
                      "id.json": {"kind": "embedding", "canonical": "identity",
                                  "ring": FREE_DOC}},
                     "divisible", "free.json", "--sub", "id.json", "--depth", "1"),
-        ("fails", "coset relation not transitive at (g, ε, h)", None)),
+        ("holds", None, None, 1)),
 }
 
 

@@ -360,6 +360,17 @@ def test_cli_standardize(files, tmp_path, capsys):
     assert "bijection" in out
 
 
+def test_cli_standardize_of_a_non_standard_induced_module(files, capsys):
+    # the rank-1 Z2 module induces to rank 2 over Z4, which is not standard
+    code, out, err = run_cli(capsys, "standardize", files["rank1"], "--cert",
+                             files["cert"], "--json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == {"status": "fails", "witness": "rank 2 ≠ rank 4",
+                              "data": [2, 4]}
+    assert doc["result"] == {"induced_rank": 2}
+
+
 def test_cli_enumerate(files, tmp_path, capsys):
     out_path = str(tmp_path / "census.json")
     code, out, _ = run_cli(capsys, "enumerate", files["z2"], "--max-rank", "2",
@@ -735,6 +746,8 @@ LAZY_PRODUCTS = {
                      "left": {"kind": "construct", "construct": "su2"},
                      "right": Z2_DOC},
 }
+# SU2 × Z2 along its lazy factor: both the subring and the ambient are lazy
+LAZY_PRODUCTS["direct_left"] = LAZY_PRODUCTS["direct_right"]
 
 
 def _lazy_certificate(canonical, depth, tmp_path, capsys):
@@ -773,6 +786,34 @@ def test_cli_deep_certificate_validates_at_default_depth(canonical, tmp_path,
     code, out, err = run_cli(capsys, "validate", cert, "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == {"status": "holds", "bound": 4}
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_cli_certificate_over_lazy_subring_holds_within_depth(depth, tmp_path,
+                                                             capsys):
+    # β ⊗ s for sub labels at the edge of the sub window reaches sub labels
+    # beyond it, whose blocks are not in the window: the block-regularity
+    # check skips such sums as lying beyond the bound
+    cert = _lazy_certificate("direct_left", depth, tmp_path, capsys)
+    assert json.loads(open(cert, encoding="utf-8").read())["classes"] == [
+        "(x0,e)", "(x0,g)"]
+    code, out, err = run_cli(capsys, "validate", cert, "--depth", str(depth))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"verdict: holds (within depth {depth})"
+
+
+def test_cli_identity_embedding_of_a_lazy_ring_is_one_class(tmp_path, capsys):
+    # every window label x is linked to the unit by map(x) ⊗ ε = x, however
+    # far apart two labels lie, so the window is the one class of ε
+    (tmp_path / "free.json").write_text(json.dumps(LAZY_PRODUCTS["free_left"]))
+    (tmp_path / "id.json").write_text(json.dumps(
+        {"kind": "embedding", "canonical": "identity", "ring": "free.json"}))
+    code, out, err = run_cli(capsys, "divisible", str(tmp_path / "free.json"),
+                             "--sub", str(tmp_path / "id.json"))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "verdict: holds (within depth 4)"
+    assert lines[lines.index("classes:") + 1:][:2] == ["  ε", "witnesses: []"]
 
 
 @pytest.mark.parametrize("value, message", [
