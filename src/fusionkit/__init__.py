@@ -9,7 +9,6 @@ over finite rings by exhaustive census.
 from .elements import (
     CertificateDepthError,
     Element,
-    EmbeddingDataError,
     InvalidInputError,
     UnknownBasisError,
 )

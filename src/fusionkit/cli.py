@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from .census import EnumerationBudget, enumerate_torsion_modules
 from .elements import (
     CertificateDepthError,
-    EmbeddingDataError,
     InvalidInputError,
     UnknownBasisError,
 )
@@ -153,8 +152,11 @@ class _Session:
     def load(self, path: str, role: str, expect: Optional[str] = None) -> Any:
         doc = read_doc(path)
         self.inputs[role] = {"path": path, "hash": content_hash(doc)}
-        obj = load_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                       depth=self.depth, expect=expect)
+        try:
+            obj = load_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)),
+                           depth=self.depth, expect=expect)
+        except RecursionError as exc:
+            raise LoadError(f"{path}: definition nests too deeply") from exc
         for ring in _rings_of(obj):
             if all(ring is not known for known in self.rings):
                 self.rings.append(ring)
@@ -348,14 +350,10 @@ def _cmd_standardize(args, session: _Session):
     module = session.load(args.module, "module", expect="module")
     cert = session.load(args.cert, "cert", expect="certificate")
     induced = induce(module, cert, check_depth=args.depth)
-    standardness = is_standard(induced, args.depth)
-    if not standardness.is_holds:
-        return standardness, {"induced_rank": len(induced.basis)}, None
-    verdict = standardize_from_induced(induced, standardness.data, args.depth)
-    result = {}
-    if verdict.is_holds and isinstance(verdict.data, dict):
-        result["bijection"] = dict(sorted(verdict.data.items()))
-    return verdict, result, None
+    verdict = standardize_from_induced(induced, args.depth)
+    if not verdict.is_holds:
+        return verdict, {"induced_rank": len(induced.basis)}, None
+    return verdict, {"bijection": dict(sorted(verdict.data.items()))}, None
 
 
 _HANDLERS = {
@@ -404,12 +402,6 @@ def cli_dispatch(argv: List[str]) -> int:
                              exc.verdict, {"error": exc.what})
         _emit(document, args.json)
         return exc.verdict.exit_code()
-    except EmbeddingDataError as exc:
-        verdict = Verdict.fails(str(exc))
-        document = _document(args.command, _argument_doc(args), session,
-                             verdict, {})
-        _emit(document, args.json)
-        return verdict.exit_code()
     except (LoadError, InvalidInputError, UnknownBasisError,
             CertificateDepthError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

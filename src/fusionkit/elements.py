@@ -20,10 +20,6 @@ class CertificateDepthError(ValueError):
     """A computation was asked to run past the depth its certificate covers."""
 
 
-class EmbeddingDataError(ValueError):
-    """Embedding data is inconsistent (non-injective map, broken coset relation)."""
-
-
 def check_coeff(c: int) -> int:
     """Reject non-integers and anything outside the signed 64-bit range.
 

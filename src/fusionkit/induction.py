@@ -28,6 +28,7 @@ from .modules import (
     check_module_axioms,
     connected_components,
     first_nonintertwining,
+    is_standard,
     module_doc,
 )
 from .rings import BasedRing, Verdict
@@ -167,57 +168,30 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
     return summands
 
 
-def standardize_from_induced(ind: InducedModule, witness: Dict[str, str],
-                             depth: int = 4) -> Verdict:
+def standardize_from_induced(ind: InducedModule, depth: int = 4) -> Verdict:
     """Extract the isomorphism n ≅ standard sub module, for the source n of
-    ``ind``, from a standardness witness for the induced module.
+    ``ind``, from the standardness witness of the induced module.
 
-    ``witness`` must map the induced basis bijectively onto the ambient
-    basis and intertwine the actions; the pair sent to the ambient unit
-    anchors the extraction.  On success the verdict carries the verified
-    bijection from the source basis to the sub basis in ``data``.
+    Returns ``is_standard(ind, depth)`` unless it holds.  It holds on an
+    induced module only over a finite ambient ring, with a bijection w onto
+    the ambient basis that ``find_intertwiner`` has re-checked on the whole
+    ambient basis, so w needs no second check; the pair x₀ sent to the unit
+    already reaches every label, as w(α ⊗ x₀) = α ⊗ unit = α.  The unit-class
+    block carries the source module through the embedding: its image under
+    w, projected to the sub component of the factorization, is the
+    extracted map, checked for injectivity and intertwining.  On success
+    the verdict carries it in ``data``.
     """
+    standard = is_standard(ind, depth)
+    if not standard.is_holds:
+        return standard
     n, c = ind.source, ind.certificate
     sub, amb = c.embedding.sub, c.embedding.ambient
-    amb_window = amb.basis_up_to_depth(depth)
-    basis = list(ind.basis)
-    if sorted(witness) != sorted(basis):
-        return Verdict.fails("witness keys do not match the induced basis")
-    targets = sorted(witness.values())
-    if amb.is_finite:
-        if targets != sorted(amb.basis):
-            return Verdict.fails(
-                "witness is not a bijection onto the ambient basis")
-    elif len(set(targets)) != len(targets):
-        return Verdict.fails("witness is not injective")
-    failure = first_nonintertwining(witness.__getitem__, ind.action,
-                                    amb.product, amb_window, basis)
-    if failure is not None:
-        alpha, x, lhs, rhs = failure
-        return Verdict.fails(
-            f"witness does not intertwine at ({alpha}, {x}): "
-            f"{lhs.format()} ≠ {rhs.format()}", data=(alpha, x))
-    anchor = [x for x in basis if witness[x] == amb.unit]
-    if not anchor:
-        return Verdict.fails("no induced basis element is sent to the unit")
-    x0 = anchor[0]
-    swept = {x0}
-    for alpha in amb_window:
-        for lbl, _ in ind.action(alpha, x0).items():
-            swept.add(lbl)
-    missing = [x for x in basis if x not in swept]
-    if missing:
-        return Verdict.unknown(depth, witness=(
-            f"sweep from {x0} covers {len(swept)}/{len(basis)} induced basis "
-            f"elements within depth {depth}"))
-    # the unit-class block carries the source module through the embedding;
-    # its image under w is one coset class, and projecting to the sub
-    # component of the factorization extracts the isomorphism
     if amb.unit not in c.classes:
         return Verdict.fails("certificate has no unit-class representative")
     bijection: Dict[str, str] = {}
     for j in n.basis:
-        y = witness[induced_label(amb.unit, j)]
+        y = standard.data[induced_label(amb.unit, j)]
         located = c.factorization.get(y)
         if located is None:
             return Verdict.fails(
@@ -234,5 +208,5 @@ def standardize_from_induced(ind: InducedModule, witness: Dict[str, str],
         return Verdict.fails(
             f"extracted map does not intertwine at ({beta}, {j}): "
             f"{lhs.format()} ≠ {rhs.format()}", data=(beta, j))
-    bound = None if (sub.is_finite and amb.is_finite) else depth
+    bound = None if sub.is_finite else depth
     return Verdict.holds(bound=bound, data=bijection)

@@ -544,6 +544,8 @@ def read_doc(path: str) -> Any:
             return json.load(handle)
     except (OSError, ValueError) as exc:  # unreadable, bad UTF-8, bad JSON
         raise LoadError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise LoadError(f"cannot read {path}: JSON nests too deeply") from exc
 
 
 def load(path: str, depth: int = DEFAULT_DEPTH, expect: Optional[str] = None):

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from .elements import (Element, EmbeddingDataError, InvalidInputError,
-                       UnknownBasisError)
+from .elements import Element, InvalidInputError, UnknownBasisError
 from .modules import BasedModule, connected_components
 from .rings import BasedRing, Verdict
 
@@ -162,11 +161,15 @@ def find_divisibility_certificate(e: SubringEmbedding,
     factorization on success.
 
     Deterministic: candidates are tried in (generation depth, label) order,
-    so the same inputs always yield the same certificate.
+    so the same inputs always yield the same certificate.  An embedding that
+    fails ``verify_subring`` is an input error.  Two classes sharing a
+    target is a failure witness: over a finite ambient ring a target lies in
+    its representative's class, so only a lazy window that split one true
+    class reaches it, and the search stays without a certificate.
     """
     pre = verify_subring(e, depth)
     if pre.is_fails:
-        raise EmbeddingDataError(f"not a fusion subring embedding: {pre.witness}")
+        raise InvalidInputError(f"not a fusion subring embedding: {pre.witness}")
     sub, amb = e.sub, e.ambient
     sub_window = sub.basis_up_to_depth(depth)
     window = amb.basis_up_to_depth(depth)
@@ -197,9 +200,9 @@ def find_divisibility_certificate(e: SubringEmbedding,
         reps.append(cand)
         for i, s in targets.items():
             if i in factorization:
-                raise EmbeddingDataError(
-                    f"factorization collision at {i}: classes "
-                    f"{factorization[i][0]} and {cand} overlap")
+                failures.append(f"factorization collision at {i}: classes "
+                                f"{factorization[i][0]} and {cand} overlap")
+                return DivisibilitySearch(None, tuple(failures))
             factorization[i] = (cand, s)
 
     uncovered = [i for i in window if i not in factorization]

@@ -242,7 +242,7 @@ def test_criterion_6_standardization():
     induced = induce(n, cert)
     witness = is_standard(induced, 4)
     assert witness.is_holds and witness.data is not None
-    extraction = standardize_from_induced(induced, witness.data, 4)
+    extraction = standardize_from_induced(induced, 4)
     assert extraction.is_holds
     bijection = extraction.data
     assert sorted(bijection) == ["e", "g"]

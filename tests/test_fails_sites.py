@@ -1,12 +1,13 @@
-"""Every `fails` site of the ring, dimension, subring and certificate
-checks and the certificate search's failure witnesses, each reached by a
-minimal input, and the CLI's verdict on the identity embedding of a lazy
-ring, whose window links every label to the unit.
+"""Every `fails` site of the ring, dimension, subring, certificate, module
+and standardization checks and the certificate search's failure
+witnesses, each reached by a minimal input, and the CLI's verdict on the
+identity embedding of a lazy ring, whose window links every label to the
+unit.
 
 Where no definition document can reach a site (the loader validates what
 the site would reject, or builds the unit products itself), the input is
-a ring built in the library.  Each case pins the status, the exact
-witness and the data, and the CLI case the bound.
+a ring or certificate built in the library.  Each case pins the status,
+the exact witness and the data, and each CLI case also the bound.
 """
 
 import contextlib
@@ -28,9 +29,13 @@ from fusionkit import (
     find_divisibility_certificate,
     free_product,
     group_ring,
+    identity_embedding,
+    induce,
     rep_ring,
     s3_character_table,
     so3_subring,
+    standard_module,
+    standardize_from_induced,
     su2_ring,
     verify_certificate,
     verify_subring,
@@ -92,6 +97,14 @@ def search(embedding):
     return "unknown", found.witnesses, None
 
 
+def standardize(embedding, classes, factorization):
+    """Standardize the regular sub module induced along a certificate that
+    nothing has checked."""
+    induced = induce(standard_module(embedding.sub),
+                     certificate(embedding, classes, factorization))
+    return verdict(standardize_from_induced(induced))
+
+
 def cli(docs, *argv):
     """Run the CLI on definition files written from ``docs``; the files
     are named by their keys, and argv names them the same way.  Reads the
@@ -116,6 +129,9 @@ Z2_H_DOC = {"kind": "construct", "construct": "group_ring",
             "group": cyclic_group(2, generator="h").to_doc()}
 FREE_DOC = {"kind": "construct", "construct": "free_product",
             "left": Z2_DOC, "right": Z2_H_DOC}
+# the rank-2 Z2 module on which g fixes both labels
+FIXED_DOC = {"kind": "module", "ring": Z2_DOC, "basis": ["m0", "m1"],
+             "action": [["g", "m0", {"m0": 1}], ["g", "m1", {"m1": 1}]]}
 # block-copy ambient for Z2 = {e, g} with classes e and x, where
 # g ⊗ y should be x; the table is not associative, so no document loads it
 NONASSOCIATIVE = table_ring(["e", "g", "x", "y"], {
@@ -222,9 +238,35 @@ CASES = {
             ("g", "g"): {"e": 1}, ("g", "x"): {"g": 1},
             ("x", "g"): {"g": 1}, ("x", "x"): {"e": 1}}), "g")),
         ("unknown", ("factorization does not cover x within depth 4",), None)),
+    "module: dimension not positive": (
+        lambda: cli({"m.json": {"kind": "module", "ring": Z2_DOC,
+                                "basis": ["j"], "action": [["g", "j", {"j": 1}]],
+                                "dim": {"j": 0}}},
+                    "validate", "m.json"),
+        ("fails", "module dimension of j is 0, not positive", None, None)),
+    "module: not standard": (
+        lambda: cli({"m.json": FIXED_DOC}, "standard", "m.json"),
+        ("fails", "no basis bijection intertwines the action with the "
+         "regular one", None, None)),
+    # the class of e represented by a2: the induced module is still regular
+    "standardize: no unit class": (
+        lambda: standardize(z2_in_z4(), ("a2", "a"), {
+            "e": ("a2", "g"), "a2": ("a2", "e"), "a": ("a", "e"),
+            "a3": ("a", "g")}),
+        ("fails", "certificate has no unit-class representative", None)),
+    # with one class, induction never reads the unit's own entry
+    "standardize: missing factorization entry": (
+        lambda: standardize(identity_embedding(z2()), ("e",),
+                            {"g": ("e", "g")}),
+        ("fails", "w(1_e⊙e) = e has no factorization entry", ("e", "e"))),
+    "standardize: extracted map not injective": (
+        lambda: standardize(identity_embedding(group_ring(cyclic_group(3))),
+                            ("e",), {"e": ("e", "a"), "a": ("e", "a"),
+                                     "a2": ("e", "a2")}),
+        ("fails", "extracted map is not injective", None)),
     # the identity embedding of Z2 ∗ Z2 at depth 1: g and h are each linked
     # to ε, though h ⊗ g lies outside the window, so the window is one class
-    "cli: broken embedding data document": (
+    "cli: identity embedding of a lazy ring": (
         lambda: cli({"free.json": FREE_DOC,
                      "id.json": {"kind": "embedding", "canonical": "identity",
                                  "ring": FREE_DOC}},

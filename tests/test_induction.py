@@ -184,7 +184,7 @@ def test_standardize_regular_case(std_z2, z2_in_z4_cert, z2):
     ind = induce(std_z2, z2_in_z4_cert)
     witness = is_standard(ind, 4)
     assert witness.is_holds
-    verdict = standardize_from_induced(ind, witness.data, 4)
+    verdict = standardize_from_induced(ind, 4)
     assert verdict.is_holds
     bijection = verdict.data
     assert sorted(bijection) == ["e", "g"]
@@ -201,19 +201,9 @@ def test_standardize_identity_certificate(std_z2, z2):
     ind = induce(std_z2, cert)
     witness = is_standard(ind, 4)
     assert witness.is_holds
-    verdict = standardize_from_induced(ind, witness.data, 4)
+    verdict = standardize_from_induced(ind, 4)
     assert verdict.is_holds
     assert verdict.data == {"e": "e", "g": "g"}
-
-
-def test_standardize_rejects_bogus_witness(std_z2, z2_in_z4_cert):
-    ind = induce(std_z2, z2_in_z4_cert)
-    labels = list(ind.basis)
-    bogus = {x: y for x, y in zip(labels, ["e", "a", "a2", "a3"])}
-    verdict = standardize_from_induced(ind, bogus, 4)
-    if verdict.is_holds:  # only if the straight assignment happens to work
-        return
-    assert verdict.is_fails
 
 
 def test_rank1_induced_not_standard_contrapositive(rank1_z2, z2_in_z4_cert):
@@ -242,7 +232,7 @@ def test_semidirect_standard_module_cases():
         assert find_intertwiner(ind, standard_module(sd.ring)) is not None
         witness = is_standard(ind, 4)
         assert witness.is_holds
-        extraction = standardize_from_induced(ind, witness.data, 4)
+        extraction = standardize_from_induced(ind, 4)
         assert extraction.is_holds
         assert sorted(extraction.data) == sorted(emb.sub.basis)
 

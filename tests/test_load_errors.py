@@ -2,7 +2,7 @@
 and in the constructors behind it, each reached by a minimal document.
 
 Each case runs the CLI on its documents and pins exit 4, an empty stdout
-and the exact `error:` line.
+and the exact `error:` line; `{top}` in a message is the document's path.
 """
 
 import contextlib
@@ -47,6 +47,17 @@ ROW_A = {"zeta": 24, "coeffs": {"0": [-1, 2], "1": [1, 2], "5": [1, 2]}}
 ROW_B = {"zeta": 24, "coeffs": {"0": [-1, 2], "1": [-1, 2], "5": [-1, 2]}}
 
 
+def direct_chain(length):
+    """``length`` inline direct products, each the previous one times the
+    trivial group ring."""
+    trivial = group_ring({"elements": ["e"], "mult": [["e", "e", "e"]]})
+    doc = trivial
+    for _ in range(length):
+        doc = {"kind": "construct", "construct": "direct_product",
+               "left": doc, "right": trivial}
+    return doc
+
+
 def semidirect(target, action):
     """Z2 = {e, g} acting on ``target`` by the permutations ``action``."""
     return {"kind": "construct", "construct": "semidirect_product",
@@ -66,7 +77,8 @@ ID3, ID4 = identity_on(["e", "a", "a2"]), identity_on(["e", "a", "a2", "a3"])
 SEMI = "semidirect_product: "
 TABLE = "rep_ring.character_table: "
 
-# name → (document run as `validate`, or (document, argv), the error message)
+# name → (document run as `validate`, or (document, argv), the error
+# message); a string document is the file's text
 CASES = {
     # --- the loader
     "ring: zero denominator": (
@@ -111,6 +123,13 @@ CASES = {
          "verified_depth": 0, "embedding": {
              "kind": "embedding", "canonical": "identity", "ring": EXPLICIT_Z2}},
         "certificate: verified_depth must be a positive integer"),
+    # json.load and the nested loads recurse once per level
+    "nesting: JSON": (
+        "[" * 100_000 + "]" * 100_000,
+        "cannot read {top}: JSON nests too deeply"),
+    "nesting: inline definitions": (
+        direct_chain(300),
+        "{top}: definition nests too deeply"),
     "census as input": (
         {"kind": "census"},
         "census documents are outputs, not loadable inputs"),
@@ -199,19 +218,26 @@ CASES = {
 
 
 def run(doc, argv):
+    """Exit code, stdout, stderr and the path of top.json."""
     with tempfile.TemporaryDirectory() as workdir:
-        with open(os.path.join(workdir, "top.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        top = os.path.join(workdir, "top.json")
+        with open(top, "w", encoding="utf-8") as fh:
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_dispatch([os.path.join(workdir, a) if a == "top.json"
-                                 else a for a in argv])
-    return code, out.getvalue(), err.getvalue()
+            code = cli_dispatch([top if a == "top.json" else a for a in argv])
+    return code, out.getvalue(), err.getvalue(), top
 
 
 @pytest.mark.parametrize("site", sorted(CASES))
 def test_load_error_site(site):
     doc, message = CASES[site]
     doc, argv = doc if isinstance(doc, tuple) else (doc, ["validate", "top.json"])
-    assert run(doc, argv) == (4, "", f"error: {message}\n")
+    code, out, err, top = run(doc, argv)
+    assert (code, out, err) == (4, "", f"error: {message.format(top=top)}\n")
+
+
+def test_nesting_below_the_limit_loads():
+    code, out, err, _ = run(direct_chain(200), ["validate", "top.json"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: holds\n")

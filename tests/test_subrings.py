@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import s3_fusion_oracle, s3_mul_oracle
@@ -6,6 +7,7 @@ from fusionkit import (
     BasedModule,
     DivisibilityCertificate,
     Element,
+    InvalidInputError,
     check_module_axioms,
     induce,
     is_standard,
@@ -46,6 +48,14 @@ def test_non_injective_map_fails(z2, z4):
     collide = SubringEmbedding(sub=z2, ambient=z4, mapping={"e": "e", "g": "e"})
     verdict = verify_subring(collide, 4)
     assert verdict.is_fails and "injective" in verdict.witness
+
+
+def test_search_rejects_a_non_embedding(z2, z4):
+    collide = SubringEmbedding(sub=z2, ambient=z4, mapping={"e": "e", "g": "e"})
+    with pytest.raises(InvalidInputError) as raised:
+        find_divisibility_certificate(collide, 4)
+    assert str(raised.value) == ("not a fusion subring embedding: map is not "
+                                 "injective: e and g both map to e")
 
 
 def test_even_cg_labels_embed(su2):

@@ -131,7 +131,7 @@ def test_induced_transitive_hsets_follow_the_theorem(name):
         if len(k) > 1:
             assert standard.is_fails
             continue
-        extracted = standardize_from_induced(ind, standard.data)
+        extracted = standardize_from_induced(ind)
         assert extracted.is_holds
         regular = {(h_labels[x], h_labels[y]): {h_labels[h_table[x][y]]: 1}
                    for x in range(len(h_table)) for y in range(len(h_table))}
