@@ -57,7 +57,7 @@ Table = Dict[Tuple[str, str], Element]
 
 
 def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
-                 deadline: Optional[float]) -> Iterator[Table]:
+                 deadline: float) -> Iterator[Table]:
     """Backtrack over the action tables (non-unit label, module label) →
     column on ``basis`` that satisfy every based-module axiom.
 
@@ -67,8 +67,12 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     the module axiom gives M_a·M_{a*} = I, and a matrix of non-negative
     integers with a non-negative inverse is monomial, whose integer entries
     must then be 1.  Every other label tries all (max_coeff + 1)^(rank²)
-    tuples, generated one at a time, never held as a list.  The deadline is
-    checked before each candidate.
+    tuples of the (max_coeff + 1)^rank columns.  Candidates of both kinds
+    are generated at each node, one at a time, with the deadline checked
+    before each.  A column is built when the first candidate that holds it
+    comes, so the columns held never outnumber the candidates tried: a
+    deadline bounds memory as well as time.  Without one neither is
+    bounded.
 
     Labels are assigned in basis order, each followed by its conjugate; the
     unit acts as the identity.  Each non-unit pair (a, b) is checked once,
@@ -90,12 +94,10 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     identity = {j: Element.basis(j) for j in basis}
     invertible = {a for a in alphas
                   if ring.product(a, ring.conj(a)) == Element.basis(unit)}
-    permutations = list(itertools.permutations(identity.values()))
-    columns = []
-    if len(invertible) < len(alphas):
-        columns = [Element.from_sums(dict(zip(basis, coeffs)))
-                   for coeffs in itertools.product(range(max_coeff + 1),
-                                                   repeat=len(basis))]
+    rank = len(basis)
+    n_columns = (max_coeff + 1) ** rank
+    column_coeffs = itertools.product(range(max_coeff + 1), repeat=rank)
+    columns: List[Element] = []
     keys = [[(a, j) for j in basis] for a in alphas]
     # the checks that become decidable when position p is assigned
     mirrors: List[list] = [[] for _ in alphas]
@@ -127,14 +129,24 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
                     return False
         return True
 
+    def general() -> Iterator[Tuple[Element, ...]]:
+        # product(columns, repeat=rank) first runs its last position through
+        # every column with the others at column 0: build each column there
+        for i in range(n_columns):
+            if i == len(columns):
+                columns.append(Element.from_sums(dict(zip(basis, next(column_coeffs)))))
+            yield (columns[0],) * (rank - 1) + (columns[i],)
+        yield from itertools.islice(
+            itertools.product(columns, repeat=rank), n_columns, None)
+
     def walk(p: int) -> Iterator[Table]:
         if p == len(alphas):
             yield dict(table)
             return
-        candidates = (permutations if alphas[p] in invertible
-                      else itertools.product(columns, repeat=len(basis)))
+        candidates = (itertools.permutations(identity.values())
+                      if alphas[p] in invertible else general())
         for candidate in candidates:
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise TimeoutError
             # entries of later labels are stale here, and no check reads them
             table.update(zip(keys[p], candidate))
@@ -162,7 +174,7 @@ def enumerate_torsion_modules(ring: BasedRing,
         raise InvalidInputError("census enumeration needs a finite ring")
     alphas = [a for a in ring.basis if a != ring.unit]
     deadline = (time.monotonic() + budget.max_seconds
-                if budget.max_seconds is not None else None)
+                if budget.max_seconds is not None else math.inf)
     found: List[list] = []  # [rank, least form, its table, its module]
     complete = True
     try:
@@ -190,12 +202,10 @@ def enumerate_torsion_modules(ring: BasedRing,
         doc = None if ring.doc is None else module_doc(ring, leaf.basis, table)
         module = BasedModule(ring=ring, basis=leaf.basis, action=table,
                              name=f"census[{ring.name}][{idx}]", doc=doc)
-        verdictA = check_module_axioms(module, depth=4)
-        verdictT = is_torsion(module, depth=4)
-        if not (verdictA.is_holds and verdictT.is_holds):
+        verdict = Verdict.combine(check_module_axioms(module), is_torsion(module))
+        if not verdict.is_holds:
             raise AssertionError(
-                f"enumerated module failed re-verification: "
-                f"{verdictA.witness or verdictT.witness}")
+                f"enumerated module failed re-verification: {verdict.witness}")
         modules.append(module)
     return CensusResult(ring=ring, budget=budget, modules=modules,
                         complete=complete)
@@ -214,7 +224,7 @@ def is_torsion_free_finite(ring: BasedRing,
     """
     census = enumerate_torsion_modules(ring, budget)
     for module in census.modules:
-        verdict = is_standard(module, depth=4)
+        verdict = is_standard(module)
         if verdict.is_fails:
             action = {f"{alpha} ⊗ {j}": module.action(alpha, j).format()
                       for alpha in ring.basis if alpha != ring.unit

@@ -23,9 +23,8 @@ from .elements import (
 )
 from .induction import induce, restrict, restrict_and_decompose, standardize_from_induced
 from .modules import BasedModule, check_module_axioms, is_standard, is_torsion
-from .rings import BasedRing, Verdict
+from .rings import DEFAULT_DEPTH, BasedRing, Verdict
 from .serialize import (
-    DEFAULT_DEPTH,
     LoadError,
     ProductCache,
     TOOL_VERSION,
@@ -33,7 +32,7 @@ from .serialize import (
     canonical_json,
     census_doc,
     content_hash,
-    load_doc,
+    load_parsed,
     load_session,
     loaded_verdict,
     read_doc,
@@ -62,7 +61,7 @@ def _build_parser() -> _Parser:
 
     def common(p: argparse.ArgumentParser, out: bool = False) -> None:
         p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                       help="verification/search depth (default 4)")
+                       help="verification/search depth (default %(default)s)")
         p.add_argument("--json", action="store_true",
                        help="machine output instead of human-readable")
         p.add_argument("--no-cache", action="store_true",
@@ -152,11 +151,7 @@ class _Session:
     def load(self, path: str, role: str, expect: Optional[str] = None) -> Any:
         doc = read_doc(path)
         self.inputs[role] = {"path": path, "hash": content_hash(doc)}
-        try:
-            obj = load_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                           depth=self.depth, expect=expect)
-        except RecursionError as exc:
-            raise LoadError(f"{path}: definition nests too deeply") from exc
+        obj = load_parsed(path, doc, self.depth, expect)
         for ring in _rings_of(obj):
             if all(ring is not known for known in self.rings):
                 self.rings.append(ring)
@@ -224,7 +219,7 @@ def _maybe_write(args, text: str) -> None:
 
 
 def _resolve_label(ring: BasedRing, label: str, depth: int) -> str:
-    window = ring.basis_up_to_depth(max(depth, 1))
+    window = ring.basis_up_to_depth(depth)
     if label not in window:
         raise UnknownBasisError(
             f"label {label!r} is not in the basis window at depth {depth}; "
@@ -306,8 +301,7 @@ def _cmd_restrict(args, session: _Session):
         return Verdict.holds(), result, None
     # restrict checks the axioms at this depth and raises when they fail
     restricted = restrict(module, embedding, check_depth=args.depth)
-    verdict = Verdict.holds(bound=None if restricted.ring.is_finite
-                            and restricted.is_finite else args.depth)
+    verdict = Verdict.holds_within(args.depth, restricted.ring, restricted)
     result: dict = {"rank": (len(restricted.basis)
                              if restricted.is_finite else None)}
     if restricted.doc is not None:

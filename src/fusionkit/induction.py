@@ -31,7 +31,7 @@ from .modules import (
     is_standard,
     module_doc,
 )
-from .rings import BasedRing, Verdict
+from .rings import DEFAULT_DEPTH, BasedRing, Verdict, checked_window
 from .subrings import DivisibilityCertificate, SubringEmbedding
 
 
@@ -51,7 +51,7 @@ class InducedModule(BasedModule):
 
 
 def induce(n: BasedModule, c: DivisibilityCertificate, *,
-           check_depth: int = 4) -> InducedModule:
+           check_depth: int = DEFAULT_DEPTH) -> InducedModule:
     """Induced module along the certificate; basis size is exactly
     (number of classes) × (source rank).
 
@@ -108,7 +108,7 @@ def induce(n: BasedModule, c: DivisibilityCertificate, *,
 
 
 def restrict(m: BasedModule, e: SubringEmbedding, *,
-             check_depth: int = 4) -> BasedModule:
+             check_depth: int = DEFAULT_DEPTH) -> BasedModule:
     """Same basis, action pulled back through the embedding.
 
     The based axioms survive restriction; they are re-checked at
@@ -138,7 +138,7 @@ def restrict(m: BasedModule, e: SubringEmbedding, *,
 
 
 def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
-                           depth: int = 4) -> List[BasedModule]:
+                           depth: int = DEFAULT_DEPTH) -> List[BasedModule]:
     """Split the restricted module along its connected components, each
     with its explicit module document when the subring has one.
 
@@ -168,7 +168,7 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
     return summands
 
 
-def standardize_from_induced(ind: InducedModule, depth: int = 4) -> Verdict:
+def standardize_from_induced(ind: InducedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Extract the isomorphism n ≅ standard sub module, for the source n of
     ``ind``, from the standardness witness of the induced module.
 
@@ -200,13 +200,11 @@ def standardize_from_induced(ind: InducedModule, depth: int = 4) -> Verdict:
         bijection[j] = located[1]
     if len(set(bijection.values())) != len(bijection):
         return Verdict.fails("extracted map is not injective")
-    failure = first_nonintertwining(bijection.__getitem__, n.action,
-                                    sub.product, sub.basis_up_to_depth(depth),
-                                    n.basis)
+    failure = first_nonintertwining(bijection.__getitem__, n.action, sub.product,
+                                    checked_window(sub, depth), n.basis)
     if failure is not None:
         beta, j, lhs, rhs = failure
         return Verdict.fails(
             f"extracted map does not intertwine at ({beta}, {j}): "
             f"{lhs.format()} ≠ {rhs.format()}", data=(beta, j))
-    bound = None if sub.is_finite else depth
-    return Verdict.holds(bound=bound, data=bijection)
+    return Verdict.holds_within(depth, sub, data=bijection)

@@ -18,8 +18,8 @@ from .elements import (
     bilinear,
     require_nonnegative,
 )
-from .rings import (BasedRing, Verdict, associative_by_generators,
-                    first_nonassociative)
+from .rings import (DEFAULT_DEPTH, BasedRing, Verdict, associative_by_generators,
+                    checked_window, exhaustive, first_nonassociative)
 
 ActionLike = Union[Mapping[Tuple[str, str], Element], Callable[[str, str], Element]]
 
@@ -164,11 +164,7 @@ def act(m: BasedModule, a: Element, v: Element) -> Element:
     return bilinear(m.action, a, v)
 
 
-def _bounded(m: BasedModule, depth: int) -> Optional[int]:
-    return None if (m.ring.is_finite and m.is_finite) else depth
-
-
-def check_module_axioms(m: BasedModule, depth: int = 4) -> Verdict:
+def check_module_axioms(m: BasedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Verify action associativity over ring decompositions and based
     symmetry on all tuples within depth.  The unit acts as the identity by
     construction: :meth:`BasedModule.action` implies it.
@@ -178,13 +174,11 @@ def check_module_axioms(m: BasedModule, depth: int = 4) -> Verdict:
     ring's generating labels; a failure there is named by the ordered sweep
     over every tuple, which also decides lazy windows.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
     ring = m.ring
-    ring_window = ring.basis_up_to_depth(depth)
-    window = m.basis_up_to_depth(depth)
+    ring_window = checked_window(ring, depth)
+    window = checked_window(m, depth)
     # the ordered sweeps decide lazy windows and name the first failing tuple
-    finite = ring.is_finite and m.is_finite
+    finite = exhaustive(ring, m)
     if not (finite and _symmetric_by_supports(m)):
         for alpha in ring_window:
             calpha = ring.conj(alpha)
@@ -209,23 +203,21 @@ def check_module_axioms(m: BasedModule, depth: int = 4) -> Verdict:
             f"{alpha}⊗({beta}⊗{j}) = {nested.format()} ≠ "
             f"({alpha}⊗{beta})⊗{j} = {flat.format()}",
             data=(alpha, beta, j))
-    return Verdict.holds(bound=_bounded(m, depth))
+    return Verdict.holds_within(depth, ring, m)
 
 
 def check_module_dimension(m: BasedModule, dims: Mapping[str, Fraction],
-                           depth: int = 4) -> Verdict:
+                           depth: int = DEFAULT_DEPTH) -> Verdict:
     """Verify a supplied module dimension d_J: positivity, and
     d_J(α ⊗ j) = d(α)·d_J(j) for every ring label α within depth and every
     module label j."""
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
+    ring_window = checked_window(m.ring, depth)
     for j, value in dims.items():
         if value <= 0:
             return Verdict.fails(
                 f"module dimension of {j} is {value}, not positive")
-    ring = m.ring
-    for alpha in ring.basis_up_to_depth(depth):
-        d_alpha = ring.dim(alpha)
+    for alpha in ring_window:
+        d_alpha = m.ring.dim(alpha)
         for j in m.basis:
             total = sum((c * dims[k] for k, c in m.action(alpha, j).items()),
                         Fraction(0))
@@ -234,7 +226,7 @@ def check_module_dimension(m: BasedModule, dims: Mapping[str, Fraction],
                     f"module dimension incompatible at ({alpha}, {j}): "
                     f"Σ N·d_J = {total} but d({alpha})·d_J({j}) = "
                     f"{d_alpha * dims[j]}", data=(alpha, j))
-    return Verdict.holds(bound=_bounded(m, depth))
+    return Verdict.holds_within(depth, m.ring, m)
 
 
 def _symmetric_by_supports(m: BasedModule) -> bool:
@@ -290,32 +282,28 @@ def _associative_by_generators(m: BasedModule) -> bool:
         return False
 
 
-def is_cofinite(m: BasedModule, depth: int = 4) -> Verdict:
+def is_cofinite(m: BasedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Co-finiteness: each pair of module labels is connected by only
     finitely many ring labels.
 
     Decided positively by finiteness of the ring; over an infinite basis the
     property is not falsifiable by bounded search, so the verdict stays
-    unknown within the bound.
+    unknown within the bound.  The window is taken only for the shared depth
+    guard; over a lazy ring that expands the product closure to the depth.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
-    if m.ring.is_finite:
-        return Verdict.holds()
-    return Verdict.unknown(depth)
+    checked_window(m.ring, depth)
+    return Verdict.holds() if exhaustive(m.ring) else Verdict.unknown(depth)
 
 
-def connected_components(m: BasedModule, depth: int = 4) -> list:
+def connected_components(m: BasedModule, depth: int = DEFAULT_DEPTH) -> list:
     """Partition of the module basis (within depth) by the undirected edge
     relation {j, j'} ⇔ some α within depth has j ⊂ α ⊗ j'.
 
     The relation is symmetric by the based axiom.  Exact for finite rings
     and finite modules.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
-    ring_window = m.ring.basis_up_to_depth(depth)
-    window = m.basis_up_to_depth(depth)
+    ring_window = checked_window(m.ring, depth)
+    window = checked_window(m, depth)
     index = {j: i for i, j in enumerate(window)}
     parent = list(range(len(window)))
 
@@ -341,13 +329,13 @@ def connected_components(m: BasedModule, depth: int = 4) -> list:
     return [groups[root] for root in sorted(groups)]
 
 
-def is_torsion(m: BasedModule, depth: int = 4) -> Verdict:
+def is_torsion(m: BasedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Co-finite and connected, with three-valued propagation."""
     cofinite = is_cofinite(m, depth)
     components = connected_components(m, depth)
     if len(components) == 1:
-        connected = Verdict.holds(bound=_bounded(m, depth))
-    elif m.ring.is_finite and m.is_finite:
+        connected = Verdict.holds_within(depth, m.ring, m)
+    elif exhaustive(m.ring, m):
         connected = Verdict.fails(
             f"not connected: {len(components)} components, first two "
             f"{components[0]} and {components[1]}", data=components)
@@ -389,7 +377,7 @@ def first_nonintertwining(f: Callable[[str], str], left: Callable[[str, str], El
 
 
 def find_intertwiner(m1: BasedModule, m2: BasedModule,
-                     depth: int = 4) -> Optional[Dict[str, str]]:
+                     depth: int = DEFAULT_DEPTH) -> Optional[Dict[str, str]]:
     """Search for a basis bijection carrying the action of ``m1`` to ``m2``
     coefficient-exactly, for all ring labels within depth.
 
@@ -397,13 +385,13 @@ def find_intertwiner(m1: BasedModule, m2: BasedModule,
     its candidates in label order against the assigned labels on the row and
     column supports.  Returns the first bijection, re-checked in full, or None.
     """
+    ring_window = checked_window(m1.ring, depth)
     if not m1.ring.same_as(m2.ring):
         raise InvalidInputError("modules live over different rings")
     if not (m1.is_finite and m2.is_finite):
         raise InvalidInputError("intertwiner search needs finite module bases")
     if len(m1.basis) != len(m2.basis):
         return None
-    ring_window = m1.ring.basis_up_to_depth(depth)
     lines1, lines2 = _supports(m1, ring_window), _supports(m2, ring_window)
     # sorted non-zero entries of each row and column, and j's own coefficient
     # per row: at equal ranks, the classes of the full sorted vectors
@@ -446,21 +434,18 @@ def find_intertwiner(m1: BasedModule, m2: BasedModule,
     return dict(assignment)
 
 
-def is_standard(m: BasedModule, depth: int = 4) -> Verdict:
+def is_standard(m: BasedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Is the module isomorphic, basis to basis, to the ring acting on itself?
 
     Definite for finite rings; over a lazy ring a finite module is rejected
     once the enumerated window outgrows its rank, otherwise the verdict stays
     within the bound.  The witness bijection rides in ``Verdict.data``.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
     ring = m.ring
+    window = checked_window(ring, depth)
     if m.mirrors_ring:
-        window = m.basis_up_to_depth(depth)
-        return Verdict.holds(bound=_bounded(m, depth),
-                             data={j: j for j in window})
-    if ring.is_finite:
+        return Verdict.holds_within(depth, ring, m, data={j: j for j in window})
+    if exhaustive(ring):
         target = standard_module(ring)
         if len(m.basis) != len(ring.basis):
             return Verdict.fails(
@@ -471,7 +456,6 @@ def is_standard(m: BasedModule, depth: int = 4) -> Verdict:
             return Verdict.fails(
                 "no basis bijection intertwines the action with the regular one")
         return Verdict.holds(data=witness)
-    window = ring.basis_up_to_depth(depth)
     if m.is_finite and len(window) > len(m.basis):
         return Verdict.fails(
             f"rank {len(m.basis)} < {len(window)} distinct ring basis elements",

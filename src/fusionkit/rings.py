@@ -34,6 +34,7 @@ from .elements import (
 HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
+DEFAULT_DEPTH = 4  # of every check and load that is given none
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,11 @@ class Verdict:
     def holds(cls, bound: Optional[int] = None, witness: Optional[str] = None,
               data: Any = None) -> "Verdict":
         return cls(HOLDS, witness, bound, data)
+
+    @classmethod
+    def holds_within(cls, depth: int, *checked: Any, data: Any = None) -> "Verdict":
+        """``holds`` at ``depth`` over ``checked``; bound None when exhaustive."""
+        return cls.holds(None if exhaustive(*checked) else depth, data=data)
 
     @classmethod
     def fails(cls, witness: str, data: Any = None) -> "Verdict":
@@ -259,11 +265,20 @@ def conjugate(ring: BasedRing, a: Element) -> Element:
     return a.map_basis(ring.conj)
 
 
-def _bounded(ring: BasedRing, depth: int) -> Optional[int]:
-    return None if ring.is_finite else depth
+def checked_window(obj: Any, depth: int) -> list:
+    """The labels of a ring or module that a check at ``depth`` covers; every
+    depth-taking check starts here, so depth < 1 is refused in one place."""
+    if depth < 1:
+        raise InvalidInputError("depth must be >= 1")
+    return obj.basis_up_to_depth(depth)
 
 
-def check_ring_axioms(ring: BasedRing, depth: int = 4) -> Verdict:
+def exhaustive(*checked: Any) -> bool:
+    """A check over these rings and modules covers every label: all are finite."""
+    return all(x.is_finite for x in checked)
+
+
+def check_ring_axioms(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Verify unit, involution, the unit-multiplicity axiom, conjugation
     anti-multiplicativity and associativity on all tuples within depth.
 
@@ -272,9 +287,7 @@ def check_ring_axioms(ring: BasedRing, depth: int = 4) -> Verdict:
     ordered sweep over every triple, which also decides lazy rings.  For
     lazy rings the verdict records the window it covered.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
-    window = ring.basis_up_to_depth(depth)
+    window = checked_window(ring, depth)
     if ring.conj(ring.unit) != ring.unit:
         return Verdict.fails(
             f"conj(unit) = {ring.conj(ring.unit)} ≠ {ring.unit}")
@@ -306,7 +319,7 @@ def check_ring_axioms(ring: BasedRing, depth: int = 4) -> Verdict:
                 return Verdict.fails(
                     f"conj({a} ⊗ {b}) = {lhs.format()} ≠ "
                     f"conj({b}) ⊗ conj({a}) = {rhs.format()}", data=(a, b))
-    if ring.is_finite and associative_by_generators(ring) is not None:
+    if exhaustive(ring) and associative_by_generators(ring) is not None:
         return Verdict.holds()
     # the ordered sweep decides lazy windows and names the first failing triple
     failure = first_nonassociative(ring.product, ring.product, window, window, window)
@@ -316,7 +329,7 @@ def check_ring_axioms(ring: BasedRing, depth: int = 4) -> Verdict:
             f"associativity fails at ({a}, {b}, {c}): "
             f"({a}⊗{b})⊗{c} = {left.format()} ≠ "
             f"{a}⊗({b}⊗{c}) = {right.format()}", data=(a, b, c))
-    return Verdict.holds(bound=_bounded(ring, depth))
+    return Verdict.holds_within(depth, ring)
 
 
 def first_nonassociative(action: Callable[[str, str], Element],
@@ -436,13 +449,11 @@ def associative_by_generators(ring: BasedRing) -> Optional[list]:
     return labels
 
 
-def check_dimension(ring: BasedRing, depth: int = 4) -> Verdict:
+def check_dimension(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Verify positivity, conjugation invariance and multiplicativity of the
     dimension function on all pairs within depth.  A pair whose dimensions
     all have denominator 1 is compared in integers, any other as Fractions."""
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
-    window = ring.basis_up_to_depth(depth)
+    window = checked_window(ring, depth)
     if ring.dim(ring.unit) != 1:
         return Verdict.fails(f"d(unit) = {ring.dim(ring.unit)} ≠ 1")
     for a in window:
@@ -468,7 +479,7 @@ def check_dimension(ring: BasedRing, depth: int = 4) -> Verdict:
                     f"dimension not multiplicative at ({a}, {b}): "
                     f"d({a})·d({b}) = {da * db} but "
                     f"Σ N·d = {total}", data=(a, b))
-    return Verdict.holds(bound=_bounded(ring, depth))
+    return Verdict.holds_within(depth, ring)
 
 
 def explicit_ring(*, name: str, basis: Iterable[str], unit: str,

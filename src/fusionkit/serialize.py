@@ -43,6 +43,7 @@ from .modules import (BasedModule, check_module_axioms, check_module_dimension,
                       module_doc, standard_module)
 from .induction import induce, restrict
 from .rings import (
+    DEFAULT_DEPTH,
     BasedRing,
     Verdict,
     check_dimension,
@@ -58,7 +59,6 @@ from .subrings import (
 )
 
 TOOL_VERSION = "0.1.0"
-DEFAULT_DEPTH = 4
 # the name a module or map embedding without one gets, as in "module unnamed: …"
 UNNAMED = "unnamed"
 
@@ -494,7 +494,9 @@ def _ref(ref: Any, kind: str, base_dir: str) -> Any:
     """Resolve a reference inside a definition: a path relative to
     ``base_dir`` or an inline document, validated at the default depth."""
     if isinstance(ref, str):
-        return load(os.path.join(base_dir, ref), expect=kind)
+        path = os.path.join(base_dir, ref)
+        return load_doc(read_doc(path), os.path.dirname(os.path.abspath(path)),
+                        expect=kind)
     if isinstance(ref, dict):
         return load_doc(ref, base_dir=base_dir, expect=kind)
     raise LoadError(f"{kind} reference must be a path or inline document, "
@@ -548,10 +550,18 @@ def read_doc(path: str) -> Any:
         raise LoadError(f"cannot read {path}: JSON nests too deeply") from exc
 
 
+def load_parsed(path: str, doc: Any, depth: int = DEFAULT_DEPTH,
+                expect: Optional[str] = None):
+    """``load_doc`` on ``doc`` read from ``path``; nesting too deep is a LoadError."""
+    try:
+        return load_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)),
+                        depth=depth, expect=expect)
+    except RecursionError as exc:
+        raise LoadError(f"{path}: definition nests too deeply") from exc
+
+
 def load(path: str, depth: int = DEFAULT_DEPTH, expect: Optional[str] = None):
-    return load_doc(read_doc(path),
-                    base_dir=os.path.dirname(os.path.abspath(path)),
-                    depth=depth, expect=expect)
+    return load_parsed(path, read_doc(path), depth, expect)
 
 
 def object_doc(obj: Any) -> dict:

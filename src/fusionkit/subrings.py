@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .elements import Element, InvalidInputError, UnknownBasisError
 from .modules import BasedModule, connected_components
-from .rings import BasedRing, Verdict
+from .rings import DEFAULT_DEPTH, BasedRing, Verdict, checked_window, exhaustive
 
 MapLike = Union[Mapping[str, str], Callable[[str], str]]
 
@@ -51,13 +51,11 @@ class SubringEmbedding:
         return f"SubringEmbedding({self.sub.name} ↪ {self.ambient.name})"
 
 
-def verify_subring(e: SubringEmbedding, depth: int = 4) -> Verdict:
+def verify_subring(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Check unit/involution compatibility, injectivity, and product closure
     with coefficient equality on the sub window."""
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
     sub, amb = e.sub, e.ambient
-    window = sub.basis_up_to_depth(depth)
+    window = checked_window(sub, depth)
     seen: Dict[str, str] = {}
     for s in window:
         i = e.embed(s)
@@ -89,11 +87,10 @@ def verify_subring(e: SubringEmbedding, depth: int = 4) -> Verdict:
                     f"embedded sub product is {inside.format()} "
                     f"(first discrepancy at {stray[0] if stray else '?'})",
                     data=(a, b))
-    bound = None if sub.is_finite else depth
-    return Verdict.holds(bound=bound)
+    return Verdict.holds_within(depth, sub)
 
 
-def coset_classes(e: SubringEmbedding, depth: int = 4) -> List[List[str]]:
+def coset_classes(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> List[List[str]]:
     """Coset classes of the ambient basis window: the connected components
     of the ambient ring as a based module over ``e.sub``, s ⊗ x := map(s) ⊗ x.
 
@@ -131,7 +128,7 @@ class DivisibilityCertificate:
     @property
     def exhaustive(self) -> bool:
         """Both rings are finite, so a check covers every label."""
-        return self.embedding.sub.is_finite and self.embedding.ambient.is_finite
+        return exhaustive(self.embedding.sub, self.embedding.ambient)
 
     def to_doc(self) -> dict:
         return {
@@ -155,7 +152,7 @@ class DivisibilitySearch:
 
 
 def find_divisibility_certificate(e: SubringEmbedding,
-                                  depth: int = 4) -> DivisibilitySearch:
+                                  depth: int = DEFAULT_DEPTH) -> DivisibilitySearch:
     """Scan each coset class, in window order, for a representative l with
     s ⊗ l irreducible and injective over the sub window; assemble the
     factorization on success.
@@ -171,8 +168,8 @@ def find_divisibility_certificate(e: SubringEmbedding,
     if pre.is_fails:
         raise InvalidInputError(f"not a fusion subring embedding: {pre.witness}")
     sub, amb = e.sub, e.ambient
-    sub_window = sub.basis_up_to_depth(depth)
-    window = amb.basis_up_to_depth(depth)
+    sub_window = checked_window(sub, depth)
+    window = checked_window(amb, depth)
     failures: List[str] = []
     reps: List[str] = []
     factorization: Dict[str, Tuple[str, str]] = {}
@@ -216,7 +213,8 @@ def find_divisibility_certificate(e: SubringEmbedding,
     return DivisibilitySearch(cert, tuple(failures))
 
 
-def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
+def verify_certificate(c: DivisibilityCertificate,
+                       depth: int = DEFAULT_DEPTH) -> Verdict:
     """Re-derive every certificate invariant independently within depth.
 
     Checks the embedding, the unit-class representative, irreducibility and
@@ -230,14 +228,12 @@ def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
     as t = map(unit) ⊗ t gives every true one at any depth, so a listed
     class that no product generates fails.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
     e = c.embedding
     sub, amb = e.sub, e.ambient
     pre = verify_subring(e, depth)
     if pre.is_fails:
         return pre
-    window = amb.basis_up_to_depth(depth)
+    window = checked_window(amb, depth)
     inside = set(window)
     if amb.unit not in c.classes:
         return Verdict.fails(
@@ -250,13 +246,13 @@ def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
     reps = []
     for t in c.classes:
         got = c.factorization.get(t)
-        if amb.is_finite or t in inside:
+        if exhaustive(amb) or t in inside:
             reps.append(t)
         elif got != (t, sub.unit):
             return Verdict.fails(
                 f"factorization of class {t} is {got}, expected "
                 f"({t}, {sub.unit})", data=(t,))
-    sub_window = sub.basis_up_to_depth(depth)
+    sub_window = checked_window(sub, depth)
     blocks: Dict[Tuple[str, str], str] = {}
     for t in reps:
         for s in sub_window:
@@ -308,8 +304,7 @@ def verify_certificate(c: DivisibilityCertificate, depth: int = 4) -> Verdict:
                         f"sub action is not block regular at "
                         f"(β={beta}, t={t}, s={s}): map({beta}) ⊗ {i} = "
                         f"{lhs.format()} ≠ {rhs.format()}", data=(beta, t, s))
-    bound = None if c.exhaustive else min(depth, c.verified_depth)
-    return Verdict.holds(bound=bound)
+    return Verdict.holds_within(min(depth, c.verified_depth), sub, amb)
 
 
 def identity_embedding(ring: BasedRing) -> SubringEmbedding:

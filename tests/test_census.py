@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 import tracemalloc
 
 import pytest
@@ -27,6 +29,7 @@ from fusionkit import (
     su2_ring,
     symmetric_group_3,
 )
+from fusionkit.census import _assignments
 
 
 def test_z2_census_exactly_two(z2):
@@ -95,6 +98,55 @@ def test_general_candidates_are_generated_lazily():
         tracemalloc.stop()
     assert not result.complete
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("ring, rank, max_coeff", [
+    # Rep(S3)'s std: 301² columns of rank 2, 20 MiB as a list
+    (lambda: rep_ring(s3_character_table()), 2, 300),
+    # Z/2's g: 9! permutation tuples of rank 9, 42 MiB as a list
+    (lambda: group_ring(cyclic_group(2)), 9, 1),
+], ids=["rep-s3-columns", "z2-permutations"])
+def test_a_past_deadline_stops_the_walk_before_it_builds_candidates(
+        ring, rank, max_coeff):
+    # the deadline is checked before each candidate is tried, and a column
+    # is built only for a candidate that holds it, so a past deadline stops
+    # the walk at its first candidate
+    ring = ring()
+    basis = [f"m{i}" for i in range(rank)]
+    tracemalloc.start()
+    try:
+        walk = _assignments(ring, basis, max_coeff, time.monotonic() - 1)
+        with pytest.raises(TimeoutError):
+            next(walk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_the_walk_yields_every_based_module_in_candidate_order():
+    # columns are built as the walk first reaches them, yet the candidates
+    # come in the order of itertools.product over the complete column list
+    ring = rep_ring(s3_character_table())
+    basis = ["m0", "m1"]
+    alphas = [a for a in ring.basis if a != ring.unit]
+    assert all(ring.conj(a) == a for a in alphas)
+    columns = [Element.from_sums(dict(zip(basis, c)))
+               for c in itertools.product(range(3), repeat=2)]
+    permutations = list(itertools.permutations(
+        [Element.basis(j) for j in basis]))
+    choices = [permutations
+               if ring.product(a, a) == Element.basis(ring.unit)
+               else list(itertools.product(columns, repeat=2)) for a in alphas]
+    want = []
+    for pick in itertools.product(*choices):
+        table = {(a, j): column for a, candidate in zip(alphas, pick)
+                 for j, column in zip(basis, candidate)}
+        module = BasedModule(ring=ring, basis=basis, action=table)
+        if check_module_axioms(module).is_holds:
+            want.append(table)
+    assert want
+    assert list(_assignments(ring, basis, 2, math.inf)) == want
 
 
 def test_budget_validation():

@@ -15,6 +15,7 @@ import pytest
 
 from fusionkit import cyclic_group, s3_character_table
 from fusionkit.cli import cli_dispatch
+from fusionkit.serialize import LoadError, load
 
 EXPLICIT_Z2 = {"kind": "explicit_ring", "basis": ["e", "g"], "unit": "e",
                "conj": {"e": "e", "g": "g"}, "dim": {"e": 1, "g": 1},
@@ -241,3 +242,29 @@ def test_nesting_below_the_limit_loads():
     code, out, err, _ = run(direct_chain(200), ["validate", "top.json"])
     assert (code, err) == (0, "")
     assert out.startswith("verdict: holds\n")
+
+
+def test_library_load_turns_deep_nesting_into_a_load_error(tmp_path):
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps(direct_chain(300)), encoding="utf-8")
+    with pytest.raises(LoadError, match="definition nests too deeply") as info:
+        load(str(top))
+    assert str(info.value) == f"{top}: definition nests too deeply"
+    assert isinstance(info.value.__cause__, RecursionError)
+
+
+def test_a_deep_chain_of_files_names_the_file_given(tmp_path):
+    # each level is its own file, referenced by path from the next one
+    doc = group_ring({"elements": ["e"], "mult": [["e", "e", "e"]]})
+    for level in range(300):
+        (tmp_path / f"level{level}.json").write_text(json.dumps(doc),
+                                                     encoding="utf-8")
+        doc = {"kind": "construct", "construct": "direct_product",
+               "left": f"level{level}.json", "right": f"level{level}.json"}
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(["validate", str(top)])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        4, "", f"error: {top}: definition nests too deeply\n")

@@ -22,19 +22,25 @@ from fusionkit import (
     find_intertwiner,
     group_ring,
     induce,
+    inversion_action,
     is_standard,
     is_torsion,
     restrict_and_decompose,
+    semidirect_product,
     standardize_from_induced,
 )
 
 
-def _group(table, prefix):
+def _presentation(table, prefix):
     labels = [f"{prefix}{i}" for i in range(len(table))]
-    ring = group_ring(FiniteGroupPresentation(labels, {
+    return FiniteGroupPresentation(labels, {
         (labels[x], labels[y]): labels[table[x][y]]
-        for x in range(len(table)) for y in range(len(table))}))
-    return ring, labels
+        for x in range(len(table)) for y in range(len(table))})
+
+
+def _group(table, prefix):
+    group = _presentation(table, prefix)
+    return group_ring(group), list(group.elements)
 
 
 def _perm_index(degree, perm):
@@ -68,17 +74,42 @@ def _s3_in_s4():
                   for p in itertools.permutations(range(3))])
 
 
-def _left_factor_of_z2_z3():
-    # G = Z/2 × Z/3 numbered x1·3 + x2, as in oracles.product_table; each
-    # element is found as the product of its two factor images
+def _labels_of_pairs(ring, left, right, left_labels, right_labels):
+    """G's labels for the pairs numbered x1·|right| + x2, each found as the
+    product of its two factor images."""
+    n = len(right_labels)
+    return [ring.product(left.embed(left_labels[x // n]),
+                         right.embed(right_labels[x % n])).single_label()
+            for x in range(len(left_labels) * n)]
+
+
+def _factor_of_z2_z3(side):
+    # G = Z/2 × Z/3 numbered as in oracles.product_table
     (z2, z2_labels), (z3, z3_labels) = (_group(oracles.cyclic_table(2), "h"),
                                         _group(oracles.cyclic_table(3), "k"))
     dp = direct_product(z2, z3)
-    g_labels = [dp.ring.product(dp.left.embed(z2_labels[x // 3]),
-                                dp.right.embed(z3_labels[x % 3])).single_label()
-                for x in range(6)]
+    g_labels = _labels_of_pairs(dp.ring, dp.left, dp.right, z2_labels, z3_labels)
     g_table = oracles.product_table(oracles.cyclic_table(2), oracles.cyclic_table(3))
-    return oracles.cyclic_table(2), z2_labels, g_table, g_labels, dp.left, [0, 3]
+    if side == "left":
+        return oracles.cyclic_table(2), z2_labels, g_table, g_labels, dp.left, [0, 3]
+    return oracles.cyclic_table(3), z3_labels, g_table, g_labels, dp.right, [0, 1, 2]
+
+
+def _factor_of_z2_semidirect_z3(side):
+    # Z/2 acting on Z/3 by inversion: (g, x)·(g', x') = (g + g', ±x + x'),
+    # the sign − when g' = 1, numbered g·3 + x; G is S3
+    gamma = _presentation(oracles.cyclic_table(2), "h")
+    z3, z3_labels = _group(oracles.cyclic_table(3), "k")
+    sd = semidirect_product(gamma, z3, inversion_action(gamma, z3))
+    g_labels = _labels_of_pairs(sd.ring, sd.group_embedding, sd.target_embedding,
+                                list(gamma.elements), z3_labels)
+    g_table = [[(a // 3 + b // 3) % 2 * 3 + ((-1) ** (b // 3) * (a % 3) + b % 3) % 3
+                for b in range(6)] for a in range(6)]
+    if side == "group":
+        return (oracles.cyclic_table(2), list(gamma.elements), g_table, g_labels,
+                sd.group_embedding, [0, 3])
+    return (oracles.cyclic_table(3), z3_labels, g_table, g_labels,
+            sd.target_embedding, [0, 1, 2])
 
 
 PAIRS = {
@@ -88,7 +119,10 @@ PAIRS = {
     "z3-in-s3": lambda: _cyclic_in_s3(3, (1, 2, 0)),
     "z2-in-s3": lambda: _cyclic_in_s3(2, (1, 0, 2)),
     "s3-in-s4": _s3_in_s4,
-    "z2-left-in-z2xz3": _left_factor_of_z2_z3,
+    "z2-left-in-z2xz3": lambda: _factor_of_z2_z3("left"),
+    "z3-right-in-z2xz3": lambda: _factor_of_z2_z3("right"),
+    "z2-group-in-z2-semidirect-z3": lambda: _factor_of_z2_semidirect_z3("group"),
+    "z3-target-in-z2-semidirect-z3": lambda: _factor_of_z2_semidirect_z3("target"),
 }
 
 
