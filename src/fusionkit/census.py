@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .elements import Element, InvalidInputError, bilinear
 from .modules import (
@@ -26,17 +25,22 @@ from .modules import (
 from .rings import BasedRing, Verdict
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class _Budget(NamedTuple):
     max_rank: int
     max_coeff: int
     max_seconds: Optional[float] = None
 
-    def __post_init__(self):
-        if self.max_rank < 1 or self.max_coeff < 1:
+
+class EnumerationBudget(_Budget):
+    __slots__ = ()
+
+    def __new__(cls, max_rank: int, max_coeff: int,
+                max_seconds: Optional[float] = None) -> EnumerationBudget:
+        if max_rank < 1 or max_coeff < 1:
             raise InvalidInputError("budget needs max_rank >= 1 and max_coeff >= 1")
-        if self.max_seconds is not None and not 0 <= self.max_seconds < math.inf:
+        if max_seconds is not None and not 0 <= max_seconds < math.inf:
             raise InvalidInputError("budget needs a finite max_seconds >= 0")
+        return super().__new__(cls, max_rank, max_coeff, max_seconds)
 
     def to_doc(self) -> dict:
         doc = {"max_rank": self.max_rank, "max_coeff": self.max_coeff}
@@ -45,8 +49,7 @@ class EnumerationBudget:
         return doc
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     ring: BasedRing
     budget: EnumerationBudget
     modules: List[BasedModule]

@@ -13,31 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .census import EnumerationBudget, enumerate_torsion_modules
-from .elements import (
-    CertificateDepthError,
-    InvalidInputError,
-    UnknownBasisError,
-)
-from .induction import induce, restrict, restrict_and_decompose, standardize_from_induced
-from .modules import BasedModule, check_module_axioms, is_standard, is_torsion
-from .rings import DEFAULT_DEPTH, BasedRing, Verdict
-from .serialize import (
-    LoadError,
-    ProductCache,
-    TOOL_VERSION,
-    ValidationFailure,
-    canonical_json,
-    census_doc,
-    content_hash,
-    load_parsed,
-    load_session,
-    loaded_verdict,
-    read_doc,
-)
-from .subrings import DivisibilityCertificate, SubringEmbedding, find_divisibility_certificate, verify_certificate
+if TYPE_CHECKING:  # each function imports what it runs
+    from .rings import BasedRing, Verdict
+    from .serialize import ProductCache
 
 EXIT_USAGE = 3
 EXIT_IO = 4
@@ -55,6 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from .rings import DEFAULT_DEPTH
     parser = _Parser(prog="fusionkit",
                      description="exact fusion-ring and based-module toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,6 +102,8 @@ def _build_parser() -> _Parser:
 
 
 def _rings_of(obj: Any) -> List[BasedRing]:
+    from .modules import BasedModule
+    from .rings import BasedRing
     out: List[BasedRing] = []
     if isinstance(obj, BasedRing):
         out.append(obj)
@@ -132,10 +115,9 @@ def _rings_of(obj: Any) -> List[BasedRing]:
         cert = getattr(obj, "certificate", None)
         if cert is not None:
             out.extend(_rings_of(cert))
-    elif isinstance(obj, SubringEmbedding):
-        out.extend([obj.sub, obj.ambient])
-    elif isinstance(obj, DivisibilityCertificate):
-        out.extend([obj.embedding.sub, obj.embedding.ambient])
+    else:  # an embedding, or a certificate and its embedding
+        embedding = getattr(obj, "embedding", obj)
+        out.extend([embedding.sub, embedding.ambient])
     return out
 
 
@@ -149,6 +131,7 @@ class _Session:
         self.rings: List[BasedRing] = []
 
     def load(self, path: str, role: str, expect: Optional[str] = None) -> Any:
+        from .serialize import content_hash, load_parsed, read_doc
         doc = read_doc(path)
         self.inputs[role] = {"path": path, "hash": content_hash(doc)}
         obj = load_parsed(path, doc, self.depth, expect)
@@ -168,6 +151,7 @@ class _Session:
 
 def _document(command: str, arguments: dict, session: _Session,
               verdict: Optional[Verdict], result: dict) -> dict:
+    from .serialize import TOOL_VERSION
     return {
         "command": command,
         "arguments": arguments,
@@ -179,6 +163,7 @@ def _document(command: str, arguments: dict, session: _Session,
 
 
 def _emit(document: dict, as_json: bool, highlight: Optional[str] = None) -> None:
+    from .serialize import canonical_json
     if as_json:
         print(canonical_json(document))
         return
@@ -209,6 +194,7 @@ def _emit(document: dict, as_json: bool, highlight: Optional[str] = None) -> Non
 
 
 def _maybe_write(args, text: str) -> None:
+    from .serialize import LoadError
     out = getattr(args, "out", None)
     if out:
         try:
@@ -219,6 +205,7 @@ def _maybe_write(args, text: str) -> None:
 
 
 def _resolve_label(ring: BasedRing, label: str, depth: int) -> str:
+    from .elements import UnknownBasisError
     window = ring.basis_up_to_depth(depth)
     if label not in window:
         raise UnknownBasisError(
@@ -228,6 +215,7 @@ def _resolve_label(ring: BasedRing, label: str, depth: int) -> str:
 
 
 def _cmd_validate(args, session: _Session) -> Tuple[Optional[Verdict], dict, Optional[str]]:
+    from .serialize import loaded_verdict
     obj = session.load(args.file, "file")
     return loaded_verdict(obj), {"object": type(obj).__name__}, None
 
@@ -243,6 +231,9 @@ def _cmd_product(args, session: _Session):
 
 
 def _cmd_divisible(args, session: _Session):
+    from .rings import Verdict
+    from .serialize import LoadError, canonical_json
+    from .subrings import find_divisibility_certificate, verify_certificate
     ambient = session.load(args.ambient, "ambient", expect="ring")
     embedding = session.load(args.sub, "sub", expect="embedding")
     if not embedding.ambient.same_as(ambient):
@@ -266,6 +257,10 @@ def _cmd_divisible(args, session: _Session):
 
 
 def _cmd_induce(args, session: _Session):
+    from .induction import induce
+    from .modules import check_module_axioms, is_torsion
+    from .rings import Verdict
+    from .serialize import canonical_json, content_hash
     module = session.load(args.module, "module", expect="module")
     cert = session.load(args.cert, "cert", expect="certificate")
     induced = induce(module, cert, check_depth=args.depth)
@@ -290,6 +285,9 @@ def _cmd_induce(args, session: _Session):
 
 
 def _cmd_restrict(args, session: _Session):
+    from .induction import restrict, restrict_and_decompose
+    from .rings import Verdict
+    from .serialize import canonical_json
     module = session.load(args.module, "module", expect="module")
     embedding = session.load(args.embed, "embed", expect="embedding")
     if args.decompose:
@@ -311,12 +309,14 @@ def _cmd_restrict(args, session: _Session):
 
 
 def _cmd_torsion(args, session: _Session):
+    from .modules import is_torsion
     module = session.load(args.module, "module", expect="module")
     verdict = is_torsion(module, args.depth)
     return verdict, {}, None
 
 
 def _cmd_standard(args, session: _Session):
+    from .modules import is_standard
     module = session.load(args.module, "module", expect="module")
     verdict = is_standard(module, args.depth)
     result = {}
@@ -326,6 +326,9 @@ def _cmd_standard(args, session: _Session):
 
 
 def _cmd_enumerate(args, session: _Session):
+    from .census import EnumerationBudget, enumerate_torsion_modules
+    from .rings import Verdict
+    from .serialize import canonical_json, census_doc
     ring = session.load(args.ring, "ring", expect="ring")
     budget = EnumerationBudget(max_rank=args.max_rank,
                                max_coeff=args.max_coeff,
@@ -341,6 +344,7 @@ def _cmd_enumerate(args, session: _Session):
 
 
 def _cmd_standardize(args, session: _Session):
+    from .induction import induce, standardize_from_induced
     module = session.load(args.module, "module", expect="module")
     cert = session.load(args.cert, "cert", expect="certificate")
     induced = induce(module, cert, check_depth=args.depth)
@@ -380,6 +384,9 @@ def cli_dispatch(argv: List[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    from .elements import (CertificateDepthError, InvalidInputError,
+                           UnknownBasisError)
+    from .serialize import LoadError, ProductCache, ValidationFailure, load_session
     cache_dir = os.environ.get(CACHE_ENV)
     cache = None
     if cache_dir and not args.no_cache:

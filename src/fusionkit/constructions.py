@@ -12,16 +12,17 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import (Callable, Dict, Hashable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
-from .cyclotomic import Cyclo
 from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
 from .rings import BasedRing, associative_by_generators
-from .subrings import SubringEmbedding
+
+if TYPE_CHECKING:
+    from .cyclotomic import Cyclo
+    from .subrings import SubringEmbedding
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +194,13 @@ def _times(n: int, p: Lifted, q: Lifted, into: Optional[Lifted] = None) -> Lifte
     return out
 
 
-def _class_sum(n: int, u: Sequence[Lifted], v: Sequence[Lifted]) -> Cyclo:
-    """Σ_k u_k·v_k over the classes k mod x^n − 1, reduced mod Φ_n once."""
+def _class_sum(n: int, u: Sequence[Lifted], v: Sequence[Lifted]) -> Lifted:
+    """Σ_k u_k·v_k over the classes k mod x^n − 1, to be reduced mod Φ_n
+    once, as ``Cyclo(n, ·)``."""
     total: Lifted = {}
     for p, q in zip(u, v):
         _times(n, p, q, total)
-    return Cyclo(n, total)
+    return total
 
 
 class CharacterTable:
@@ -211,6 +213,7 @@ class CharacterTable:
 
     def __init__(self, classes: Sequence[Tuple[str, int]],
                  irreps: Sequence[Tuple[str, Sequence[Cyclo]]]):
+        from .cyclotomic import Cyclo
         if not classes:
             raise InvalidInputError("character table needs at least one class")
         self.classes = tuple(label for label, _ in classes)
@@ -253,7 +256,8 @@ class CharacterTable:
         # fail only after (b, a) had failed: those pairs are skipped
         for i, a in enumerate(self.irreps):
             for b in self.irreps[i:]:
-                total = _class_sum(n, self._lifted[a], self._sized_conj[b])
+                total = Cyclo(n, _class_sum(n, self._lifted[a],
+                                            self._sized_conj[b]))
                 expected = self.order if a == b else 0
                 if total.as_rational() != expected:
                     raise InvalidInputError(
@@ -303,6 +307,7 @@ def rep_ring(t: CharacterTable) -> BasedRing:
     non-negative integer for every triple; anything else rejects the table
     as inconsistent.
     """
+    from .cyclotomic import Cyclo
     n = t._n
     fusion: Dict[Tuple[str, str], Element] = {}
     # (a, b) and (b, a) have equal class sums, so b < a copies (b, a), which
@@ -312,7 +317,8 @@ def rep_ring(t: CharacterTable) -> BasedRing:
             product = [_times(n, p, q) for p, q in zip(t._lifted[a], t._lifted[b])]
             terms = {}
             for c in t.irreps:
-                total = _class_sum(n, product, t._sized_conj[c]).as_rational()
+                total = Cyclo(n, _class_sum(n, product,
+                                            t._sized_conj[c])).as_rational()
                 if (total is None or total.denominator != 1
                         or total.numerator < 0 or total.numerator % t.order):
                     raise InvalidInputError(
@@ -331,6 +337,7 @@ def rep_ring(t: CharacterTable) -> BasedRing:
 
 
 def s3_character_table() -> CharacterTable:
+    from .cyclotomic import Cyclo
     q = Cyclo.from_rational
     return CharacterTable(
         classes=[("e", 1), ("transposition", 3), ("3-cycle", 2)],
@@ -341,6 +348,7 @@ def s3_character_table() -> CharacterTable:
 
 def cyclic_character_table(n: int) -> CharacterTable:
     """All characters of Z/n; values are n-th roots of unity."""
+    from .cyclotomic import Cyclo
     classes = [(f"c{k}", 1) for k in range(n)]
     irreps = [(f"chi{j}", [Cyclo.zeta(n, (j * k) % n) for k in range(n)])
               for j in range(n)]
@@ -348,6 +356,7 @@ def cyclic_character_table(n: int) -> CharacterTable:
 
 
 def trivial_character_table() -> CharacterTable:
+    from .cyclotomic import Cyclo
     return CharacterTable([("e", 1)], [("triv", [Cyclo.from_rational(1)])])
 
 
@@ -398,6 +407,7 @@ def so3_ring() -> BasedRing:
 
 def so3_subring(ambient: Optional[BasedRing] = None) -> SubringEmbedding:
     """Even labels inside the full Clebsch-Gordan ring."""
+    from .subrings import SubringEmbedding
     amb = ambient if ambient is not None else su2_ring()
     sub = so3_ring()
 
@@ -413,8 +423,7 @@ def so3_subring(ambient: Optional[BasedRing] = None) -> SubringEmbedding:
 # ---------------------------------------------------------------------------
 # products: one label registry, one letters rule, one embedding builder
 
-@dataclass(frozen=True)
-class RingWithFactorEmbeddings:
+class RingWithFactorEmbeddings(NamedTuple):
     ring: BasedRing
     left: SubringEmbedding
     right: SubringEmbedding
@@ -471,6 +480,8 @@ def _factor_embedding(ring: BasedRing, sub: BasedRing,
                       label: str) -> SubringEmbedding:
     """The canonical embedding ``label ↪ ring`` of a factor ``sub`` into
     the product ``ring``; ``mapping`` sees only labels ``sub.dim`` accepts."""
+    from .subrings import SubringEmbedding
+
     def embed(s: str) -> str:
         sub.dim(s)  # label validation through the factor
         return mapping(s)
@@ -617,8 +628,7 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
 # ---------------------------------------------------------------------------
 # semi-direct products
 
-@dataclass(frozen=True)
-class RingAutomorphismAction:
+class RingAutomorphismAction(NamedTuple):
     """A finite group acting on a finite ring by basis permutations."""
 
     group: FiniteGroupPresentation
@@ -686,8 +696,7 @@ def inversion_action(group: FiniteGroupPresentation,
     return RingAutomorphismAction(group, perms)
 
 
-@dataclass(frozen=True)
-class SemidirectProductRing:
+class SemidirectProductRing(NamedTuple):
     ring: BasedRing
     group_embedding: SubringEmbedding
     target_embedding: SubringEmbedding

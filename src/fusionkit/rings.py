@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from typing import (Any, Callable, Iterable, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .elements import (
     Element,
@@ -37,8 +37,7 @@ UNKNOWN = "unknown"
 DEFAULT_DEPTH = 4  # of every check and load that is given none
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Three-valued outcome of a bounded check.
 
     ``holds`` with ``bound=None`` is exhaustive; with ``bound=k`` it means

@@ -19,29 +19,12 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional,
+                    Tuple, Union)
 
-from .census import CensusResult
-from .constructions import (
-    CharacterTable,
-    FiniteGroupPresentation,
-    RingAutomorphismAction,
-    RingWithFactorEmbeddings,
-    SemidirectProductRing,
-    direct_product,
-    free_product,
-    group_ring,
-    rep_ring,
-    semidirect_product,
-    so3_ring,
-    so3_subring,
-    su2_ring,
-)
-from .cyclotomic import Cyclo
 from .elements import Element, InvalidInputError
 from .modules import (BasedModule, check_module_axioms, check_module_dimension,
                       module_doc, standard_module)
-from .induction import induce, restrict
 from .rings import (
     DEFAULT_DEPTH,
     BasedRing,
@@ -50,13 +33,13 @@ from .rings import (
     check_ring_axioms,
     explicit_ring,
 )
-from .subrings import (
-    DivisibilityCertificate,
-    SubringEmbedding,
-    identity_embedding,
-    verify_certificate,
-    verify_subring,
-)
+
+if TYPE_CHECKING:  # the loaders import these where they build them
+    from .census import CensusResult
+    from .constructions import (CharacterTable, FiniteGroupPresentation,
+                                RingWithFactorEmbeddings, SemidirectProductRing)
+    from .cyclotomic import Cyclo
+    from .subrings import DivisibilityCertificate, SubringEmbedding
 
 TOOL_VERSION = "0.1.0"
 # the name a module or map embedding without one gets, as in "module unnamed: …"
@@ -151,6 +134,7 @@ def _as_element(doc: Any, what: str) -> Element:
 
 
 def _as_cyclo(doc: Any, what: str) -> Cyclo:
+    from .cyclotomic import Cyclo
     if _is(doc, int) or isinstance(doc, list):
         return Cyclo.from_rational(_as_fraction(doc, what))
     if isinstance(doc, dict):
@@ -212,6 +196,7 @@ def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
 
 
 def _load_group(doc: Any, what: str) -> FiniteGroupPresentation:
+    from .constructions import FiniteGroupPresentation
     _require_keys(doc, {"elements", "mult"}, set(), what)
     elements = _typed(doc["elements"], list, f"{what}.elements", str)
     mult = {}
@@ -223,6 +208,7 @@ def _load_group(doc: Any, what: str) -> FiniteGroupPresentation:
 
 
 def _load_character_table(doc: Any, what: str) -> CharacterTable:
+    from .constructions import CharacterTable
     _require_keys(doc, {"classes", "irreps"}, set(), what)
     classes = []
     for entry in _typed(doc["classes"], list, f"{what}.classes"):
@@ -271,8 +257,10 @@ def _product(doc: dict, base_dir: str, what: str
     each base directory and content, at any depth, so the ring loaded from
     the document and the ambient of its canonical embeddings are one
     object."""
+    from .constructions import (RingAutomorphismAction, direct_product,
+                                free_product, semidirect_product)
     with load_session() as memo:
-        key = (os.path.abspath(base_dir), content_hash(doc), None)
+        key = (os.path.abspath(base_dir), _doc_key(doc), None)
         if key not in memo:
             if doc["construct"] == "semidirect_product":
                 gamma = _load_group(doc["group"], f"{what}.group")
@@ -292,6 +280,7 @@ def _product(doc: dict, base_dir: str, what: str
 
 
 def _load_construct_ring(doc: dict, base_dir: str) -> BasedRing:
+    from .constructions import group_ring, rep_ring, so3_ring, su2_ring
     ctor = _construction(doc)
     if ctor == "group_ring":
         return group_ring(_load_group(doc["group"], "group_ring.group"))
@@ -313,6 +302,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
         _require_keys(doc, {"kind", "standard_of"}, set(), "module")
         return standard_module(_ref(doc["standard_of"], "ring", base_dir))
     if "induced" in doc:
+        from .induction import induce
         _require_keys(doc, {"kind", "induced"}, {"provenance"}, "module")
         inner = doc["induced"]
         _require_keys(inner, {"source", "certificate"}, set(), "module.induced")
@@ -320,6 +310,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
         cert = _ref(inner["certificate"], "certificate", base_dir)
         return induce(source, cert)
     if "restricted" in doc:
+        from .induction import restrict
         _require_keys(doc, {"kind", "restricted"}, set(), "module")
         inner = doc["restricted"]
         _require_keys(inner, {"source", "embedding"}, set(), "module.restricted")
@@ -369,9 +360,11 @@ _CANONICAL_AMBIENT = {
 
 
 def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
+    from .subrings import SubringEmbedding, identity_embedding
     if "canonical" in doc:
         name = _typed(doc["canonical"], str, "embedding: canonical")
         if name == "so3_in_su2":
+            from .constructions import so3_subring
             _require_keys(doc, {"kind", "canonical"}, set(), "embedding")
             return so3_subring()
         if name == "identity":
@@ -405,6 +398,7 @@ def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
 
 
 def _load_certificate_doc(doc: dict, base_dir: str) -> DivisibilityCertificate:
+    from .subrings import DivisibilityCertificate
     _require_keys(doc, {"kind", "embedding", "classes", "factorization",
                         "verified_depth"}, {"exhaustive"}, "certificate")
     embedding = _ref(doc["embedding"], "embedding", base_dir)
@@ -446,11 +440,12 @@ _KINDS = {
     "certificate": ("certificate", _load_certificate_doc),
 }
 
-# (absolute base directory, content hash, depth) → (object, verdict), or
-# None while the definition is being built; depth None keys the product
-# constructions of ``_product``, with verdict None
-_SESSION: ContextVar[Optional[dict]] = ContextVar("fusionkit_load_session",
-                                                  default=None)
+# (memo, keys).  memo: (absolute base directory, document key, depth) →
+# (object, verdict), or None while the definition is being built; depth None
+# keys the product constructions of ``_product``, with verdict None.
+# keys: id(document) → (document, key), see ``_doc_key``
+_SESSION: ContextVar[Optional[Tuple[dict, dict]]] = ContextVar(
+    "fusionkit_load_session", default=None)
 
 
 @contextmanager
@@ -459,22 +454,40 @@ def load_session() -> Iterator[dict]:
     inline, with the same base directory and depth) is the object already
     built and validated.  Joins the active session when there is one;
     ``load_doc`` opens its own otherwise, and the CLI opens one per command.
+    A document must not change while its session is open.
     """
-    memo = _SESSION.get()
-    if memo is not None:
-        yield memo
+    session = _SESSION.get()
+    if session is not None:
+        yield session[0]
         return
-    token = _SESSION.set({})
+    token = _SESSION.set(({}, {}))
     try:
-        yield _SESSION.get()
+        yield _SESSION.get()[0]
     finally:
         _SESSION.reset(token)
 
 
 def loaded_verdict(obj: Any) -> Verdict:
     """The verdict the active load session's validation reached for ``obj``."""
-    return next(verdict for known, verdict in _SESSION.get().values()
+    return next(verdict for known, verdict in _SESSION.get()[0].values()
                 if known is obj)
+
+
+def _doc_key(doc: dict) -> str:
+    """The active session's key for a definition document: the sha256 of
+    its canonical JSON with each inline definition in it (a dict with a
+    ``kind``, at any depth of dicts) replaced by ``{"kind": <its key>}``;
+    every dict with a ``kind`` is replaced, so no literal reads as a key.
+    Keys are built bottom up and kept with their document, whose id stays
+    its own while it is kept, so a definition is serialized once however
+    deep it is nested."""
+    keys = _SESSION.get()[1]
+    if id(doc) not in keys:
+        def shell(value: dict) -> dict:
+            return {k: ({"kind": _doc_key(v)} if "kind" in v else shell(v))
+                    if isinstance(v, dict) else v for k, v in value.items()}
+        keys[id(doc)] = (doc, content_hash(shell(doc)))
+    return keys[id(doc)][1]
 
 
 def validation_verdict(obj: Any, depth: int = DEFAULT_DEPTH) -> Verdict:
@@ -485,6 +498,7 @@ def validation_verdict(obj: Any, depth: int = DEFAULT_DEPTH) -> Verdict:
                                check_dimension(obj, depth))
     if isinstance(obj, BasedModule):
         return check_module_axioms(obj, depth)
+    from .subrings import SubringEmbedding, verify_certificate, verify_subring
     if isinstance(obj, SubringEmbedding):
         return verify_subring(obj, depth)
     return verify_certificate(obj, depth)
@@ -521,7 +535,7 @@ def load_doc(doc: Any, base_dir: str = ".", depth: int = DEFAULT_DEPTH,
     if expect is not None and actual != expect:
         raise LoadError(f"expected a {expect} document, found kind {kind!r}")
     with load_session() as memo:
-        key = (os.path.abspath(base_dir), content_hash(doc), depth)
+        key = (os.path.abspath(base_dir), _doc_key(doc), depth)
         if key in memo:
             if memo[key] is None:
                 raise LoadError(f"{actual} definition refers back to itself")
@@ -565,6 +579,7 @@ def load(path: str, depth: int = DEFAULT_DEPTH, expect: Optional[str] = None):
 
 
 def object_doc(obj: Any) -> dict:
+    from .subrings import DivisibilityCertificate
     if isinstance(obj, DivisibilityCertificate):
         doc = obj.to_doc()
         if doc.get("embedding") is None:

@@ -9,8 +9,8 @@ label as a unique pair (class, sub label).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple,
+                    Union)
 
 from .elements import Element, InvalidInputError, UnknownBasisError
 from .modules import BasedModule, connected_components
@@ -109,8 +109,7 @@ def coset_classes(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> List[List[
     return connected_components(over_sub, depth)
 
 
-@dataclass(frozen=True)
-class DivisibilityCertificate:
+class DivisibilityCertificate(NamedTuple):
     """Coset representatives and the factorization they induce.
 
     ``classes`` lists one representative per coset class, in class order;
@@ -142,8 +141,7 @@ class DivisibilityCertificate:
         }
 
 
-@dataclass
-class DivisibilitySearch:
+class DivisibilitySearch(NamedTuple):
     """Outcome of a certificate search: the certificate when one exists
     within the depth, plus the irreducibility/injectivity failures seen."""
 

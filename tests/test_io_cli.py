@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from fusionkit import (Element, cli, find_divisibility_certificate, induction,
+from fusionkit import (Element, find_divisibility_certificate, induction,
                        modules, serialize)
 from fusionkit import cyclic_group, group_ring, symmetric_group_3
 from fusionkit.cli import cli_dispatch
@@ -656,7 +656,9 @@ def test_cli_restrict_checks_the_restricted_module_once(files, tmp_path,
         calls.append(m.name)
         return original(m, depth)
 
-    for namespace in (cli, induction, serialize):
+    # the restrict handler imports no axiom check: restrict and the loader
+    # hold the name
+    for namespace in (induction, serialize):
         monkeypatch.setattr(namespace, "check_module_axioms", counted)
     std_z4 = tmp_path / "std-z4.json"
     std_z4.write_text(json.dumps({"kind": "module", "standard_of": "z4.json"}))
@@ -666,6 +668,66 @@ def test_cli_restrict_checks_the_restricted_module_once(files, tmp_path,
     assert json.loads(out)["verdict"] == {"status": "holds"}
     # once when std-z4.json loads, once inside restrict
     assert len(calls) == 2 and calls[1].startswith("Res(")
+
+
+def _holds(value, target):
+    """A value equal to ``target`` is somewhere in the JSON value ``value``."""
+    if value == target:
+        return True
+    items = value.values() if isinstance(value, dict) else value
+    return isinstance(value, (dict, list)) and any(_holds(v, target)
+                                                   for v in items)
+
+
+def _count_serializations_of(target, monkeypatch):
+    calls = []
+    original = serialize.canonical_json
+
+    def counted(doc):
+        calls.append(_holds(doc, target))
+        return original(doc)
+
+    monkeypatch.setattr(serialize, "canonical_json", counted)
+    return calls
+
+
+Z4_LABELS = ["e", "a", "a2", "a3"]
+Z4_EXPLICIT = {"kind": "explicit_ring", "basis": Z4_LABELS, "unit": "e",
+               "conj": {x: Z4_LABELS[-i % 4] for i, x in enumerate(Z4_LABELS)},
+               "dim": dict.fromkeys(Z4_LABELS, 1),
+               "fusion": [[x, y, {Z4_LABELS[(i + k) % 4]: 1}]
+                          for i, x in enumerate(Z4_LABELS[1:], 1)
+                          for k, y in enumerate(Z4_LABELS[1:], 1)]}
+# certificate → embedding → ring, every reference inline
+INLINE_CERT = {"kind": "certificate", "classes": ["e", "a"],
+               "verified_depth": 4,
+               "factorization": {"e": ["e", "e"], "a2": ["e", "g"],
+                                 "a": ["a", "e"], "a3": ["a", "g"]},
+               "embedding": {"kind": "embedding", "sub": EXPLICIT_Z2,
+                             "ambient": Z4_EXPLICIT,
+                             "map": {"e": "e", "g": "a2"}}}
+
+
+def test_a_nested_inline_document_is_serialized_once(monkeypatch):
+    calls = _count_serializations_of(Z4_EXPLICIT["fusion"], monkeypatch)
+    cert = load_doc(INLINE_CERT, expect="certificate")
+    assert cert.classes == ("e", "a")
+    # its own memo key; the certificate's and the embedding's keys hold
+    # the ring's key, not the ring
+    assert calls.count(True) == 1
+
+
+def test_cli_input_hash_is_the_whole_file_s(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(INLINE_CERT))
+    calls = _count_serializations_of(Z4_EXPLICIT["fusion"], monkeypatch)
+    code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+    assert code == 0
+    # the input hash and the ring's memo key
+    assert calls.count(True) == 2
+    whole = json.dumps(INLINE_CERT, sort_keys=True, separators=(",", ":"))
+    assert json.loads(out)["inputs"]["file"]["hash"] == hashlib.sha256(
+        whole.encode("ascii")).hexdigest()
 
 
 def test_cli_restrict_of_a_lazy_module_is_bounded(tmp_path, capsys):
@@ -889,7 +951,9 @@ MALFORMED = {
     (dict(EXPLICIT_Z2, unit="z"), "ring explicit ring: unit 'z' not in basis"),
     (dict(EXPLICIT_Z2, fusion=[["g", "g", {"e": 1, "g": -1}]]),
      "ring explicit ring: negative coefficient -1·g in fusion entry (g, g)"),
-], ids=["module", "embedding", "ring", "ring-negative-coefficient"])
+    (MALFORMED["refers-to-itself"], "ring definition refers back to itself"),
+], ids=["module", "embedding", "ring", "ring-negative-coefficient",
+        "refers-to-itself"])
 def test_cli_malformed_definition_names_its_object_once(doc, message, files,
                                                        capsys):
     path = os.path.join(files["dir"], "top.json")
