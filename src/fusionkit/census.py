@@ -72,10 +72,9 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     must then be 1.  Every other label tries all (max_coeff + 1)^(rank²)
     tuples of the (max_coeff + 1)^rank columns.  Candidates of both kinds
     are generated at each node, one at a time, with the deadline checked
-    before each.  A column is built when the first candidate that holds it
-    comes, so the columns held never outnumber the candidates tried: a
-    deadline bounds memory as well as time.  Without one neither is
-    bounded.
+    before each.  Each candidate builds its own columns and keeps none, so
+    a walk holds the same memory however long it runs; without a deadline
+    only its time is unbounded.
 
     Labels are assigned in basis order, each followed by its conjugate; the
     unit acts as the identity.  Each non-unit pair (a, b) is checked once,
@@ -98,9 +97,6 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     invertible = {a for a in alphas
                   if ring.product(a, ring.conj(a)) == Element.basis(unit)}
     rank = len(basis)
-    n_columns = (max_coeff + 1) ** rank
-    column_coeffs = itertools.product(range(max_coeff + 1), repeat=rank)
-    columns: List[Element] = []
     keys = [[(a, j) for j in basis] for a in alphas]
     # the checks that become decidable when position p is assigned
     mirrors: List[list] = [[] for _ in alphas]
@@ -133,14 +129,12 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
         return True
 
     def general() -> Iterator[Tuple[Element, ...]]:
-        # product(columns, repeat=rank) first runs its last position through
-        # every column with the others at column 0: build each column there
-        for i in range(n_columns):
-            if i == len(columns):
-                columns.append(Element.from_sums(dict(zip(basis, next(column_coeffs)))))
-            yield (columns[0],) * (rank - 1) + (columns[i],)
-        yield from itertools.islice(
-            itertools.product(columns, repeat=rank), n_columns, None)
+        # one digit per (column, label), the last fastest: the order of
+        # product(columns, repeat=rank) when the columns come in the order
+        # of product(range(max_coeff + 1), repeat=rank)
+        for coeffs in itertools.product(range(max_coeff + 1), repeat=rank * rank):
+            yield tuple(Element.from_sums(dict(zip(basis, coeffs[k:k + rank])))
+                        for k in range(0, rank * rank, rank))
 
     def walk(p: int) -> Iterator[Table]:
         if p == len(alphas):

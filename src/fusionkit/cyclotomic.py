@@ -131,12 +131,6 @@ class Cyclo:
         a, b = self._pair(other)
         return Cyclo(a.order, [*a.coeffs.items(), *b.coeffs.items()])
 
-    def __neg__(self) -> "Cyclo":
-        return Cyclo(self.order, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Cyclo") -> "Cyclo":
-        return self + (-other)
-
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         a, b = self._pair(other)
         return Cyclo(a.order, [(e1 + e2, c1 * c2) for e1, c1 in a.coeffs.items()

@@ -149,9 +149,6 @@ class Element:
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -180,7 +180,11 @@ def standardize_from_induced(ind: InducedModule, depth: int = DEFAULT_DEPTH) -> 
     block carries the source module through the embedding: its image under
     w, projected to the sub component of the factorization, is the
     extracted map, checked for injectivity and intertwining.  On success
-    the verdict carries it in ``data``.
+    the verdict carries it in ``data``.  ``induce`` does not verify its
+    certificate, and on one that fails verification the checks are real:
+    the classes of A3 offered as a certificate of S3 in itself induce the
+    regular module from S3 permuting three points, and no map from those
+    points into S3 intertwines.
     """
     standard = is_standard(ind, depth)
     if not standard.is_holds:

@@ -112,14 +112,11 @@ class Verdict(NamedTuple):
 
 
 def _plain(value: Any) -> Any:
-    if isinstance(value, Element):
-        return dict(value.items())
+    """A ``data`` payload as JSON; no verdict carries an Element or a Fraction."""
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
     return value
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -29,6 +30,7 @@ from fusionkit import (
     su2_ring,
     symmetric_group_3,
 )
+from fusionkit import census
 from fusionkit.census import _assignments
 
 
@@ -100,6 +102,42 @@ def test_general_candidates_are_generated_lazily():
     assert peak < 5 * 2**20
 
 
+def test_a_long_walk_keeps_no_columns():
+    # Rep(S3)'s std at rank 2 with coefficients up to 3000 has 3001² columns;
+    # kept as the walk reaches them they grew by about 40 MB a second
+    tracemalloc.start()
+    try:
+        result = enumerate_torsion_modules(rep_ring(s3_character_table()),
+                                           EnumerationBudget(2, 3000, max_seconds=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.complete
+    assert peak < 2 * 2**20
+
+
+def test_the_walk_keeps_no_columns_however_many_candidates_it_tries(
+        monkeypatch):
+    # a clock that ticks once per deadline check stops the walk after 12,000
+    # candidates, whatever the host; kept, the columns built for them took
+    # about 3 MB (and the timed test above reads under 2 MB under tracemalloc
+    # even with the columns kept, as the tracing slows the walk)
+    ticks = itertools.count()
+    monkeypatch.setattr(census, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    walk = _assignments(rep_ring(s3_character_table()), ["m0", "m1"], 3000,
+                        12_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TimeoutError):
+            for _ in walk:
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("ring, rank, max_coeff", [
     # Rep(S3)'s std: 301² columns of rank 2, 20 MiB as a list
     (lambda: rep_ring(s3_character_table()), 2, 300),
@@ -109,7 +147,7 @@ def test_general_candidates_are_generated_lazily():
 def test_a_past_deadline_stops_the_walk_before_it_builds_candidates(
         ring, rank, max_coeff):
     # the deadline is checked before each candidate is tried, and a column
-    # is built only for a candidate that holds it, so a past deadline stops
+    # is built only for the candidate that holds it, so a past deadline stops
     # the walk at its first candidate
     ring = ring()
     basis = [f"m{i}" for i in range(rank)]
@@ -125,8 +163,8 @@ def test_a_past_deadline_stops_the_walk_before_it_builds_candidates(
 
 
 def test_the_walk_yields_every_based_module_in_candidate_order():
-    # columns are built as the walk first reaches them, yet the candidates
-    # come in the order of itertools.product over the complete column list
+    # columns are built per candidate, yet the candidates come in the order
+    # of itertools.product over the complete column list
     ring = rep_ring(s3_character_table())
     basis = ["m0", "m1"]
     alphas = [a for a in ring.basis if a != ring.unit]

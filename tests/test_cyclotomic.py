@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -175,3 +176,15 @@ def test_reduction_agrees_with_sympy(terms):
     assert all(type(c) is Fraction for c in got.values())
     assert got == {e: Fraction(int(c.p), int(c.q))
                    for (e,), c in want.terms() if c}
+
+
+def test_dunders_and_coefficient_coercion():
+    i = Cyclo.zeta(4)
+    assert repr(Cyclo(4, {})) == "Cyclo(0)"
+    assert repr(Cyclo(4, {0: 1, 1: Fraction(-1, 2)})) == "Cyclo(1 + -1/2·ζ4^1)"
+    # a rational value hashes as its Fraction; equal values hash equally
+    assert hash(Cyclo(4, {2: 1})) == hash(Fraction(-1))
+    assert hash(i) == hash(Cyclo.zeta(8, 2))
+    assert i.__eq__("i") is NotImplemented and i != "i"
+    # a coefficient that is neither int nor Fraction is read as a Fraction
+    assert Cyclo(3, {0: Decimal("0.5")}) == Fraction(1, 2)

@@ -77,3 +77,13 @@ def test_addition_associates(e, f, g):
 def test_negation_is_involutive(e):
     assert -(-e) == e
     assert (e + (-e)).is_zero()
+
+
+def test_dunders_and_negative_format():
+    e = Element({"x0": 1, "x2": 2})
+    assert hash(e) == hash(Element({"x2": 2, "x0": 1}))
+    assert {e: 1}[Element({"x2": 2, "x0": 1})] == 1
+    assert repr(e) == "Element(x0 ⊕ 2·x2)"
+    assert Element({"a": -1, "b": -2}).format() == "-a ⊕ -2·b"
+    assert bool(e) and not Element()
+    assert e.__eq__("x0") is NotImplemented and e != "x0"

@@ -1,8 +1,9 @@
 """Every `fails` site of the ring, dimension, subring, certificate, module
 and standardization checks and the certificate search's failure
-witnesses, each reached by a minimal input, and the CLI's verdict on the
-identity embedding of a lazy ring, whose window links every label to the
-unit.
+witnesses, each reached by a minimal input; the `unknown` of standardness
+over a lazy ring and of a census past its deadline; and the CLI's verdict
+on the identity embedding of a lazy ring, whose window links every label
+to the unit.
 
 Where no definition document can reach a site (the loader validates what
 the site would reject, or builds the unit products itself), the input is
@@ -19,6 +20,7 @@ import tempfile
 import pytest
 
 from fusionkit import (
+    BasedModule,
     BasedRing,
     DivisibilityCertificate,
     Element,
@@ -31,12 +33,15 @@ from fusionkit import (
     group_ring,
     identity_embedding,
     induce,
+    is_standard,
     rep_ring,
+    restrict,
     s3_character_table,
     so3_subring,
     standard_module,
     standardize_from_induced,
     su2_ring,
+    symmetric_group_3,
     verify_certificate,
     verify_subring,
 )
@@ -89,18 +94,18 @@ def verdict(v):
     return v.status, v.witness, v.data
 
 
-def search(embedding):
+def search(embedding, depth=4):
     """A failed search reads as the CLI reports it: unknown, with every
     witness the search saw."""
-    found = find_divisibility_certificate(embedding, 4)
+    found = find_divisibility_certificate(embedding, depth)
     assert found.certificate is None
     return "unknown", found.witnesses, None
 
 
-def standardize(embedding, classes, factorization):
-    """Standardize the regular sub module induced along a certificate that
-    nothing has checked."""
-    induced = induce(standard_module(embedding.sub),
+def standardize(embedding, classes, factorization, source=None):
+    """Standardize ``source``, by default the regular sub module, induced
+    along a certificate that nothing has checked."""
+    induced = induce(source or standard_module(embedding.sub),
                      certificate(embedding, classes, factorization))
     return verdict(standardize_from_induced(induced))
 
@@ -137,6 +142,28 @@ FIXED_DOC = {"kind": "module", "ring": Z2_DOC, "basis": ["m0", "m1"],
 NONASSOCIATIVE = table_ring(["e", "g", "x", "y"], {
     ("g", "g"): {"e": 1}, ("g", "x"): {"y": 1}, ("g", "y"): {"y": 1}})
 
+# a lazy ring on the generators s, a, b with s ⊗ s = 1 and s ⊗ a = s ⊗ b = c:
+# the depth-1 window {1, a, b, s} lacks c, so a and b are two classes there,
+# and both reach c; the ring breaks Frobenius reciprocity, and no document
+# builds a lazy ring from a table
+def _split_window_product(x, y):
+    if "1" in (x, y):
+        return Element.basis(y if x == "1" else x)
+    return Element.basis({("s", "s"): "1", ("s", "a"): "c",
+                          ("s", "b"): "c"}.get((x, y), "?"))
+
+
+SPLIT_WINDOW = BasedRing(name="split window", unit="1", conj=str,
+                         product=_split_window_product, dim=lambda x: 1,
+                         generators=["s", "a", "b"])
+S3 = group_ring(symmetric_group_3())
+# S3 permuting three points, each label's images of p0, p1 and p2
+POINTS = BasedModule(ring=S3, basis=["p0", "p1", "p2"], action={
+    (g, f"p{i}"): Element.basis(f"p{image[i]}")
+    for g, image in {"r": (1, 2, 0), "t": (1, 0, 2), "rr": (2, 0, 1),
+                     "rt": (2, 1, 0), "tr": (0, 2, 1)}.items()
+    for i in range(3)})
+
 CASES = {
     "ring: conj(unit) is not the unit": (
         lambda: verdict(check_ring_axioms(table_ring(
@@ -165,6 +192,16 @@ CASES = {
         lambda: verdict(check_dimension(table_ring(
             ["e", "g"], {("g", "g"): {"e": 1}}, dim={"e": 2, "g": 1}))),
         ("fails", "d(unit) = 2 ≠ 1", None)),
+    "dimension: d is not conjugation invariant": (
+        lambda: verdict(check_dimension(table_ring(
+            ["e", "a", "b"], {("a", "a"): {"b": 1}, ("a", "b"): {"e": 1},
+                              ("b", "a"): {"e": 1}, ("b", "b"): {"a": 1}},
+            conj={"e": "e", "a": "b", "b": "a"}, dim={"e": 1, "a": 1, "b": 2}))),
+        ("fails", "d(conj(a)) = 2 ≠ d(a) = 1", ("a",))),
+    # equal rings without documents are told apart only by identity
+    "ring: same_as without documents": (
+        lambda: table_ring(["e"]).same_as(table_ring(["e"])),
+        False),
     "dimension: d is not positive": (
         lambda: verdict(check_dimension(table_ring(
             ["e", "g"], {("g", "g"): {"e": 1}}, dim={"e": 1, "g": -1}))),
@@ -238,6 +275,15 @@ CASES = {
             ("g", "g"): {"e": 1}, ("g", "x"): {"g": 1},
             ("x", "g"): {"g": 1}, ("x", "x"): {"e": 1}}), "g")),
         ("unknown", ("factorization does not cover x within depth 4",), None)),
+    "search: factorization collision": (
+        lambda: search(z2_in(SPLIT_WINDOW, "s"), depth=1),
+        ("unknown", ("factorization collision at c: classes a and b overlap",),
+         None)),
+    # over a lazy ring a module of unbounded rank stays undecided
+    "module: standardness over a lazy ring": (
+        lambda: verdict(is_standard(restrict(standard_module(su2_ring()),
+                                             so3_subring()))),
+        ("unknown", None, None)),
     "module: dimension not positive": (
         lambda: cli({"m.json": {"kind": "module", "ring": Z2_DOC,
                                 "basis": ["j"], "action": [["g", "j", {"j": 1}]],
@@ -259,6 +305,15 @@ CASES = {
         lambda: standardize(identity_embedding(z2()), ("e",),
                             {"g": ("e", "g")}),
         ("fails", "w(1_e⊙e) = e has no factorization entry", ("e", "e"))),
+    # the classes of A3 in S3 as a certificate of S3 in itself: the induced
+    # module is regular, but the three-point source is not, so the map read
+    # from the unit block cannot intertwine
+    "standardize: extracted map does not intertwine": (
+        lambda: standardize(identity_embedding(S3), ("e", "t"), {
+            "e": ("e", "e"), "r": ("e", "r"), "rr": ("e", "rr"),
+            "t": ("t", "e"), "rt": ("t", "r"), "tr": ("t", "rr")}, POINTS),
+        ("fails", "extracted map does not intertwine at (t, p0): r ≠ t",
+         ("t", "p0"))),
     "standardize: extracted map not injective": (
         lambda: standardize(identity_embedding(group_ring(cyclic_group(3))),
                             ("e",), {"e": ("e", "a"), "a": ("e", "a"),
@@ -272,6 +327,10 @@ CASES = {
                                  "ring": FREE_DOC}},
                     "divisible", "free.json", "--sub", "id.json", "--depth", "1"),
         ("holds", None, None, 1)),
+    "cli: census past its deadline": (
+        lambda: cli({"z2.json": Z2_DOC}, "enumerate", "z2.json", "--max-rank",
+                    "2", "--max-coeff", "1", "--max-seconds", "0"),
+        ("unknown", "budget exhausted; census incomplete", None, 2)),
 }
 
 

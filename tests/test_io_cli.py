@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 
 import pytest
 
@@ -274,7 +275,35 @@ def test_cache_never_changes_values(tmp_path, z4):
     assert cache.flush(z4) == 0  # append-only, no duplicates
 
 
+def test_cache_skips_rings_without_documents_and_blank_records(tmp_path, z4):
+    bare = group_ring(cyclic_group(2))
+    bare.doc = None  # no content hash, so no log
+    cache = ProductCache(str(tmp_path))
+    assert cache.load_into(bare) == 0
+    bare.product("a", "a")
+    assert cache.flush(bare) == 0
+    assert list(tmp_path.iterdir()) == []
+    path = tmp_path / (content_hash(z4.doc) + ".jsonl")
+    path.write_text('\n{"a": "a", "b": "a", "v": {"a2": 1}}\n\n', encoding="utf-8")
+    assert cache.load_into(z4) == 1
+
+
 # --- CLI -----------------------------------------------------------------------
+
+def test_cli_main_and_the_module_entry_point(files, monkeypatch, capsys):
+    from fusionkit import cli
+    assert cli.main(["product", files["su2"], "x1", "x1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x0 ⊕ x2"
+    # `python -m fusionkit.cli` runs main on sys.argv and exits with its code
+    monkeypatch.setattr("sys.argv", ["fusionkit", "product", files["su2"],
+                                     "x1", "zz"])
+    # runpy warns that it runs a second copy of the imported module
+    with pytest.raises(SystemExit) as info, \
+            pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        runpy.run_module("fusionkit.cli", run_name="__main__")
+    assert info.value.code == 4
+    assert "zz" in capsys.readouterr().err
+
 
 def run_cli(capsys, *argv):
     code = cli_dispatch(list(argv))

@@ -3,6 +3,8 @@ and in the constructors behind it, each reached by a minimal document.
 
 Each case runs the CLI on its documents and pins exit 4, an empty stdout
 and the exact `error:` line; `{top}` in a message is the document's path.
+The input errors that only a library call reaches are pinned by their
+exception type and message.
 """
 
 import contextlib
@@ -13,9 +15,30 @@ import tempfile
 
 import pytest
 
-from fusionkit import cyclic_group, s3_character_table
+from fusionkit import (
+    BasedModule,
+    BasedRing,
+    DivisibilityCertificate,
+    Element,
+    cyclic_group,
+    find_intertwiner,
+    group_from_permutations,
+    identity_embedding,
+    induce,
+    inversion_action,
+    restrict,
+    restrict_and_decompose,
+    s3_character_table,
+    semidirect_product,
+    standard_module,
+    su2_ring,
+)
+from fusionkit import group_ring as ring_of
+from fusionkit.census import CensusResult, EnumerationBudget
 from fusionkit.cli import cli_dispatch
-from fusionkit.serialize import LoadError, load
+from fusionkit.cyclotomic import cyclotomic_polynomial
+from fusionkit.elements import InvalidInputError, UnknownBasisError
+from fusionkit.serialize import LoadError, census_doc, load, object_doc
 
 EXPLICIT_Z2 = {"kind": "explicit_ring", "basis": ["e", "g"], "unit": "e",
                "conj": {"e": "e", "g": "g"}, "dim": {"e": 1, "g": 1},
@@ -98,6 +121,12 @@ CASES = {
         character_table([("1", 1)],
                         [("triv", [{"zeta": 2, "coeffs": {"x": 1}}])]),
         "rep_ring.character_table.triv: exponent 'x' is not an integer"),
+    "module: missing fields": (
+        {"kind": "module"},
+        "module: missing fields ['action', 'basis', 'ring']"),
+    "construct: unknown construction": (
+        {"kind": "construct", "construct": "e8"},
+        "construct: unknown construction 'e8'"),
     "construct: fields": (
         {"kind": "construct", "construct": "su2", "left": EXPLICIT_Z2},
         "construct su2: expected fields [], got ['left']"),
@@ -110,6 +139,12 @@ CASES = {
     "module: dim cover": (
         module([["g", "j", {"j": 1}]], dim={"k": 1}),
         "module: dim must cover exactly the module basis"),
+    "embedding: canonical form with the wrong ambient": (
+        {"kind": "embedding", "canonical": "direct_left", "ambient": {
+            "kind": "construct", "construct": "free_product", "left": Z3,
+            "right": Z4}},
+        "embedding direct_left needs a direct_product construct as its "
+        "ambient"),
     "embedding: unknown canonical form": (
         {"kind": "embedding", "canonical": "diagonal"},
         "embedding: unknown canonical form 'diagonal'"),
@@ -141,6 +176,32 @@ CASES = {
     "ring: duplicate basis labels": (
         dict(EXPLICIT_Z2, basis=["e", "g", "g"]),
         "ring explicit ring: duplicate basis labels"),
+    "ring: its name in the message": (
+        dict(EXPLICIT_Z2, basis=["e", "g", "g"], name="R"),
+        "ring R: duplicate basis labels"),
+    # a Clebsch-Gordan ring rejects a label outside it when the embedding
+    # is checked
+    "embedding: odd label of SO3": (
+        {"kind": "embedding", "sub": group_ring(Z2_GROUP),
+         "ambient": {"kind": "construct", "construct": "so3"},
+         "map": {"e": "x0", "g": "x1"}},
+        "odd label 'x1' is not in SO3"),
+    "embedding: unknown label of SU2": (
+        {"kind": "embedding", "sub": group_ring(Z2_GROUP),
+         "ambient": {"kind": "construct", "construct": "su2"},
+         "map": {"e": "x0", "g": "y"}},
+        "unknown basis label 'y' in SU2"),
+    "embedding: its name in the message": (
+        {"kind": "embedding", "name": "E", "sub": EXPLICIT_Z2,
+         "ambient": EXPLICIT_Z2, "map": {"e": "e"}},
+        "embedding E: map keys must be exactly the sub labels; missing "
+        "['g'], stray []"),
+    "module: its name in the message": (
+        module([["g", "j", {"k": 1}]], name="M"),
+        "module M: action (g, j) hits unknown label 'k'"),
+    "group: table not closed": (
+        group_ring({"elements": ["e"], "mult": [["e", "e", "z"]]}),
+        "group_ring.group: table not closed: (e, e) ↦ 'z'"),
     "group: elements not distinct": (
         group_ring({"elements": ["e", "e"], "mult": [["e", "e", "e"]]}),
         "group_ring.group: group elements must be distinct"),
@@ -268,3 +329,120 @@ def test_a_deep_chain_of_files_names_the_file_given(tmp_path):
         code = cli_dispatch(["validate", str(top)])
     assert (code, out.getvalue(), err.getvalue()) == (
         4, "", f"error: {top}: definition nests too deeply\n")
+
+
+# a Z2 module whose action is not symmetric: g ⊗ m0 = m1 but g ⊗ m1 = m1
+Z2_RING = ring_of(cyclic_group(2, generator="g"))
+LOPSIDED = BasedModule(ring=Z2_RING, basis=["m0", "m1"], name="lopsided",
+                       action={("g", "m0"): Element.basis("m1"),
+                               ("g", "m1"): Element.basis("m1")})
+Z3_RING = ring_of(cyclic_group(3))
+# the trivial ring, built without a document
+BARE = BasedRing(name="R", unit="e", conj=str, dim=lambda a: 1,
+                 product=lambda a, b: Element.basis("e"), basis=["e"])
+
+# name → (library call, exception type, message)
+LIBRARY_CASES = {
+    "cyclic group of order 0": (
+        lambda: cyclic_group(0),
+        InvalidInputError, "cyclic group order must be positive"),
+    "permutation generators: not a permutation": (
+        lambda: group_from_permutations({"r": (0, 0)}),
+        InvalidInputError, "generator r is not a permutation"),
+    "permutation generators: none": (
+        lambda: group_from_permutations({}),
+        InvalidInputError, "no generators given"),
+    "group: unknown product": (
+        lambda: cyclic_group(2).mul("e", "x"),
+        UnknownBasisError, "unknown group elements (e, x)"),
+    "group: unknown inverse": (
+        lambda: cyclic_group(2).inv("x"),
+        UnknownBasisError, "unknown group element 'x'"),
+    "inversion action of a 3-element group": (
+        lambda: inversion_action(cyclic_group(3), Z3_RING),
+        InvalidInputError, "inversion action expects a two-element group"),
+    "semidirect product: another group": (
+        lambda: semidirect_product(cyclic_group(2, generator="h"), Z3_RING,
+                                   inversion_action(cyclic_group(2), Z3_RING)),
+        InvalidInputError, "action group does not match the given group"),
+    "lazy ring without generators": (
+        lambda: BasedRing(name="R", unit="1", conj=str, dim=lambda a: 1,
+                          product=lambda a, b: Element.basis("1")),
+        InvalidInputError, "ring R: lazy ring needs generators"),
+    "lazy ring: its basis": (
+        lambda: su2_ring().basis,
+        InvalidInputError, "ring SU2 has an infinite basis"),
+    "lazy ring: negative depth": (
+        lambda: su2_ring().basis_up_to_depth(-1),
+        InvalidInputError, "depth must be non-negative"),
+    "cyclotomic order 0": (
+        lambda: cyclotomic_polynomial(0),
+        InvalidInputError, "cyclotomic order must be positive"),
+    "element: label not a string": (
+        lambda: Element({1: 1}),
+        InvalidInputError, "basis label 1 is not a string"),
+    "element: relabelled to a non-string": (
+        lambda: Element.basis("a").map_basis(lambda label: 1),
+        InvalidInputError, "basis label 1 is not a string"),
+    "module: duplicate basis labels": (
+        lambda: BasedModule(ring=Z2_RING, basis=["j", "j"], action={}),
+        InvalidInputError, "module module: duplicate basis labels"),
+    "module: infinite basis without a window": (
+        lambda: BasedModule(ring=su2_ring(), basis=None, action=str),
+        InvalidInputError, "module module: infinite basis needs a window "
+        "function"),
+    "module: action hits an unknown label": (
+        lambda: BasedModule(ring=Z2_RING, basis=["j"],
+                            action={("g", "j"): Element.basis("k")}),
+        InvalidInputError, "module module: action (g, j) hits unknown label "
+        "'k'"),
+    "module: its basis over a lazy ring": (
+        lambda: standard_module(su2_ring()).basis,
+        InvalidInputError, "module standard(SU2) has an infinite basis"),
+    "module: unknown label": (
+        lambda: LOPSIDED.action("g", "zz"),
+        UnknownBasisError, "unknown module label 'zz' in module lopsided"),
+    "intertwiner: different rings": (
+        lambda: find_intertwiner(standard_module(Z2_RING),
+                                 standard_module(Z3_RING)),
+        InvalidInputError, "modules live over different rings"),
+    "intertwiner: lazy modules": (
+        lambda: find_intertwiner(standard_module(su2_ring()),
+                                 standard_module(su2_ring())),
+        InvalidInputError, "intertwiner search needs finite module bases"),
+    "induce: lazy source": (
+        lambda: induce(standard_module(su2_ring()), DivisibilityCertificate(
+            embedding=identity_embedding(su2_ring()), classes=("x0",),
+            factorization={}, verified_depth=1)),
+        InvalidInputError, "induction needs a finite source basis"),
+    "restrict: not a based module": (
+        lambda: restrict(LOPSIDED, identity_embedding(Z2_RING)),
+        InvalidInputError, "restriction is not a based module: based symmetry "
+        "fails at (α=g, j=m0, j'=m1): m0 ⊂ g⊗m1 is False but m1 ⊂ conj(g)⊗m0 "
+        "is True"),
+    "decompose: lazy module": (
+        lambda: restrict_and_decompose(standard_module(su2_ring()),
+                                       identity_embedding(su2_ring())),
+        InvalidInputError, "decomposition needs a finite module basis"),
+    # object documents: nothing to serialize
+    "document: certificate over an embedding without one": (
+        lambda: object_doc(DivisibilityCertificate(
+            embedding=identity_embedding(BARE), classes=("e",),
+            factorization={"e": ("e", "e")}, verified_depth=1)),
+        LoadError, "certificate's embedding has no serializable form"),
+    "document: module without one": (
+        lambda: object_doc(LOPSIDED),
+        LoadError, "BasedModule has no serializable definition"),
+    "document: census of a ring without one": (
+        lambda: census_doc(CensusResult(ring=BARE, budget=EnumerationBudget(1, 1),
+                                        modules=[], complete=True)),
+        LoadError, "census ring has no serializable definition"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LIBRARY_CASES))
+def test_library_input_error(site):
+    call, kind, message = LIBRARY_CASES[site]
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)

@@ -676,3 +676,14 @@ def test_combine_claims_the_smallest_bound():
     assert Verdict.combine(Verdict.holds(bound=6), Verdict.holds(bound=4)).bound == 4
     assert Verdict.combine(Verdict.holds(), Verdict.holds(bound=6)).bound == 6
     assert Verdict.combine(Verdict.holds(), Verdict.holds()).bound is None
+
+
+def test_reprs_name_the_object(z2, su2, rank1_z2, z2_in_z4):
+    from fusionkit import so3_subring, standard_module
+    assert repr(cyclic_group(3)) == "FiniteGroupPresentation(order 3)"
+    assert repr(z2) == "BasedRing(Z[2-elt group], finite rank 2)"
+    assert repr(su2) == "BasedRing(SU2, lazy)"
+    assert repr(rank1_z2) == "BasedModule(rank1, rank 1 over Z[2-elt group])"
+    assert repr(standard_module(su2)) == "BasedModule(standard(SU2), lazy over SU2)"
+    assert repr(z2_in_z4) == "SubringEmbedding(Z[2-elt group] ↪ Z[4-elt group])"
+    assert repr(so3_subring()) == "SubringEmbedding(SO3 ↪ SU2)"
