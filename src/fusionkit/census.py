@@ -72,9 +72,9 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     must then be 1.  Every other label tries all (max_coeff + 1)^(rank²)
     tuples of the (max_coeff + 1)^rank columns.  Candidates of both kinds
     are generated at each node, one at a time, with the deadline checked
-    before each.  Each candidate builds its own columns and keeps none, so
-    a walk holds the same memory however long it runs; without a deadline
-    only its time is unbounded.
+    before each.  A walk holds only the ``rank`` columns of its current
+    candidate, building each as it comes, so it holds the same memory
+    however long it runs; without a deadline only its time is unbounded.
 
     Labels are assigned in basis order, each followed by its conjugate; the
     unit acts as the identity.  Each non-unit pair (a, b) is checked once,
@@ -128,13 +128,13 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
                     return False
         return True
 
-    def general() -> Iterator[Tuple[Element, ...]]:
-        # one digit per (column, label), the last fastest: the order of
-        # product(columns, repeat=rank) when the columns come in the order
-        # of product(range(max_coeff + 1), repeat=rank)
-        for coeffs in itertools.product(range(max_coeff + 1), repeat=rank * rank):
-            yield tuple(Element.from_sums(dict(zip(basis, coeffs[k:k + rank])))
-                        for k in range(0, rank * rank, rank))
+    def general(k: int = 0) -> Iterator[Tuple[Element, ...]]:
+        # the columns from position k on in product(columns, repeat=rank - k)
+        # order, each built once per tuple of the columns before it
+        for coeffs in itertools.product(range(max_coeff + 1), repeat=rank):
+            column = (Element.from_sums(dict(zip(basis, coeffs))),)
+            for rest in general(k + 1) if k + 1 < rank else [()]:
+                yield column + rest
 
     def walk(p: int) -> Iterator[Table]:
         if p == len(alphas):

@@ -3,8 +3,10 @@ tier-1 test, or is listed in ``tests/untraced.txt`` with its reason.
 
 Run from the repository root::
 
-    python tests/trace_gate.py            # tier-1 under the tracer
-    python tests/trace_gate.py -x         # extra arguments go to pytest
+    python tests/trace_gate.py
+
+It takes no arguments: a narrower run would leave unrun the lines that
+the tests it leaves out reach.
 
 The script runs tier-1 in this process under ``sys.settrace`` and records
 the lines of ``src/fusionkit`` that run. The tracer is installed before
@@ -17,15 +19,18 @@ every CLI command also runs in-process.
 Executable lines are the line numbers of each compiled code object
 (``co_lines``), less the bodies of ``if TYPE_CHECKING:``. The gate exits 1
 when tier-1 fails, when an executable line runs in no test and is not
-listed, or when a listed entry names no unrun line (it is stale).
+listed, when a listed entry names no unrun line (it is stale) or more
+than one.
 
 The gate reports each statement with an unrun line once, at its first
 unrun line.  Each entry of ``tests/untraced.txt`` is one line::
 
     file.py | Qualified.function | that line's text, stripped | reason
 
-It matches the unrun statements of that file and function with that text,
-so an entry survives edits that only move the line.
+It matches the one unrun statement of that file and function with that
+text, so an entry survives edits that only move the line; an entry that
+matches two unrun statements fails the gate, so a second such statement
+cannot hide behind it.
 """
 
 import ast
@@ -99,7 +104,7 @@ def read_allowlist():
     return entries
 
 
-def main(pytest_args):
+def main():
     seen = {}  # absolute path of a package file → the lines that ran
 
     def local_for(path):
@@ -133,13 +138,13 @@ def main(pytest_args):
     # a fixed hypothesis seed draws the same examples, and so runs the same
     # lines, on every run
     status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", ROOT,
-                          "--hypothesis-seed=0", os.path.join(ROOT, "tests")]
-                         + pytest_args, plugins=[Reinstall()])
+                          "--hypothesis-seed=0", os.path.join(ROOT, "tests")],
+                         plugins=[Reinstall()])
     sys.settrace(None)
     threading.settrace(None)
 
     entries = read_allowlist()
-    used = set()
+    matches = [0] * len(entries)
     unlisted = []
     total = unrun_total = 0
     for name in sorted(os.listdir(PACKAGE)):
@@ -158,26 +163,31 @@ def main(pytest_args):
             code = text[line - 1].strip()
             hits = [k for k, (f, q, t, _) in enumerate(entries)
                     if (f, q, t) == (name, qualname, code)]
-            if hits:
-                used.update(hits)
-            else:
+            for k in hits:
+                matches[k] += 1
+            if not hits:
                 unlisted.append(f"{name}:{line} {qualname}: {code}")
 
     print(f"\ntrace gate: {total} executable lines, {unrun_total} unrun "
           f"statements, {len(entries)} allowlist entries")
     stale = [f"{f} | {q} | {t}" for k, (f, q, t, _) in enumerate(entries)
-             if k not in used]
+             if matches[k] == 0]
+    shared = [f"{f} | {q} | {t}" for k, (f, q, t, _) in enumerate(entries)
+              if matches[k] > 1]
     for line in unlisted:
         print(f"unrun and not listed: {line}")
     for entry in stale:
         print(f"stale allowlist entry (runs, or no such line): {entry}")
+    for entry in shared:
+        print(f"allowlist entry matches more than one unrun statement: {entry}")
     if len(entries) > MAX_ENTRIES:
         print(f"allowlist has {len(entries)} entries, more than {MAX_ENTRIES}")
     if status != 0:
         print(f"tier-1 failed under the tracer (pytest exit {int(status)})")
-    bad = status != 0 or unlisted or stale or len(entries) > MAX_ENTRIES
+    bad = (status != 0 or unlisted or stale or shared
+           or len(entries) > MAX_ENTRIES)
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
