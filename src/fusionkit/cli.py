@@ -133,8 +133,9 @@ class _Session:
     def load(self, path: str, role: str, expect: Optional[str] = None) -> Any:
         from .serialize import content_hash, load_parsed, read_doc
         doc = read_doc(path)
-        self.inputs[role] = {"path": path, "hash": content_hash(doc)}
-        obj = load_parsed(path, doc, self.depth, expect)
+        digest = content_hash(doc)
+        self.inputs[role] = {"path": path, "hash": digest}
+        obj = load_parsed(path, doc, self.depth, expect, digest)
         for ring in _rings_of(obj):
             if all(ring is not known for known in self.rings):
                 self.rings.append(ring)

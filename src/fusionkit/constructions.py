@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import re
-import threading
 from fractions import Fraction
 from math import lcm
-from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping,
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
-from .rings import BasedRing, associative_by_generators
+from .rings import BasedRing, Labels, associative_by_generators
 
 if TYPE_CHECKING:
     from .cyclotomic import Cyclo
@@ -421,51 +420,13 @@ def so3_subring(ambient: Optional[BasedRing] = None) -> SubringEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# products: one label registry, one letters rule, one embedding builder
+# products: one letters rule, one embedding builder; labels register on
+# the ring's id registry, ``rings.Labels``
 
 class RingWithFactorEmbeddings(NamedTuple):
     ring: BasedRing
     left: SubringEmbedding
     right: SubringEmbedding
-
-
-class _Labels:
-    """The labels of a product ring and the keys they stand for: a pair of
-    factor labels, or a word of ``(side, letter)`` pairs.
-
-    ``make`` renders a key and registers it on first use; ``decode``
-    inverts it.  Registration takes the registry's own lock, and only on a
-    miss, so products computed concurrently on one ring register the same
-    labels as a serial run.
-    """
-
-    def __init__(self, name: str, render: Callable[[Hashable], str]):
-        self.name = name
-        self._render = render
-        self._label_of: Dict[Hashable, str] = {}
-        self._key_of: Dict[str, Hashable] = {}
-        self._lock = threading.Lock()
-
-    def make(self, key: Hashable) -> str:
-        label = self._label_of.get(key)
-        if label is None:
-            with self._lock:
-                label = self._render(key)
-                known = self._key_of.setdefault(label, key)
-                if known != key:
-                    raise InvalidInputError(
-                        f"ambiguous label {label!r} in {self.name}: it stands "
-                        f"for both {known!r} and {key!r}; relabel a factor")
-                # the key is decodable before its label is handed out
-                self._label_of[key] = label
-        return label
-
-    def decode(self, label: str) -> Hashable:
-        try:
-            return self._key_of[label]
-        except KeyError:
-            raise UnknownBasisError(
-                f"unknown basis label {label!r} in {self.name}") from None
 
 
 def _letters(ring: BasedRing) -> List[str]:
@@ -508,7 +469,7 @@ def _pair_label(pair: Tuple[str, str]) -> str:
 def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
     """Componentwise fusion on pairs, with both factor embeddings."""
     name = f"{r1.name} × {r2.name}"
-    labels = _Labels(name, _pair_label)
+    labels = Labels(name, _pair_label)
     make, decode = labels.make, labels.decode
 
     def product(la: str, lb: str) -> Element:
@@ -532,7 +493,8 @@ def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
         basis_kw = {"generators": [make((g, r2.unit)) for g in _letters(r1)]
                     + [make((r1.unit, g)) for g in _letters(r2)]}
     ring = BasedRing(name=name, unit=unit, conj=conj, product=product, dim=dim,
-                     doc=_two_factor_doc("direct_product", r1, r2), **basis_kw)
+                     doc=_two_factor_doc("direct_product", r1, r2),
+                     labels=labels, **basis_kw)
     return RingWithFactorEmbeddings(
         ring,
         _factor_embedding(ring, r1, lambda a: make((a, r2.unit)),
@@ -544,10 +506,6 @@ def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
 _FREE_UNIT = "ε"
 
 
-def _word_label(word: Tuple[Tuple[int, str], ...]) -> str:
-    return "".join(letter for _, letter in word) or _FREE_UNIT
-
-
 def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
     """Alternating words over the factors' non-trivial basis labels.
 
@@ -556,68 +514,82 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
     constituent, and when they are conjugate the unit constituent leaves
     the shortened words to multiply in turn.
 
-    Every letter is registered as its one-letter word before it is used,
-    so a letter label that both factors use is rejected as ambiguous.
+    A word is a tuple of letter ids, 2·i + side for the letter with id i in
+    its factor, and the key of its label, rendered when the word is first
+    registered.  Every letter is registered as its one-letter word before
+    it is used, so a letter label that both factors use is rejected as
+    ambiguous.
     """
     name = f"{r1.name} ∗ {r2.name}"
     factors = (r1, r2)
-    labels = _Labels(name, _word_label)
-    make, decode = labels.make, labels.decode
 
-    steps: dict = {}  # (side, x, x′) → (non-unit terms of x ⊗ x′, x′ = conj(x))
+    text: dict = {}  # letter id → its factor label
 
-    def product(la: str, lb: str) -> Element:
-        u, v = decode(la), decode(lb)
-        sums: dict = {}
-        # each contraction strips a letter from both words, so the loop ends
-        while u and v and u[-1][0] == v[0][0]:
-            key = (*u[-1], v[0][1])
-            step = steps.get(key)
-            if step is None:
-                side, x, xp = key
-                factor = factors[side]
-                steps[key] = step = (
-                    tuple((((side, t),), coeff)
-                          for t, coeff in factor.product(x, xp).items()
-                          if t != factor.unit), factor.conj(x) == xp)
-            terms, cancels = step
-            head, tail = u[:-1], v[1:]
+    def letter(side: int, x: str) -> int:
+        k = 2 * factors[side]._ids.id(x) + side
+        text[k] = x
+        return k
+
+    labels = Labels(name, lambda word: "".join(map(text.__getitem__, word)) or _FREE_UNIT,
+                    show=lambda word: tuple((k & 1, text[k]) for k in word))
+    make, intern, keys = labels.make, labels.intern, labels.keys
+    steps: dict = {}  # (x, x′) → (non-unit terms of x ⊗ x′, x′ = conj(x))
+
+    def step(x: int, y: int) -> tuple:
+        factor = factors[x & 1]
+        steps[(x, y)] = out = (
+            tuple(((letter(x & 1, t),), coeff)
+                  for t, coeff in factor.product(text[x], text[y]).items()
+                  if t != factor.unit), factor.conj(text[x]) == text[y])
+        return out
+
+    def id_product(a: int, b: int) -> Any:
+        u, v = keys[a], keys[b]
+        if not (u and v) or (u[-1] ^ v[0]) & 1:  # no letters to contract
+            return intern(u + v)
+        i, j, sums = len(u), 0, {}
+        # u[:i] and v[j:] are left once each contraction strips a letter
+        # from both words, so the loop ends
+        while i and j < len(v) and not (u[i - 1] ^ v[j]) & 1:
+            terms, cancels = steps.get((u[i - 1], v[j])) or step(u[i - 1], v[j])
             for word, coeff in terms:
-                make(word)
-                label = make(head + word + tail)
-                sums[label] = sums.get(label, 0) + coeff
+                intern(word)
+                k = intern(u[:i - 1] + word + v[j + 1:])
+                sums[k] = sums.get(k, 0) + coeff
             if not cancels:
                 break
-            u, v = head, tail
+            i, j = i - 1, j + 1
         else:
-            label = make(u + v)
-            sums[label] = sums.get(label, 0) + 1
-        return Element.from_sums(sums)
+            k = intern(u[:i] + v[j:])
+            if not sums:
+                return k
+            sums[k] = sums.get(k, 0) + 1
+        return k if len(sums) == 1 and sums[k] == 1 else labels.row(sums)
 
     def conj(la: str) -> str:
-        flipped = tuple((side, factors[side].conj(x))
-                        for side, x in reversed(decode(la)))
-        for pair in flipped:
-            make((pair,))
+        flipped = tuple(letter(k & 1, factors[k & 1].conj(text[k]))
+                        for k in reversed(labels.decode(la)))
+        for k in flipped:
+            intern((k,))
         return make(flipped)
 
     def dim(la: str) -> Fraction:
         out = Fraction(1)
-        for side, x in decode(la):
-            out *= factors[side].dim(x)
+        for k in labels.decode(la):
+            out *= factors[k & 1].dim(text[k])
         return out
 
     unit = make(())
-    generators = [make(((side, x),))
+    generators = [make((letter(side, x),))
                   for side, factor in enumerate(factors)
                   for x in _letters(factor)]
-    ring = BasedRing(name=name, unit=unit, conj=conj, product=product,
-                     dim=dim, generators=generators,
-                     doc=_two_factor_doc("free_product", r1, r2))
+    ring = BasedRing(name=name, unit=unit, conj=conj, product=None,
+                     id_product=id_product, dim=dim, generators=generators,
+                     labels=labels, doc=_two_factor_doc("free_product", r1, r2))
 
     def embed_side(side: int) -> Callable[[str], str]:
         unit_of = factors[side].unit
-        return lambda s: unit if s == unit_of else make(((side, s),))
+        return lambda s: unit if s == unit_of else make((letter(side, s),))
 
     return RingWithFactorEmbeddings(
         ring,
@@ -711,7 +683,7 @@ def semidirect_product(gamma: FiniteGroupPresentation, target: BasedRing,
     if act.group is not gamma and act.group.elements != gamma.elements:
         raise InvalidInputError("action group does not match the given group")
     name = f"{len(gamma.elements)}-group ⋉ {target.name}"
-    labels = _Labels(name, _pair_label)
+    labels = Labels(name, _pair_label)
     make, decode = labels.make, labels.decode
     basis = [make((g, x)) for g in gamma.elements for x in target.basis]
 
@@ -738,7 +710,8 @@ def semidirect_product(gamma: FiniteGroupPresentation, target: BasedRing,
                "group": gamma.to_doc(), "target": target.doc,
                "action": act.to_doc()}
     ring = BasedRing(name=name, unit=make((gamma.identity, target.unit)),
-                     conj=conj, product=product, dim=dim, basis=basis, doc=doc)
+                     conj=conj, product=product, dim=dim, basis=basis, doc=doc,
+                     labels=labels)
     return SemidirectProductRing(
         ring,
         _factor_embedding(ring, group_ring(gamma),

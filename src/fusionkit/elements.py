@@ -193,6 +193,12 @@ def bilinear(rule: Callable[[str, str], Element], a: Element,
     return Element.from_sums(sums)
 
 
+def checked_sums(sums: Mapping) -> dict:
+    """``sums`` without its zeros, each coefficient range-checked as
+    :meth:`Element.from_sums` does; the keys may be labels or ids."""
+    return Element.from_sums(sums)._terms
+
+
 def require_nonnegative(e: Element, context: str = "", *args: str) -> Element:
     """Fusion and action data must have non-negative structure constants.
     ``context`` is a format string, filled with ``args`` only on a failure."""

@@ -7,9 +7,9 @@ j ⊂ α ⊗ j'  ⇔  j' ⊂ conj(α) ⊗ j.  Torsion means co-finite and connec
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .elements import (
     Element,
@@ -18,8 +18,9 @@ from .elements import (
     bilinear,
     require_nonnegative,
 )
-from .rings import (DEFAULT_DEPTH, BasedRing, Verdict, associative_by_generators,
-                    checked_window, exhaustive, first_nonassociative)
+from .rings import (DEFAULT_DEPTH, BasedRing, Labels, Verdict,
+                    associative_by_generators, checked_window, exhaustive,
+                    first_nonassociative)
 
 ActionLike = Union[Mapping[Tuple[str, str], Element], Callable[[str, str], Element]]
 
@@ -56,7 +57,10 @@ class BasedModule:
             self._basis = None
             self._basis_set = None
         self._window_fn = window_fn
-        self._cache: Dict[Tuple[str, str], Element] = {}
+        self._ids = Labels(name)
+        for j in self._basis or ():
+            self._ids.id(j)
+        self._rows: defaultdict = defaultdict(dict)  # ring id α → {j: row of α ⊗ j}
         if callable(action):
             self._action_fn = action
         else:
@@ -122,18 +126,32 @@ class BasedModule:
 
     def action(self, alpha: str, j: str) -> Element:
         """Decomposition of α ⊗ j over the module basis."""
+        self._reject_unknown(j)
+        if alpha == self.ring.unit:
+            return Element.basis(j)
+        try:
+            row = self._rows[self.ring._ids.ids[alpha]][self._ids.ids[j]]
+        except KeyError:
+            row = self._fill(self.ring._ids.id(alpha), self._ids.id(j))
+        single = self._ids._singles.get(row)
+        return self._ids.element(row) if single is None else single
+
+    def _reject_unknown(self, j: str) -> None:
         if self._basis is not None and j not in self._basis_set:
             raise UnknownBasisError(
                 f"unknown module label {j!r} in module {self.name}")
+
+    def _fill(self, a: int, i: int) -> Any:
+        """Compute, check and store the row of α ⊗ j, by ring and module id."""
+        alpha, j = self.ring._ids.labels[a], self._ids.labels[i]
+        self._reject_unknown(j)
         if alpha == self.ring.unit:
-            return Element.basis(j)
-        key = (alpha, j)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = require_nonnegative(self._action_fn(alpha, j),
-                                      "{} ⊗ {}", alpha, j)
-            self._cache[key] = hit
-        return hit
+            row = i
+        else:
+            row = self._ids.row(require_nonnegative(self._action_fn(alpha, j),
+                                                    "{} ⊗ {}", alpha, j))
+        self._rows[a][i] = row
+        return row
 
     def __repr__(self) -> str:
         size = f"rank {len(self._basis)}" if self._basis is not None else "lazy"
@@ -194,8 +212,7 @@ def check_module_axioms(m: BasedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
                             data=(alpha, j, jp))
     if finite and _associative_by_generators(m):
         return Verdict.holds()
-    failure = first_nonassociative(m.action, ring.product,
-                                   ring_window, ring_window, window)
+    failure = first_nonassociative(m, ring, ring_window, ring_window, window)
     if failure is not None:
         alpha, beta, j, nested, flat = failure
         return Verdict.fails(
@@ -276,8 +293,7 @@ def _associative_by_generators(m: BasedModule) -> bool:
     if labels is None:
         return False
     try:
-        return first_nonassociative(m.action, ring.product, labels,
-                                    ring.basis, m.basis) is None
+        return first_nonassociative(m, ring, labels, ring.basis, m.basis) is None
     except (ValueError, ArithmeticError):
         return False
 

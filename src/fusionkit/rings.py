@@ -9,16 +9,19 @@ closing a generator set under products, depth by depth.
 
 Concurrency: extending a lazy basis window is serialized by a per-ring lock,
 so concurrent ``basis_up_to_depth`` calls on one ring see the same levels as
-a serial run.  The product, conjugation and dimension memos, and the one
-shared Element per single-label product, are fill-on-read dicts; a
-duplicate fill computes the same value.  A product ring registers each new
-label under its label registry's own lock.
+a serial run.  The product rows, the conjugation and dimension memos, and
+the one shared Element per single-label product, are fill-on-read dicts; a
+duplicate fill computes the same value.  Label ids are assigned on the
+ring's label registry (:class:`Labels`), under its own lock, in the order
+labels are first met; threads running the same check meet them in the
+serial order, so they assign the serial ids.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from collections import defaultdict
 from fractions import Fraction
 from typing import (Any, Callable, Iterable, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -28,6 +31,7 @@ from .elements import (
     InvalidInputError,
     UnknownBasisError,
     bilinear,
+    checked_sums,
     require_nonnegative,
 )
 
@@ -120,30 +124,118 @@ def _plain(value: Any) -> Any:
     return value
 
 
+class Labels:
+    """Dense int ids for the labels of a ring or module, in order of first
+    registration, and the one shared Element of each single label.
+
+    A product ring renders each label from a key (a pair of factor labels,
+    or a word of letter ids) and resolves only labels already registered;
+    anywhere else a label is its own key and is registered when first met.
+    Registration takes the registry's own lock, on a miss only, and hands
+    an id out only once the id decodes and its label resolves.
+    """
+
+    def __init__(self, name: str, render: Optional[Callable] = None,
+                 show: Callable = lambda key: key):
+        self.name, self._render, self._show = name, render, show
+        self.labels: list = []  # id → label
+        self.keys: list = []  # id → key
+        self.ids: dict = {}  # label → id
+        self._key_ids: dict = {}
+        self._singles: dict = {}
+        self._lock = threading.Lock()
+
+    def intern(self, key: Any) -> int:
+        i = self._key_ids.get(key)
+        if i is None:
+            with self._lock:
+                i = self._key_ids.get(key)
+                if i is None:
+                    label = key if self._render is None else self._render(key)
+                    if label in self.ids:
+                        raise InvalidInputError(
+                            f"ambiguous label {label!r} in {self.name}: it stands for "
+                            f"both {self._show(self.keys[self.ids[label]])!r} and "
+                            f"{self._show(key)!r}; relabel a factor")
+                    i = len(self.labels)
+                    self.labels.append(label)
+                    self.keys.append(key)
+                    self.ids[label] = i
+                    self._key_ids[key] = i  # handed out from here on
+        return i
+
+    def make(self, key: Any) -> str:
+        return self.labels[self.intern(key)]
+
+    def id(self, label: str) -> int:
+        i = self.ids.get(label)
+        if i is None and self._render is not None:
+            raise UnknownBasisError(f"unknown basis label {label!r} in {self.name}")
+        return self.intern(label) if i is None else i
+
+    def decode(self, label: str) -> Any:
+        return self.keys[self.id(label)]
+
+    def row(self, value: Any) -> Any:
+        """An Element, or a dict of coefficients by id, as a row: the id
+        itself when it is one label with coefficient 1, else its (id, coeff)
+        terms in label order, each coefficient range-checked."""
+        if isinstance(value, Element):
+            single = value.single_label()
+            if single is not None:  # this Element is the one shared from here on
+                i = self.id(single)
+                self._singles.setdefault(i, value)
+                return i
+            value = {self.id(x): c for x, c in value.items()}
+        value = _single(checked_sums(value))
+        return value if type(value) is int else tuple(
+            sorted(value.items(), key=lambda t: self.labels[t[0]]))
+
+    def element(self, row: Any) -> Element:
+        """A row, or a dict of coefficients by id, as an Element."""
+        if type(row) is int:
+            single = self._singles.get(row)
+            return single or self._singles.setdefault(row, Element.basis(self.labels[row]))
+        terms = row.items() if type(row) is dict else row
+        return Element.from_sums({self.labels[i]: c for i, c in terms})
+
+
+def _single(sums: dict) -> Any:
+    """The id of a one-label, coefficient-1 sum, else the sum."""
+    return next(iter(sums)) if len(sums) == 1 and 1 in sums.values() else sums
+
+
+_UNTRIED = object()  # no generator proof has run on the ring yet
+_NO_ROW: dict = {}  # read, never written
+
+
 class BasedRing:
     """Exact based/fusion ring with a finite or lazily generated basis.
 
     The product, involution and dimension are supplied as callables over
     labels and memoized on first read; nothing is stored for a call that
-    raised.  Equal products that are one label with coefficient 1 share one
-    Element.  A finite ring rejects a label outside its basis itself, so its
-    callables see only basis labels.  For lazy rings
-    ``generators`` seeds the depth-by-depth basis enumeration: depth k holds
-    every label appearing in a product of at most k generators, ordered by
-    (depth of first appearance, label).
+    raised.  Products are kept once, as id rows (see
+    :func:`first_nonassociative`), which ``id_product`` may compute in
+    place of ``product``.  A finite ring numbers its basis once and rejects
+    a label outside it itself, so its callables see only basis labels.  For
+    lazy rings ``generators`` seeds the depth-by-depth basis enumeration:
+    depth k holds every label appearing in a product of at most k
+    generators, ordered by (depth of first appearance, label).
     """
 
     def __init__(self, *, name: str, unit: str,
                  conj: Callable[[str], str],
-                 product: Callable[[str, str], Element],
+                 product: Optional[Callable[[str, str], Element]],
                  dim: Callable[[str], Fraction],
                  basis: Optional[Sequence[str]] = None,
                  generators: Optional[Sequence[str]] = None,
-                 doc: Optional[dict] = None):
+                 doc: Optional[dict] = None, labels: Optional[Labels] = None,
+                 id_product: Optional[Callable[[int, int], Any]] = None):
         self.name = name
         self.unit = unit
         self._conj_fn = conj
         self._product_fn = product
+        self._id_product = id_product
         self._dim_fn = dim
         self.doc = doc
         if basis is not None:
@@ -159,8 +251,11 @@ class BasedRing:
                 raise InvalidInputError(f"ring {name}: lazy ring needs generators")
             self._basis = self._labels = None
             self.generators = tuple(generators)
-        self._cache: dict = {}
-        self._singles: dict = {}  # label → the shared Element 1·label
+        self._ids = labels if labels is not None else Labels(name)
+        for label in (*(self._basis or ()), unit, *self.generators):
+            self._ids.id(label)
+        self._rows: defaultdict = defaultdict(dict)  # a → {b: row of a ⊗ b}
+        self._proof: Any = _UNTRIED
         self._conjs: dict = {}
         self._dims: dict = {}
         self._levels: list = [[unit]]
@@ -203,17 +298,46 @@ class BasedRing:
 
     def product(self, a: str, b: str) -> Element:
         """Decomposition of a ⊗ b into basis labels with multiplicities."""
-        key = (a, b)
-        hit = self._cache.get(key)
-        if hit is None:
+        ids = self._ids
+        row = self._rows.get(ids.ids.get(a), _NO_ROW).get(ids.ids.get(b))
+        if row is None:
             if self._labels is not None:
                 self._reject_unknown(a, b)
-            hit = self._product_fn(a, b)
-            label = hit.single_label()
-            hit = (require_nonnegative(hit, "{} ⊗ {}", a, b) if label is None
-                   else self._singles.setdefault(label, hit))
-            self._cache[key] = hit
-        return hit
+            row = self._at(ids.id(a), ids.id(b))
+        single = ids._singles.get(row)
+        return ids.element(row) if single is None else single
+
+    def _at(self, a: int, b: int) -> Any:
+        row = self._rows[a].get(b)
+        return self._fill(a, b) if row is None else row
+
+    def _fill(self, a: int, b: int) -> Any:
+        """Compute, check and store the row of a ⊗ b."""
+        if self._id_product is not None:
+            row = self._id_product(a, b)
+        else:
+            la, lb = self._ids.labels[a], self._ids.labels[b]
+            if self._labels is not None:
+                self._reject_unknown(la, lb)
+            row = self._ids.row(require_nonnegative(self._product_fn(la, lb),
+                                                    "{} ⊗ {}", la, lb))
+        self._rows[a][b] = row
+        return row
+
+    def remember(self, a: str, b: str, value: Element) -> None:
+        """Keep a ⊗ b = ``value``, read back from a log of this ring's
+        products, unless it is known or names a label the ring cannot
+        resolve."""
+        try:
+            rows, b = self._rows[self._ids.id(a)], self._ids.id(b)
+            if b not in rows:
+                rows[b] = self._ids.row(value)
+        except UnknownBasisError:
+            pass
+
+    def stored_pairs(self) -> list:
+        labels = self._ids.labels
+        return [(labels[a], labels[b]) for a, row in self._rows.items() for b in row]
 
     def basis_up_to_depth(self, depth: int) -> list:
         """Basis window: full basis for finite rings, product closure otherwise."""
@@ -318,7 +442,7 @@ def check_ring_axioms(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
     if exhaustive(ring) and associative_by_generators(ring) is not None:
         return Verdict.holds()
     # the ordered sweep decides lazy windows and names the first failing triple
-    failure = first_nonassociative(ring.product, ring.product, window, window, window)
+    failure = first_nonassociative(ring, ring, window, window, window)
     if failure is not None:
         a, b, c, right, left = failure
         return Verdict.fails(
@@ -328,42 +452,64 @@ def check_ring_axioms(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
     return Verdict.holds_within(depth, ring)
 
 
-def first_nonassociative(action: Callable[[str, str], Element],
-                         product: Callable[[str, str], Element], alphas: Sequence[str],
+def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
                          betas: Sequence[str], js: Sequence[str]) -> Optional[tuple]:
     """The first (α, β, j), in loop order, with α⊗(β⊗j) ≠ (α⊗β)⊗j, as
-    (α, β, j, α⊗(β⊗j), (α⊗β)⊗j), else None.  ``action`` decomposes x ⊗ j
-    and ``product`` α ⊗ β, once per pair: a ring's own product as both is
-    ring associativity, a module's action module associativity.
+    (α, β, j, α⊗(β⊗j), (α⊗β)⊗j), else None.  ``table`` is ``ring`` itself,
+    for ring associativity, or a module over it, for module associativity:
+    x ⊗ j is read from its rows and α ⊗ β from the ring's.
 
+    The sweep runs on ids.  ``rows[x][j]`` holds x ⊗ j once: the id of its
+    label when it is one label with coefficient 1, else its (id, coeff)
+    terms in label order; ``_fill`` computes, checks and stores a miss.
     Per triple, (α⊗β)⊗j comes first, then β⊗j, then α⊗(β⊗j), so the first
-    call to raise is fixed; β⊗j is asked during the first α only, and kept.
-    A row that is one label with coefficient 1 is used directly,
-    (α⊗β)⊗j = action(l, j) for α⊗β = l and α⊗(β⊗j) = action(α, m) for
-    β⊗j = m: the bilinear sum of one term with coefficient 1 is that term's
-    Element, which a ring shares, so the sides are compared by identity
-    first.  Every other row takes the bilinear sum."""
-    singles = [(j, Element.basis(j)) for j in js]
-    rows: dict = {}  # β → [(β⊗j, its single label)] in the order of js
-    for alpha in alphas:
-        alpha_single = Element.basis(alpha)
-        for beta in betas:
-            ab = product(alpha, beta)
-            ab_label = ab.single_label()
-            fill = beta not in rows
-            row = rows.setdefault(beta, [])
-            for k, (j, j_single) in enumerate(singles):
-                flat = (bilinear(action, ab, j_single) if ab_label is None
-                        else action(ab_label, j))
-                if fill:
-                    bj = action(beta, j)
-                    row.append((bj, bj.single_label()))
-                bj, bj_label = row[k]
-                nested = (bilinear(action, alpha_single, bj) if bj_label is None
-                          else action(alpha, bj_label))
-                if nested is not flat and nested != flat:
-                    return alpha, beta, j, nested, flat
+    fill to raise is fixed; β⊗j is read during the first α only, and kept.
+    A one-label row is used directly, (α⊗β)⊗j = l⊗j for α⊗β = l and
+    α⊗(β⊗j) = α⊗m for β⊗j = m, so both sides are ids compared as ints; any
+    other row is summed term by term, each final coefficient range-checked.
+    """
+    xs, ys = [ring._ids.id(x) for x in alphas], [ring._ids.id(y) for y in betas]
+    ks = [table._ids.id(j) for j in js]
+    act, fill, prod = table._rows, table._fill, ring._rows
+    by_beta: dict = {}  # β → [β⊗j for j in js]
+    for a in xs:
+        ra, pa = act[a], prod[a]
+        for b in ys:
+            ab = pa[b] if b in pa else ring._fill(a, b)
+            rab = None if type(ab) is tuple else act[ab]
+            first = b not in by_beta
+            bjs = by_beta.setdefault(b, [])
+            for k, j in enumerate(ks):
+                if rab is None:
+                    flat = _sum(act, fill, [(x, j, c) for x, c in ab])
+                else:
+                    flat = rab[j] if j in rab else fill(ab, j)
+                if first:
+                    bjs.append(act[b][j] if j in act[b] else fill(b, j))
+                bj = bjs[k]
+                if type(bj) is tuple:
+                    nested = _sum(act, fill, [(a, y, c) for y, c in bj])
+                else:
+                    nested = ra[bj] if bj in ra else fill(a, bj)
+                if nested != flat and _terms(nested) != _terms(flat):
+                    out = table._ids
+                    return (ring._ids.labels[a], ring._ids.labels[b], out.labels[j],
+                            out.element(nested), out.element(flat))
     return None
+
+
+def _sum(rows: dict, fill: Callable[[int, int], Any], terms: list) -> Any:
+    """Σ c·(x ⊗ y) over ``terms`` (x, y, c), in order, as an id or {id: coeff}."""
+    sums: dict = {}
+    for x, y, c in terms:
+        row = rows[x][y] if y in rows[x] else fill(x, y)
+        for z, d in (row if type(row) is tuple else ((row, 1),)):
+            sums[z] = sums.get(z, 0) + c * d
+    return _single(checked_sums(sums))
+
+
+def _terms(row: Any) -> dict:
+    return {row: 1} if type(row) is int else dict(row)
 
 
 def generating_labels(ring: BasedRing) -> list:
@@ -419,26 +565,30 @@ def generating_labels(ring: BasedRing) -> list:
 
 def associative_by_generators(ring: BasedRing) -> Optional[list]:
     """The generating labels of a finite ring when their |S|·n² triples
-    prove it associative, else None.
+    prove it associative, else None; run once per ring and kept.
 
     None also when a product leaves the basis or the unit is not neutral,
     the two facts the proof in :func:`generating_labels` rests on, or when
     an input error or overflow is met on the way; the caller's ordered
-    sweep then decides, or raises, exactly as it would alone.  Records
-    nothing on the ring.
+    sweep then decides, or raises, exactly as it would alone.
     """
-    basis, unit = ring.basis, ring.unit
-    single = {x: Element.basis(x) for x in basis}
+    if ring._proof is _UNTRIED:
+        ring._proof = _generator_proof(ring)
+    return ring._proof
+
+
+def _generator_proof(ring: BasedRing) -> Optional[list]:
+    basis = [ring._ids.id(x) for x in ring.basis]
+    inside, unit = set(basis), ring._ids.id(ring.unit)
     try:
         for a in basis:
-            if ring.product(unit, a) != single[a] or ring.product(a, unit) != single[a]:
+            if ring._at(unit, a) != a or ring._at(a, unit) != a:
                 return None
             for b in basis:
-                if not ring._labels.issuperset(ring.product(a, b).support):
+                if not inside.issuperset(_terms(ring._at(a, b))):
                     return None
         labels = generating_labels(ring)
-        if first_nonassociative(ring.product, ring.product,
-                                basis, labels, basis) is not None:
+        if first_nonassociative(ring, ring, ring.basis, labels, ring.basis):
             return None
     except (ValueError, ArithmeticError):
         return None

@@ -473,21 +473,29 @@ def loaded_verdict(obj: Any) -> Verdict:
                 if known is obj)
 
 
-def _doc_key(doc: dict) -> str:
+def _doc_key(doc: dict, digest: Optional[str] = None) -> str:
     """The active session's key for a definition document: the sha256 of
     its canonical JSON with each inline definition in it (a dict with a
     ``kind``, at any depth of dicts) replaced by ``{"kind": <its key>}``;
     every dict with a ``kind`` is replaced, so no literal reads as a key.
     Keys are built bottom up and kept with their document, whose id stays
     its own while it is kept, so a definition is serialized once however
-    deep it is nested."""
+    deep it is nested.  ``digest``, the document's own sha256 when the
+    caller has it, is the key of a document with no inline definition."""
     keys = _SESSION.get()[1]
     if id(doc) not in keys:
         def shell(value: dict) -> dict:
             return {k: ({"kind": _doc_key(v)} if "kind" in v else shell(v))
                     if isinstance(v, dict) else v for k, v in value.items()}
-        keys[id(doc)] = (doc, content_hash(shell(doc)))
+        keys[id(doc)] = (doc, digest if digest is not None and not _inline(doc)
+                         else content_hash(shell(doc)))
     return keys[id(doc)][1]
+
+
+def _inline(value: dict) -> bool:
+    """Whether a dict holds an inline definition, at any depth of dicts."""
+    return any(isinstance(v, dict) and ("kind" in v or _inline(v))
+               for v in value.values())
 
 
 def validation_verdict(obj: Any, depth: int = DEFAULT_DEPTH) -> Verdict:
@@ -518,11 +526,12 @@ def _ref(ref: Any, kind: str, base_dir: str) -> Any:
 
 
 def load_doc(doc: Any, base_dir: str = ".", depth: int = DEFAULT_DEPTH,
-             expect: Optional[str] = None):
+             expect: Optional[str] = None, digest: Optional[str] = None):
     """Build and validate the object a definition document describes.
 
     The kind is checked before anything is built.  A failed validation
-    raises :class:`ValidationFailure` with the witness.
+    raises :class:`ValidationFailure` with the witness.  ``digest`` is the
+    document's sha256 when the caller has computed it (see ``_doc_key``).
     """
     if not isinstance(doc, dict):
         raise LoadError("definition must be a JSON object")
@@ -535,7 +544,7 @@ def load_doc(doc: Any, base_dir: str = ".", depth: int = DEFAULT_DEPTH,
     if expect is not None and actual != expect:
         raise LoadError(f"expected a {expect} document, found kind {kind!r}")
     with load_session() as memo:
-        key = (os.path.abspath(base_dir), _doc_key(doc), depth)
+        key = (os.path.abspath(base_dir), _doc_key(doc, digest), depth)
         if key in memo:
             if memo[key] is None:
                 raise LoadError(f"{actual} definition refers back to itself")
@@ -565,11 +574,11 @@ def read_doc(path: str) -> Any:
 
 
 def load_parsed(path: str, doc: Any, depth: int = DEFAULT_DEPTH,
-                expect: Optional[str] = None):
+                expect: Optional[str] = None, digest: Optional[str] = None):
     """``load_doc`` on ``doc`` read from ``path``; nesting too deep is a LoadError."""
     try:
         return load_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                        depth=depth, expect=expect)
+                        depth=depth, expect=expect, digest=digest)
     except RecursionError as exc:
         raise LoadError(f"{path}: definition nests too deeply") from exc
 
@@ -645,10 +654,8 @@ class ProductCache:
                         element = _as_element(value, "cache record")
                     except (json.JSONDecodeError, KeyError, TypeError, LoadError):
                         break  # corrupt tail: ignore the rest
-                    key = (a, b)
-                    baseline.add(key)
-                    if key not in ring._cache:
-                        ring._cache[key] = element
+                    baseline.add((a, b))
+                    ring.remember(a, b, element)
                     loaded += 1
         self._baseline[id(ring)] = baseline
         return loaded
@@ -658,14 +665,14 @@ class ProductCache:
         if path is None:
             return 0
         baseline = self._baseline.get(id(ring), set())
-        fresh = [key for key in ring._cache if key not in baseline]
+        fresh = [key for key in ring.stored_pairs() if key not in baseline]
         if not fresh:
             return 0
         os.makedirs(self.directory, exist_ok=True)
         with open(path, "a", encoding="utf-8") as handle:
             for a, b in sorted(fresh):
                 record = {"a": a, "b": b,
-                          "v": dict(ring._cache[(a, b)].items())}
+                          "v": dict(ring.product(a, b).items())}
                 handle.write(canonical_json(record) + "\n")
         baseline.update(fresh)
         self._baseline[id(ring)] = baseline

@@ -550,3 +550,100 @@ def intertwines(window, basis1, action1, basis2, action2, mapping):
             if +image != +Counter(action2[(alpha, mapping[j])]):
                 return False
     return True
+
+
+# --- the ordered associativity sweep over plain dict tables: the order in
+#     which it asks for products fixes its first witness and first error
+
+I64_MAX = 2**63 - 1
+
+
+class LazyTable(dict):
+    """A dict table filled on first read from ``rule(x, y)``; a rule that
+    returns None leaves the pair missing, a product that raises."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, key):
+        value = self.rule(*key)
+        if value is None:
+            raise KeyError(key)
+        self[key] = value
+        return value
+
+
+class _Stop(Exception):
+    def __init__(self, outcome):
+        super().__init__(outcome)
+        self.outcome = outcome
+
+
+def ordered_triple_scan(alphas, betas, js, mul, act):
+    """The ordered associativity sweep on tables: ``mul[(α, β)]`` and
+    ``act[(x, j)]`` are {label: coeff} dicts, unit pairs included, and a
+    missing key is a product that raises.  Per (α, β, j) in loop order it
+    asks for α⊗β, then each x⊗j of (α⊗β)⊗j, then β⊗j, then each α⊗y of
+    α⊗(β⊗j), terms in label order, and range-checks each side's final
+    coefficients once that side is summed.  Returns ("holds",),
+    ("fails", (α, β, j), α⊗(β⊗j), (α⊗β)⊗j), ("missing", (x, y)) for the
+    first product asked for that is missing, or ("overflow", (α, β, j), c)
+    for the first coefficient c outside the signed 64-bit range."""
+    def ask(table, key):
+        try:
+            return table[key]
+        except KeyError:
+            raise _Stop(("missing", key)) from None
+
+    def side(where, a, b):
+        total = {}
+        for x in sorted(a):
+            for y in sorted(b):
+                for z, c in ask(act, (x, y)).items():
+                    total[z] = total.get(z, 0) + a[x] * b[y] * c
+        for c in total.values():
+            if not -I64_MAX - 1 <= c <= I64_MAX:
+                raise _Stop(("overflow", where, c))
+        return {z: c for z, c in total.items() if c}
+
+    try:
+        for alpha in alphas:
+            for beta in betas:
+                ab = ask(mul, (alpha, beta))
+                for j in js:
+                    flat = side((alpha, beta, j), ab, {j: 1})
+                    nested = side((alpha, beta, j), {alpha: 1}, ask(act, (beta, j)))
+                    if flat != nested:
+                        return ("fails", (alpha, beta, j), nested, flat)
+    except _Stop as stop:
+        return stop.outcome
+    return ("holds",)
+
+
+def first_window_collision(rules, units, generators, depth):
+    """The first label that two words of a free product render to, in the
+    order a depth-by-depth window meets words: the unit, each generator's
+    one-letter word, then level by level, w ⊗ g for w in the last level in
+    label order and g in generator order.  A word is rendered as its
+    letters joined, the empty word as ε.  Returns (label, the word met
+    first, the word met second), or None."""
+    def render(word):
+        return "".join(letter for _, letter in word) or "ε"
+
+    owner = {}
+    seen, level = {()}, [()]
+    for word in [(), *((g,) for g in generators)]:
+        if owner.setdefault(render(word), word) != word:
+            return render(word), owner[render(word)], word
+    for _ in range(depth):
+        fresh = set()
+        for w in level:
+            for g in generators:
+                for word in free_word_product(rules, units, w, (g,)):
+                    if owner.setdefault(render(word), word) != word:
+                        return render(word), owner[render(word)], word
+                    fresh.add(word)
+        level = sorted(fresh - seen, key=render)
+        seen |= fresh
+    return None

@@ -412,6 +412,16 @@ def test_free_product_matches_modular_word_group(z2, z3):
             assert got == Element.basis(expected), (u, v)
 
 
+def test_free_product_registers_the_words_its_products_reach(z2, z3):
+    # gaga ⊗ a2 cancels a against a2 and leaves gag, a word of no window yet
+    ring = free_product(z2, z3).ring
+    assert ring.basis_up_to_depth(2) == ["ε", "a", "a2", "g", "a2g", "ag",
+                                         "ga", "ga2"]
+    assert ring.product("ga", "ga") == Element.basis("gaga")
+    assert ring.product("gaga", "a2") == Element.basis("gag")
+    assert ring.product("gag", "a") == ring.product("ga", "ga")
+
+
 def test_free_product_with_higher_rank_letters(z2):
     # rule b with a self-conjugate dimension-two letter: the non-trivial
     # constituents survive and the boundary contraction adds the unit

@@ -5,8 +5,9 @@ import runpy
 
 import pytest
 
-from fusionkit import (Element, find_divisibility_certificate, induction,
-                       modules, serialize)
+from fusionkit import (Element, UnknownBasisError,
+                       find_divisibility_certificate, induction, modules,
+                       serialize)
 from fusionkit import cyclic_group, group_ring, symmetric_group_3
 from fusionkit.cli import cli_dispatch
 from fusionkit.serialize import (
@@ -286,6 +287,25 @@ def test_cache_skips_rings_without_documents_and_blank_records(tmp_path, z4):
     path = tmp_path / (content_hash(z4.doc) + ".jsonl")
     path.write_text('\n{"a": "a", "b": "a", "v": {"a2": 1}}\n\n', encoding="utf-8")
     assert cache.load_into(z4) == 1
+
+
+def test_cache_replays_only_labels_the_ring_resolves(tmp_path):
+    # a free product resolves only the words it has registered: a logged
+    # product naming any other word is skipped, and stays unknown
+    from fusionkit import free_product
+    ring = free_product(group_ring(cyclic_group(2, generator="g")),
+                        group_ring(cyclic_group(3))).ring
+    before = (ring.basis_up_to_depth(1), ring.stored_pairs())
+    path = tmp_path / (content_hash(ring.doc) + ".jsonl")
+    path.write_text('{"a": "g", "b": "g", "v": {"ε": 1}}\n'
+                    '{"a": "g", "b": "a", "v": {"ga": 1}}\n'
+                    '{"a": "gaga", "b": "g", "v": {"gag": 1}}\n', encoding="utf-8")
+    assert ProductCache(str(tmp_path)).load_into(ring) == 3
+    assert ring.stored_pairs() == before[1] + [("g", "g")]
+    assert ring.basis_up_to_depth(1) == before[0]
+    assert ring.product("g", "g") == Element.basis("ε")
+    with pytest.raises(UnknownBasisError, match="unknown basis label 'gaga'"):
+        ring.product("gaga", "g")
 
 
 # --- CLI -----------------------------------------------------------------------
@@ -755,6 +775,28 @@ def test_cli_input_hash_is_the_whole_file_s(tmp_path, capsys, monkeypatch):
     # the input hash and the ring's memo key
     assert calls.count(True) == 2
     whole = json.dumps(INLINE_CERT, sort_keys=True, separators=(",", ":"))
+    assert json.loads(out)["inputs"]["file"]["hash"] == hashlib.sha256(
+        whole.encode("ascii")).hexdigest()
+
+
+def test_cli_validate_serializes_a_plain_document_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # a document with no inline definition: its printed hash is its load key
+    n = 12
+    labels = ["e"] + [f"a{i}" for i in range(1, n)]
+    zn = {"kind": "explicit_ring", "basis": labels, "unit": "e",
+          "conj": {x: labels[-i % n] for i, x in enumerate(labels)},
+          "dim": dict.fromkeys(labels, 1),
+          "fusion": [[x, y, {labels[(i + k) % n]: 1}]
+                     for i, x in enumerate(labels[1:], 1)
+                     for k, y in enumerate(labels[1:], 1)]}
+    path = tmp_path / "zn.json"
+    path.write_text(json.dumps(zn))
+    calls = _count_serializations_of(zn["fusion"], monkeypatch)
+    code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+    assert code == 0
+    assert calls.count(True) == 1
+    whole = json.dumps(zn, sort_keys=True, separators=(",", ":"))
     assert json.loads(out)["inputs"]["file"]["hash"] == hashlib.sha256(
         whole.encode("ascii")).hexdigest()
 

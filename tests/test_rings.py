@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import sys
 import threading
@@ -28,7 +29,11 @@ from fusionkit import (
     symmetric_group_3,
     tensor,
 )
+from fusionkit import rings
+from fusionkit.cli import cli_dispatch
+from fusionkit.modules import check_module_axioms, standard_module
 from fusionkit.rings import first_nonassociative
+from fusionkit.serialize import load, load_session, loaded_verdict
 from oracles import (
     bilinear_oracle,
     cg_tensor_oracle,
@@ -439,23 +444,28 @@ def test_sweep_raises_at_the_first_product_it_asks_for():
 
 
 def test_sweep_asks_each_row_once():
-    # β⊗j is asked during the first α and read back for every later α
-    ring = group_ring(cyclic_group(4))
-    basis = ring.basis
-    calls = Counter()
+    # each product is computed once, the first time the sweep asks for it:
+    # α⊗β, then (α⊗β)⊗j, then β⊗j during the first α only, then α⊗(β⊗j)
+    inner = group_ring(cyclic_group(4))
+    basis = inner.basis
+    calls = []
 
-    def action(x, j):
-        calls[(x, j)] += 1
-        return ring.product(x, j)
+    def product(x, y):
+        calls.append((x, y))
+        return inner.product(x, y)
 
-    assert first_nonassociative(action, ring.product, basis, basis, basis) is None
+    ring = BasedRing(name="Z4 counted", unit=inner.unit, conj=inner.conj,
+                     dim=inner.dim, product=product, basis=basis)
+    assert first_nonassociative(ring, ring, basis, basis, basis) is None
     mul = cyclic_mul_oracle(4)
-    expected = Counter(itertools.product(basis, repeat=2))  # each β⊗j once
-    for a, b, j in itertools.product(basis, repeat=3):
-        (ab,), (bj,) = mul(a, b), mul(b, j)
-        expected[(ab, j)] += 1  # (α⊗β)⊗j
-        expected[(a, bj)] += 1  # α⊗(β⊗j)
-    assert calls == expected
+    expected = []
+    for a, b in itertools.product(basis, repeat=2):
+        (ab,) = mul(a, b)
+        expected.append((a, b))
+        for j in basis:
+            (bj,) = mul(b, j)
+            expected += [(ab, j), (b, j), (a, bj)] if a == basis[0] else [(ab, j), (a, bj)]
+    assert calls == list(dict.fromkeys(expected))
 
 
 def test_equal_single_label_products_are_one_object():
@@ -645,6 +655,53 @@ def test_concurrent_products_match_serial(build, depth):
             if value.single_label() is not None:
                 assert one.setdefault(value.single_label(), value) is value
     assert shared.basis_up_to_depth(depth) == serial.basis_up_to_depth(depth)
+
+
+@pytest.mark.parametrize("build", [modular_group_ring, su2_ring],
+                         ids=["Z2*Z3", "SU2"])
+def test_concurrent_axiom_checks_match_serial(build):
+    # threads sweeping one cold ring meet its labels in the serial order, so
+    # the ids they register are the serial run's
+    depth = 6
+    serial = build()
+    expected = check_ring_axioms(serial, depth)
+    shared = build()
+    results = _in_threads(lambda _: check_ring_axioms(shared, depth))
+    assert expected.is_holds and all(v == expected for v in results)
+    assert shared.basis_up_to_depth(depth) == serial.basis_up_to_depth(depth)
+    assert shared._ids.labels == serial._ids.labels
+    assert shared._ids.ids == serial._ids.ids
+
+
+def test_a_finite_ring_is_proved_associative_once(tmp_path, monkeypatch, capsys):
+    # validate proves the ring, and a module check on the same ring reuses it
+    proofs = Counter()
+    original = rings._generator_proof
+
+    def counted(ring):
+        proofs[ring.name] += 1
+        return original(ring)
+
+    monkeypatch.setattr(rings, "_generator_proof", counted)
+    labels = ["e", "a", "a2", "a3"]
+    (tmp_path / "z4.json").write_text(json.dumps({
+        "kind": "explicit_ring", "name": "Z4", "basis": labels, "unit": "e",
+        "conj": {x: labels[-i % 4] for i, x in enumerate(labels)},
+        "dim": dict.fromkeys(labels, 1),
+        "fusion": [[x, y, {labels[(i + k) % 4]: 1}]
+                   for i, x in enumerate(labels[1:], 1)
+                   for k, y in enumerate(labels[1:], 1)]}))
+    (tmp_path / "std.json").write_text(
+        json.dumps({"kind": "module", "standard_of": "z4.json"}))
+    assert cli_dispatch(["validate", str(tmp_path / "std.json")]) == 0
+    capsys.readouterr()
+    assert proofs == {"Z4": 1}
+    with load_session():
+        ring = load(str(tmp_path / "z4.json"))
+        assert loaded_verdict(ring).is_holds
+        assert check_module_axioms(standard_module(ring)).is_holds
+        assert check_ring_axioms(ring).is_holds
+    assert proofs == {"Z4": 2}  # one more ring object, proved once
 
 
 @settings(max_examples=15, deadline=None)
