@@ -9,7 +9,6 @@ rings can be hashed and reloaded.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from math import lcm
@@ -17,7 +16,8 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
-from .rings import BasedRing, Labels, associative_by_generators
+from .rings import (BasedRing, Labels, associative_by_generators,
+                    first_nonassociative)
 
 if TYPE_CHECKING:
     from .cyclotomic import Cyclo
@@ -32,7 +32,7 @@ class FiniteGroupPresentation:
 
     Group axioms are verified at construction: closure, associativity, a
     two-sided identity and inverses.  A violated axiom is reported with the
-    offending tuple.
+    offending tuple.  ``ring`` is the group ring, proved associative here.
     """
 
     def __init__(self, elements: Sequence[str], mult: Mapping[Tuple[str, str], str]):
@@ -61,16 +61,22 @@ class FiniteGroupPresentation:
         if identity is None:
             raise InvalidInputError("table has no two-sided identity")
         self.identity = identity
-        table = BasedRing(name="group table", unit=identity, conj=str,
-                          product=lambda a, b: Element.basis(self.mult[(a, b)]),
-                          dim=lambda a: 1, basis=self.elements)
-        if associative_by_generators(table) is None:
-            # Light's test failed; the ordered loop names the first triple
-            for a, b, c in itertools.product(self.elements, repeat=3):
-                if self.mult[(self.mult[(a, b)], c)] != self.mult[(a, self.mult[(b, c)])]:
-                    raise InvalidInputError(
-                        f"table not associative at ({a}, {b}, {c})")
-        inverse: Dict[str, str] = {}
+        # the group ring is the proof table, so its generator proof runs
+        # once, here; its callables hold the tables, not the group, and conj
+        # reads the inverses only once they are found
+        self.inverse: Dict[str, str] = {}
+        inverse, mult = self.inverse, self.mult
+        self.ring = BasedRing(
+            name=f"Z[{len(self.elements)}-elt group]", unit=identity,
+            conj=inverse.__getitem__,
+            product=lambda a, b: Element.basis(mult[(a, b)]),
+            dim=lambda a: Fraction(1), basis=self.elements,
+            doc={"kind": "construct", "construct": "group_ring", "group": self.to_doc()})
+        if associative_by_generators(self.ring) is None:
+            # Light's test failed; the ordered sweep names the first triple
+            els = self.elements
+            a, b, c, _, _ = first_nonassociative(self.ring, self.ring, els, els, els)
+            raise InvalidInputError(f"table not associative at ({a}, {b}, {c})")
         for a in self.elements:
             for b in self.elements:
                 if self.mult[(a, b)] == identity and self.mult[(b, a)] == identity:
@@ -78,7 +84,6 @@ class FiniteGroupPresentation:
                     break
             else:
                 raise InvalidInputError(f"element {a} has no inverse")
-        self.inverse = inverse
 
     def mul(self, a: str, b: str) -> str:
         try:
@@ -162,11 +167,9 @@ def symmetric_group_3() -> FiniteGroupPresentation:
 
 
 def group_ring(g: FiniteGroupPresentation) -> BasedRing:
-    """Z[Γ]: fusion is the multiplication table, conj is inversion, d = 1."""
-    doc = {"kind": "construct", "construct": "group_ring", "group": g.to_doc()}
-    return BasedRing(name=f"Z[{len(g.elements)}-elt group]", unit=g.identity,
-                     conj=g.inv, product=lambda a, b: Element.basis(g.mul(a, b)),
-                     dim=lambda a: Fraction(1), basis=g.elements, doc=doc)
+    """Z[Γ]: fusion is the multiplication table, conj is inversion, d = 1.
+    One ring per group, proved associative when the group was built."""
+    return g.ring
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +567,7 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
             if not sums:
                 return k
             sums[k] = sums.get(k, 0) + 1
-        return k if len(sums) == 1 and sums[k] == 1 else labels.row(sums)
+        return k if len(sums) == 1 and sums[k] == 1 else sums
 
     def conj(la: str) -> str:
         flipped = tuple(letter(k & 1, factors[k & 1].conj(text[k]))

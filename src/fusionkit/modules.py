@@ -7,7 +7,7 @@ j ⊂ α ⊗ j'  ⇔  j' ⊂ conj(α) ⊗ j.  Torsion means co-finite and connec
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -18,49 +18,40 @@ from .elements import (
     bilinear,
     require_nonnegative,
 )
-from .rings import (DEFAULT_DEPTH, BasedRing, Labels, Verdict,
+from .rings import (DEFAULT_DEPTH, Based, BasedRing, Verdict,
                     associative_by_generators, checked_window, exhaustive,
                     first_nonassociative)
 
 ActionLike = Union[Mapping[Tuple[str, str], Element], Callable[[str, str], Element]]
 
 
-class BasedModule:
+class BasedModule(Based):
     """Module basis plus action coefficients over a :class:`BasedRing`.
 
     The basis is a finite explicit tuple except for the standard module of a
     lazy ring, whose basis mirrors the ring basis.  The action is either a
     total table over (non-unit ring label, module label) or a callable; unit
-    action is always the identity and is implied.
+    action is always the identity and is implied.  Actions are kept as the
+    id rows of :class:`~fusionkit.rings.Based`, by ring id and module id.
     """
+
+    _kind = "module"
 
     def __init__(self, *, ring: BasedRing, basis: Optional[Sequence[str]],
                  action: ActionLike, name: str = "module",
                  doc: Optional[dict] = None,
                  window_fn: Optional[Callable[[int], list]] = None,
                  mirrors_ring: bool = False):
+        super().__init__(name, basis, None, ring)
         self.ring = ring
-        self.name = name
         self.doc = doc
-        self._mirrors_ring = mirrors_ring
-        if basis is not None:
-            self._basis: Optional[Tuple[str, ...]] = tuple(basis)
-            if not self._basis:
-                raise InvalidInputError(f"module {name}: empty basis is rejected")
-            if len(set(self._basis)) != len(self._basis):
-                raise InvalidInputError(f"module {name}: duplicate basis labels")
-            self._basis_set = set(self._basis)
-        else:
-            if window_fn is None and not mirrors_ring:
-                raise InvalidInputError(
-                    f"module {name}: infinite basis needs a window function")
-            self._basis = None
-            self._basis_set = None
+        self.mirrors_ring = mirrors_ring
+        if basis is not None and not self._basis:
+            raise InvalidInputError(f"module {name}: empty basis is rejected")
+        if basis is None and window_fn is None and not mirrors_ring:
+            raise InvalidInputError(
+                f"module {name}: infinite basis needs a window function")
         self._window_fn = window_fn
-        self._ids = Labels(name)
-        for j in self._basis or ():
-            self._ids.id(j)
-        self._rows: defaultdict = defaultdict(dict)  # ring id α → {j: row of α ⊗ j}
         if callable(action):
             self._action_fn = action
         else:
@@ -70,16 +61,16 @@ class BasedModule:
 
     def _validate_table(self, table: Mapping[Tuple[str, str], Element]) -> None:
         assert self._basis is not None
-        ring_labels = set(self.ring.basis) if self.ring.is_finite else None
+        ring_labels = self.ring._labels
         for (alpha, j), value in table.items():
-            if j not in self._basis_set or (ring_labels is not None
-                                            and alpha not in ring_labels):
+            if j not in self._labels or (ring_labels is not None
+                                         and alpha not in ring_labels):
                 raise InvalidInputError(f"module {self.name}: action entry "
                                         f"({alpha}, {j}) names an unknown label")
             require_nonnegative(value, "{} ⊗ {} of module {}",
                                 alpha, j, self.name)
             for lbl, _ in value.items():
-                if lbl not in self._basis_set:
+                if lbl not in self._labels:
                     raise InvalidInputError(
                         f"module {self.name}: action ({alpha}, {j}) hits "
                         f"unknown label {lbl!r}")
@@ -103,55 +94,25 @@ class BasedModule:
                 ) from None
         return fn
 
-    @property
-    def is_finite(self) -> bool:
-        return self._basis is not None
-
-    @property
-    def basis(self) -> Tuple[str, ...]:
-        if self._basis is None:
-            raise InvalidInputError(f"module {self.name} has an infinite basis")
-        return self._basis
-
-    @property
-    def mirrors_ring(self) -> bool:
-        return self._mirrors_ring
-
     def basis_up_to_depth(self, depth: int) -> list:
         if self._basis is not None:
             return list(self._basis)
-        if self._mirrors_ring:
+        if self.mirrors_ring:
             return self.ring.basis_up_to_depth(depth)
         return self._window_fn(depth)
 
-    def action(self, alpha: str, j: str) -> Element:
-        """Decomposition of α ⊗ j over the module basis."""
-        self._reject_unknown(j)
-        if alpha == self.ring.unit:
-            return Element.basis(j)
-        try:
-            row = self._rows[self.ring._ids.ids[alpha]][self._ids.ids[j]]
-        except KeyError:
-            row = self._fill(self.ring._ids.id(alpha), self._ids.id(j))
-        single = self._ids._singles.get(row)
-        return self._ids.element(row) if single is None else single
+    action = Based._get  # α ⊗ j over the module basis
 
-    def _reject_unknown(self, j: str) -> None:
-        if self._basis is not None and j not in self._basis_set:
-            raise UnknownBasisError(
-                f"unknown module label {j!r} in module {self.name}")
+    def _reject_unknown(self, alpha: str, j: str) -> None:
+        """Raise for a j outside a finite basis; an unknown α is the action's."""
+        if self._labels is not None and j not in self._labels:
+            raise UnknownBasisError(f"unknown module label {j!r} in module {self.name}")
 
-    def _fill(self, a: int, i: int) -> Any:
-        """Compute, check and store the row of α ⊗ j, by ring and module id."""
-        alpha, j = self.ring._ids.labels[a], self._ids.labels[i]
-        self._reject_unknown(j)
-        if alpha == self.ring.unit:
-            row = i
-        else:
-            row = self._ids.row(require_nonnegative(self._action_fn(alpha, j),
-                                                    "{} ⊗ {}", alpha, j))
-        self._rows[a][i] = row
-        return row
+    def _rule(self, a: int, i: int) -> Any:
+        """α ⊗ j, by ring and module id; the unit acts as the identity."""
+        alpha, j = self._ring_ids.labels[a], self._ids.labels[i]
+        self._reject_unknown(alpha, j)
+        return i if alpha == self.ring.unit else self._action_fn(alpha, j)
 
     def __repr__(self) -> str:
         size = f"rank {len(self._basis)}" if self._basis is not None else "lazy"
@@ -256,17 +217,15 @@ def _symmetric_by_supports(m: BasedModule) -> bool:
     the ordered sweep then decides, or raises, as it would alone.
     """
     ring = m.ring
-    labels = set(ring.basis)
     try:
-        if any(ring.conj(a) not in labels or ring.conj(ring.conj(a)) != a
+        if any(ring.conj(a) not in ring._labels or ring.conj(ring.conj(a)) != a
                for a in ring.basis):
             return False
-        module_labels = set(m.basis)
         for alpha in ring.basis:
             calpha = ring.conj(alpha)
             for jp in m.basis:
                 for j, _ in m.action(alpha, jp).items():
-                    if j in module_labels and not m.action(calpha, j).coeff(jp):
+                    if j in m._labels and not m.action(calpha, j).coeff(jp):
                         return False
     except (ValueError, ArithmeticError):
         return False

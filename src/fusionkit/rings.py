@@ -7,6 +7,10 @@ multiplicative, conjugation-invariant dimension function makes it a fusion
 ring.  Bases are either finite and explicit, or lazy: generated on demand by
 closing a generator set under products, depth by depth.
 
+Rings and based modules share one base, :class:`Based`: the finite or lazy
+basis, the id rows of every product or action, and the one ``_fill`` that
+computes, checks and stores a row.
+
 Concurrency: extending a lazy basis window is serialized by a per-ring lock,
 so concurrent ``basis_up_to_depth`` calls on one ring see the same levels as
 a serial run.  The product rows, the conjugation and dimension memos, and
@@ -126,7 +130,7 @@ def _plain(value: Any) -> Any:
 
 class Labels:
     """Dense int ids for the labels of a ring or module, in order of first
-    registration, and the one shared Element of each single label.
+    registration.
 
     A product ring renders each label from a key (a pair of factor labels,
     or a word of letter ids) and resolves only labels already registered;
@@ -142,7 +146,6 @@ class Labels:
         self.keys: list = []  # id → key
         self.ids: dict = {}  # label → id
         self._key_ids: dict = {}
-        self._singles: dict = {}
         self._lock = threading.Lock()
 
     def intern(self, key: Any) -> int:
@@ -176,51 +179,121 @@ class Labels:
     def decode(self, label: str) -> Any:
         return self.keys[self.id(label)]
 
-    def row(self, value: Any) -> Any:
-        """An Element, or a dict of coefficients by id, as a row: the id
-        itself when it is one label with coefficient 1, else its (id, coeff)
-        terms in label order, each coefficient range-checked."""
-        if isinstance(value, Element):
-            single = value.single_label()
-            if single is not None:  # this Element is the one shared from here on
-                i = self.id(single)
-                self._singles.setdefault(i, value)
-                return i
-            value = {self.id(x): c for x, c in value.items()}
-        value = _single(checked_sums(value))
-        return value if type(value) is int else tuple(
-            sorted(value.items(), key=lambda t: self.labels[t[0]]))
-
-    def element(self, row: Any) -> Element:
-        """A row, or a dict of coefficients by id, as an Element."""
-        if type(row) is int:
-            single = self._singles.get(row)
-            return single or self._singles.setdefault(row, Element.basis(self.labels[row]))
-        terms = row.items() if type(row) is dict else row
-        return Element.from_sums({self.labels[i]: c for i, c in terms})
-
 
 def _single(sums: dict) -> Any:
     """The id of a one-label, coefficient-1 sum, else the sum."""
     return next(iter(sums)) if len(sums) == 1 and 1 in sums.values() else sums
 
 
+class Based:
+    """What :class:`BasedRing` and :class:`~fusionkit.modules.BasedModule`
+    share: a finite or lazy basis and its structure constants, kept once.
+
+    ``_rows[a][x]`` holds a ⊗ x, for a ring id a and an id x of this ring or
+    module: the id of its label when it is one label with coefficient 1,
+    else its (id, coeff) terms in label order.  On a miss, ``_fill`` runs
+    the subclass's ``_rule``, checks the result (an Element non-negative,
+    every final coefficient in the signed 64-bit range) and stores it; a
+    one-label row's shared Element is the rule's own when it returned one.
+    ``_get`` reads rows by label for ``BasedRing.product`` and
+    ``BasedModule.action``, after the subclass's ``_reject_unknown``.
+    """
+
+    _kind = "ring"  # names the object in messages
+
+    def __init__(self, name: str, basis: Optional[Sequence[str]],
+                 labels: Optional[Labels], ring: Optional["BasedRing"] = None):
+        self.name = name
+        if basis is not None:
+            self._basis: Optional[Tuple[str, ...]] = tuple(basis)
+            self._labels: Optional[frozenset] = frozenset(self._basis)
+            if len(self._labels) != len(self._basis):
+                raise InvalidInputError(f"{self._kind} {name}: duplicate basis labels")
+        else:
+            self._basis = self._labels = None
+        self._ids = labels if labels is not None else Labels(name)
+        for label in self._basis or ():
+            self._ids.id(label)
+        self._ring_ids = self._ids if ring is None else ring._ids
+        self._rows: defaultdict = defaultdict(dict)  # a → {x: row of a ⊗ x}
+        self._singles: dict = {}  # id → the one shared Element of that label
+
+    @property
+    def is_finite(self) -> bool:
+        return self._basis is not None
+
+    @property
+    def basis(self) -> Tuple[str, ...]:
+        if self._basis is None:
+            raise InvalidInputError(f"{self._kind} {self.name} has an infinite basis")
+        return self._basis
+
+    def _get(self, a: str, x: str) -> Element:
+        """Decomposition of a ⊗ x, by label: the row read, or filled once
+        the labels are checked; a one-label row is its shared Element."""
+        try:
+            row = self._rows[self._ring_ids.ids[a]].get(self._ids.ids[x])
+        except KeyError:  # a label not met yet
+            row = None
+        if row is None:
+            self._reject_unknown(a, x)
+            row = self._fill(self._ring_ids.id(a), self._ids.id(x))
+        single = self._singles.get(row)
+        return self._element(row) if single is None else single
+
+    def _at(self, a: int, x: int) -> Any:
+        row = self._rows[a].get(x)
+        return self._fill(a, x) if row is None else row
+
+    def _fill(self, a: int, x: int) -> Any:
+        """Compute, check and store the row of a ⊗ x."""
+        row = self._rule(a, x)
+        if type(row) is not int:
+            if type(row) is not dict:
+                require_nonnegative(row, "{} ⊗ {}", self._ring_ids.labels[a],
+                                    self._ids.labels[x])
+            row = self._row(row)
+        self._rows[a][x] = row
+        return row
+
+    def _row(self, value: Any) -> Any:
+        """An Element, or a dict of coefficients by id, as a row, each
+        coefficient range-checked."""
+        if isinstance(value, Element):
+            single = value.single_label()
+            if single is not None:  # this Element is the one shared from here on
+                i = self._ids.id(single)
+                self._singles.setdefault(i, value)
+                return i
+            value = {self._ids.id(x): c for x, c in value.items()}
+        value = _single(checked_sums(value))
+        return value if type(value) is int else tuple(
+            sorted(value.items(), key=lambda t: self._ids.labels[t[0]]))
+
+    def _element(self, row: Any) -> Element:
+        """A row, or a dict of coefficients by id, as an Element."""
+        if type(row) is int:
+            single = self._singles.get(row)
+            return single or self._singles.setdefault(row, Element.basis(self._ids.labels[row]))
+        terms = row.items() if type(row) is dict else row
+        return Element.from_sums({self._ids.labels[i]: c for i, c in terms})
+
+
 _UNTRIED = object()  # no generator proof has run on the ring yet
-_NO_ROW: dict = {}  # read, never written
 
 
-class BasedRing:
+class BasedRing(Based):
     """Exact based/fusion ring with a finite or lazily generated basis.
 
     The product, involution and dimension are supplied as callables over
     labels and memoized on first read; nothing is stored for a call that
-    raised.  Products are kept once, as id rows (see
-    :func:`first_nonassociative`), which ``id_product`` may compute in
-    place of ``product``.  A finite ring numbers its basis once and rejects
-    a label outside it itself, so its callables see only basis labels.  For
-    lazy rings ``generators`` seeds the depth-by-depth basis enumeration:
-    depth k holds every label appearing in a product of at most k
-    generators, ordered by (depth of first appearance, label).
+    raised.  Products are the id rows of :class:`Based`; ``id_product``
+    may compute them in place of ``product``, by id, as an id or a dict of
+    coefficients by id.  A finite ring rejects a label outside its basis
+    itself, so its callables see only basis labels.  For lazy rings
+    ``generators`` seeds the depth-by-depth basis enumeration: depth k holds
+    every label appearing in a product of at most k generators, ordered by
+    (depth of first appearance, label).
     """
 
     def __init__(self, *, name: str, unit: str,
@@ -231,30 +304,24 @@ class BasedRing:
                  generators: Optional[Sequence[str]] = None,
                  doc: Optional[dict] = None, labels: Optional[Labels] = None,
                  id_product: Optional[Callable[[int, int], Any]] = None):
-        self.name = name
+        super().__init__(name, basis, labels)
         self.unit = unit
         self._conj_fn = conj
         self._product_fn = product
-        self._id_product = id_product
+        if id_product is not None:  # stands in for the rule over labels
+            self._rule = id_product
         self._dim_fn = dim
         self.doc = doc
         if basis is not None:
-            self._basis: Optional[Tuple[str, ...]] = tuple(basis)
-            self._labels: Optional[frozenset] = frozenset(self._basis)
-            if len(self._labels) != len(self._basis):
-                raise InvalidInputError(f"ring {name}: duplicate basis labels")
             if unit not in self._labels:
                 raise InvalidInputError(f"ring {name}: unit {unit!r} not in basis")
             self.generators: Tuple[str, ...] = ()
         else:
             if not generators:
                 raise InvalidInputError(f"ring {name}: lazy ring needs generators")
-            self._basis = self._labels = None
             self.generators = tuple(generators)
-        self._ids = labels if labels is not None else Labels(name)
-        for label in (*(self._basis or ()), unit, *self.generators):
+        for label in (unit, *self.generators):
             self._ids.id(label)
-        self._rows: defaultdict = defaultdict(dict)  # a → {b: row of a ⊗ b}
         self._proof: Any = _UNTRIED
         self._conjs: dict = {}
         self._dims: dict = {}
@@ -262,67 +329,35 @@ class BasedRing:
         self._level_seen = {unit}
         self._levels_lock = threading.Lock()
 
-    @property
-    def is_finite(self) -> bool:
-        return self._basis is not None
-
-    @property
-    def basis(self) -> Tuple[str, ...]:
-        if self._basis is None:
-            raise InvalidInputError(f"ring {self.name} has an infinite basis")
-        return self._basis
-
     def _reject_unknown(self, *labels: str) -> None:
-        """Raise for the first label outside this finite ring's basis."""
-        for label in labels:
-            if label not in self._labels:
-                raise UnknownBasisError(
-                    f"unknown basis label {label!r} in ring {self.name}")
+        """Raise for the first label outside a finite basis."""
+        if self._labels is not None:
+            for label in labels:
+                if label not in self._labels:
+                    raise UnknownBasisError(
+                        f"unknown basis label {label!r} in ring {self.name}")
 
     def conj(self, label: str) -> str:
         c = self._conjs.get(label)
         if c is None:
-            if self._labels is not None:
-                self._reject_unknown(label)
+            self._reject_unknown(label)
             self._conjs[label] = c = self._conj_fn(label)
         return c
 
     def dim(self, label: str) -> Fraction:
         d = self._dims.get(label)
         if d is None:
-            if self._labels is not None:
-                self._reject_unknown(label)
+            self._reject_unknown(label)
             d = self._dim_fn(label)
             self._dims[label] = d = d if isinstance(d, Fraction) else Fraction(d)
         return d
 
-    def product(self, a: str, b: str) -> Element:
-        """Decomposition of a ⊗ b into basis labels with multiplicities."""
-        ids = self._ids
-        row = self._rows.get(ids.ids.get(a), _NO_ROW).get(ids.ids.get(b))
-        if row is None:
-            if self._labels is not None:
-                self._reject_unknown(a, b)
-            row = self._at(ids.id(a), ids.id(b))
-        single = ids._singles.get(row)
-        return ids.element(row) if single is None else single
+    product = Based._get  # a ⊗ b into basis labels with multiplicities
 
-    def _at(self, a: int, b: int) -> Any:
-        row = self._rows[a].get(b)
-        return self._fill(a, b) if row is None else row
-
-    def _fill(self, a: int, b: int) -> Any:
-        """Compute, check and store the row of a ⊗ b."""
-        if self._id_product is not None:
-            row = self._id_product(a, b)
-        else:
-            la, lb = self._ids.labels[a], self._ids.labels[b]
-            if self._labels is not None:
-                self._reject_unknown(la, lb)
-            row = self._ids.row(require_nonnegative(self._product_fn(la, lb),
-                                                    "{} ⊗ {}", la, lb))
-        self._rows[a][b] = row
-        return row
+    def _rule(self, a: int, b: int) -> Any:
+        la, lb = self._ids.labels[a], self._ids.labels[b]
+        self._reject_unknown(la, lb)
+        return self._product_fn(la, lb)
 
     def remember(self, a: str, b: str, value: Element) -> None:
         """Keep a ⊗ b = ``value``, read back from a log of this ring's
@@ -331,7 +366,7 @@ class BasedRing:
         try:
             rows, b = self._rows[self._ids.id(a)], self._ids.id(b)
             if b not in rows:
-                rows[b] = self._ids.row(value)
+                rows[b] = self._row(value)
         except UnknownBasisError:
             pass
 
@@ -459,10 +494,8 @@ def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
     for ring associativity, or a module over it, for module associativity:
     x ⊗ j is read from its rows and α ⊗ β from the ring's.
 
-    The sweep runs on ids.  ``rows[x][j]`` holds x ⊗ j once: the id of its
-    label when it is one label with coefficient 1, else its (id, coeff)
-    terms in label order; ``_fill`` computes, checks and stores a miss.
-    Per triple, (α⊗β)⊗j comes first, then β⊗j, then α⊗(β⊗j), so the first
+    The sweep runs on the id rows of :class:`Based`, and ``_fill`` makes a
+    miss.  Per triple, (α⊗β)⊗j comes first, then β⊗j, then α⊗(β⊗j), so the first
     fill to raise is fixed; β⊗j is read during the first α only, and kept.
     A one-label row is used directly, (α⊗β)⊗j = l⊗j for α⊗β = l and
     α⊗(β⊗j) = α⊗m for β⊗j = m, so both sides are ids compared as ints; any
@@ -492,9 +525,9 @@ def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
                 else:
                     nested = ra[bj] if bj in ra else fill(a, bj)
                 if nested != flat and _terms(nested) != _terms(flat):
-                    out = table._ids
-                    return (ring._ids.labels[a], ring._ids.labels[b], out.labels[j],
-                            out.element(nested), out.element(flat))
+                    return (ring._ids.labels[a], ring._ids.labels[b],
+                            table._ids.labels[j], table._element(nested),
+                            table._element(flat))
     return None
 
 

@@ -29,14 +29,17 @@ from fusionkit import (
     symmetric_group_3,
     tensor,
 )
-from fusionkit import rings
+from fusionkit import modules, rings
 from fusionkit.cli import cli_dispatch
-from fusionkit.modules import check_module_axioms, standard_module
+from fusionkit.modules import (BasedModule, check_module_axioms,
+                               connected_components, standard_module)
 from fusionkit.rings import first_nonassociative
 from fusionkit.serialize import load, load_session, loaded_verdict
 from oracles import (
     bilinear_oracle,
     cg_tensor_oracle,
+    cyclic_exponent,
+    cyclic_label,
     cyclic_mul_oracle,
     dihedral_mul,
     dihedral_words,
@@ -443,7 +446,7 @@ def test_sweep_raises_at_the_first_product_it_asks_for():
         check_ring_axioms(ring, 2)
 
 
-def test_sweep_asks_each_row_once():
+def test_sweep_asks_each_row_once(monkeypatch):
     # each product is computed once, the first time the sweep asks for it:
     # α⊗β, then (α⊗β)⊗j, then β⊗j during the first α only, then α⊗(β⊗j)
     inner = group_ring(cyclic_group(4))
@@ -466,6 +469,47 @@ def test_sweep_asks_each_row_once():
             (bj,) = mul(b, j)
             expected += [(ab, j), (b, j), (a, bj)] if a == basis[0] else [(ab, j), (a, bj)]
     assert calls == list(dict.fromkeys(expected))
+
+    # a module over Z/4 on points m0..m3, α ⊗ mk = m(k + exponent of α):
+    # every reader below shares the module's rows, so each non-unit (α, j) is
+    # asked once, when the supports pass first asks it, and the unit never
+    points = ["m0", "m1", "m2", "m3"]
+
+    def image(alpha, j):
+        return f"m{(cyclic_exponent(alpha) + int(j[1:])) % 4}"
+
+    calls.clear()
+
+    def action(alpha, j):
+        calls.append((alpha, j))
+        return Element.basis(image(alpha, j))
+
+    m = BasedModule(ring=ring, basis=points, action=action, name="counted")
+    assert check_module_axioms(m).is_holds  # supports pass, generator proof
+    with monkeypatch.context() as patch:  # the ordered sweep decides alone
+        patch.setattr(modules, "_symmetric_by_supports", lambda m: False)
+        patch.setattr(modules, "_associative_by_generators", lambda m: False)
+        assert check_module_axioms(m).is_holds
+    assert connected_components(m) == [points]
+    for alpha, j in itertools.product(basis, points):
+        assert m.action(alpha, j) == Element.basis(image(alpha, j))
+    # the supports pass asks α ⊗ j', then conj(α) ⊗ j for j = α ⊗ j'
+    expected = []
+    for alpha, jp in itertools.product(basis, points):
+        expected += [(alpha, jp),
+                     (cyclic_label(-cyclic_exponent(alpha) % 4), image(alpha, jp))]
+    assert calls == [pair for pair in dict.fromkeys(expected) if pair[0] != "e"]
+
+
+def test_action_names_a_negative_coefficient(z2):
+    # the label API and the ordered sweep fill a row through the same check
+    m = BasedModule(ring=z2, basis=["m0", "m1"], name="negative",
+                    action=lambda alpha, j: Element({"m0": 2, "m1": -1}))
+    message = r"^negative coefficient -1·m1 in g ⊗ m0$"
+    with pytest.raises(InvalidInputError, match=message):
+        m.action("g", "m0")
+    with pytest.raises(InvalidInputError, match=message):
+        first_nonassociative(m, z2, ["g"], ["e"], ["m0"])
 
 
 def test_equal_single_label_products_are_one_object():
@@ -702,6 +746,24 @@ def test_a_finite_ring_is_proved_associative_once(tmp_path, monkeypatch, capsys)
         assert check_module_axioms(standard_module(ring)).is_holds
         assert check_ring_axioms(ring).is_holds
     assert proofs == {"Z4": 2}  # one more ring object, proved once
+
+
+def test_a_group_ring_is_proved_once(tmp_path, monkeypatch, capsys):
+    # building the group proves its ring, and load validation reuses the proof
+    (tmp_path / "z4.json").write_text(json.dumps({
+        "kind": "construct", "construct": "group_ring",
+        "group": cyclic_group(4).to_doc()}))
+    proofs = Counter()
+    original = rings._generator_proof
+
+    def counted(ring):
+        proofs[ring.name] += 1
+        return original(ring)
+
+    monkeypatch.setattr(rings, "_generator_proof", counted)
+    assert cli_dispatch(["validate", str(tmp_path / "z4.json")]) == 0
+    capsys.readouterr()
+    assert proofs == {"Z[4-elt group]": 1}
 
 
 @settings(max_examples=15, deadline=None)
