@@ -32,7 +32,7 @@ from .modules import (
     module_doc,
 )
 from .rings import DEFAULT_DEPTH, BasedRing, Verdict, checked_window
-from .subrings import DivisibilityCertificate, SubringEmbedding
+from .subrings import DivisibilityCertificate, SubringEmbedding, _restriction
 
 
 def induced_label(t: str, j: str) -> str:
@@ -118,18 +118,7 @@ def restrict(m: BasedModule, e: SubringEmbedding, *,
         raise InvalidInputError(
             f"module {m.name} lives over {m.ring.name}, not the embedding's "
             f"ambient ring {e.ambient.name}")
-
-    def action(beta: str, j: str) -> Element:
-        return m.action(e.embed(beta), j)
-
-    doc = None
-    if m.doc is not None and e.doc is not None:
-        doc = {"kind": "module", "restricted": {"source": m.doc,
-                                                "embedding": e.doc}}
-    out = BasedModule(ring=e.sub,
-                      basis=m.basis if m.is_finite else None,
-                      action=action, name=f"Res({m.name})", doc=doc,
-                      window_fn=(None if m.is_finite else m.basis_up_to_depth))
+    out = _restriction(m, e)
     verdict = check_module_axioms(out, check_depth)
     if verdict.is_fails:
         raise InvalidInputError(

@@ -7,6 +7,7 @@ j ⊂ α ⊗ j'  ⇔  j' ⊂ conj(α) ⊗ j.  Torsion means co-finite and connec
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -28,11 +29,11 @@ ActionLike = Union[Mapping[Tuple[str, str], Element], Callable[[str, str], Eleme
 class BasedModule(Based):
     """Module basis plus action coefficients over a :class:`BasedRing`.
 
-    The basis is a finite explicit tuple except for the standard module of a
-    lazy ring, whose basis mirrors the ring basis.  The action is either a
-    total table over (non-unit ring label, module label) or a callable; unit
-    action is always the identity and is implied.  Actions are kept as the
-    id rows of :class:`~fusionkit.rings.Based`, by ring id and module id.
+    The basis is a finite explicit tuple, or a lazy window (``window_fn``).
+    The action is a total table over (non-unit ring label, module label) or
+    a callable; the unit acts as the identity.  Actions are the id rows of
+    :class:`~fusionkit.rings.Based`, by ring id and module id; the standard
+    module (``mirrors_ring``) keeps its ring's labels and non-unit rows.
     """
 
     _kind = "module"
@@ -42,13 +43,13 @@ class BasedModule(Based):
                  doc: Optional[dict] = None,
                  window_fn: Optional[Callable[[int], list]] = None,
                  mirrors_ring: bool = False):
-        super().__init__(name, basis, None, ring)
+        super().__init__(name, basis, ring._ids if mirrors_ring else None, ring)
         self.ring = ring
         self.doc = doc
         self.mirrors_ring = mirrors_ring
         if basis is not None and not self._basis:
             raise InvalidInputError(f"module {name}: empty basis is rejected")
-        if basis is None and window_fn is None and not mirrors_ring:
+        if basis is None and window_fn is None:
             raise InvalidInputError(
                 f"module {name}: infinite basis needs a window function")
         self._window_fn = window_fn
@@ -57,7 +58,17 @@ class BasedModule(Based):
         else:
             table = dict(action)
             self._validate_table(table)
-            self._action_fn = self._table_action(table)
+
+            def lookup(alpha: str, j: str) -> Element:  # holds no module
+                try:
+                    return table[(alpha, j)]
+                except KeyError:
+                    raise InvalidInputError(f"module {name}: action undefined "
+                                            f"for ({alpha}, {j})") from None
+            self._action_fn = lookup
+        self._unit = self._ring_ids.id(ring.unit)
+        if mirrors_ring:
+            self._rows, self._singles = _RingRows(self._unit, ring._rows), ring._singles
 
     def _validate_table(self, table: Mapping[Tuple[str, str], Element]) -> None:
         assert self._basis is not None
@@ -75,30 +86,15 @@ class BasedModule(Based):
                         f"module {self.name}: action ({alpha}, {j}) hits "
                         f"unknown label {lbl!r}")
         if self.ring.is_finite:
-            for alpha in self.ring.basis:
-                if alpha == self.ring.unit:
-                    continue
-                for j in self._basis:
-                    if (alpha, j) not in table:
-                        raise InvalidInputError(
-                            f"module {self.name}: action undefined for "
-                            f"({alpha}, {j}); missing pairs are not zero")
-
-    def _table_action(self, table: Mapping[Tuple[str, str], Element]):
-        def fn(alpha: str, j: str) -> Element:
-            try:
-                return table[(alpha, j)]
-            except KeyError:
-                raise InvalidInputError(
-                    f"module {self.name}: action undefined for ({alpha}, {j})"
-                ) from None
-        return fn
+            for alpha, j in itertools.product(self.ring.basis, self._basis):
+                if alpha != self.ring.unit and (alpha, j) not in table:
+                    raise InvalidInputError(
+                        f"module {self.name}: action undefined for "
+                        f"({alpha}, {j}); missing pairs are not zero")
 
     def basis_up_to_depth(self, depth: int) -> list:
         if self._basis is not None:
             return list(self._basis)
-        if self.mirrors_ring:
-            return self.ring.basis_up_to_depth(depth)
         return self._window_fn(depth)
 
     action = Based._get  # α ⊗ j over the module basis
@@ -109,20 +105,37 @@ class BasedModule(Based):
             raise UnknownBasisError(f"unknown module label {j!r} in module {self.name}")
 
     def _rule(self, a: int, i: int) -> Any:
-        """α ⊗ j, by ring and module id; the unit acts as the identity."""
-        alpha, j = self._ring_ids.labels[a], self._ids.labels[i]
-        self._reject_unknown(alpha, j)
-        return i if alpha == self.ring.unit else self._action_fn(alpha, j)
+        return self._action_fn(self._ring_ids.labels[a], self._ids.labels[i])
+
+    def _fill(self, a: int, i: int) -> Any:
+        """α ⊗ j by ids; a standard module's non-unit rows are its ring's."""
+        self._reject_unknown(self._ring_ids.labels[a], self._ids.labels[i])
+        if a == self._unit:
+            return self._rows[a].setdefault(i, i)
+        return (self.ring if self.mirrors_ring else super())._fill(a, i)
 
     def __repr__(self) -> str:
         size = f"rank {len(self._basis)}" if self._basis is not None else "lazy"
         return f"BasedModule({self.name}, {size} over {self.ring.name})"
 
 
+class _RingRows(dict):
+    """A standard module's rows: its own unit row, else the ring's row."""
+
+    def __init__(self, unit: int, ring_rows: dict):
+        super().__init__({unit: {}})  # filled as the identity
+        self._ring_rows = ring_rows
+
+    def __missing__(self, a: int) -> dict:
+        self[a] = row = self._ring_rows[a]
+        return row
+
+
 def standard_module(ring: BasedRing) -> BasedModule:
-    """The ring acting on itself by multiplication."""
-    basis = ring.basis if ring.is_finite else None
-    return BasedModule(ring=ring, basis=basis, action=ring.product,
+    """The ring acting on itself by multiplication: on the ring's labels
+    and rows, so each product is computed and stored once."""
+    return BasedModule(ring=ring, basis=ring._basis, action=ring.product,
+                       window_fn=ring.basis_up_to_depth,
                        name=f"standard({ring.name})", mirrors_ring=True,
                        doc={"kind": "module", "standard_of": ring.doc}
                        if ring.doc is not None else None)
@@ -145,33 +158,23 @@ def act(m: BasedModule, a: Element, v: Element) -> Element:
 
 def check_module_axioms(m: BasedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Verify action associativity over ring decompositions and based
-    symmetry on all tuples within depth.  The unit acts as the identity by
-    construction: :meth:`BasedModule.action` implies it.
-
-    A finite module over a finite ring is checked in one pass over the
-    action supports and, once its ring is proved associative, only at the
-    ring's generating labels; a failure there is named by the ordered sweep
-    over every tuple, which also decides lazy windows.
+    symmetry on all tuples within depth; the unit acts as the identity by
+    construction.  Based symmetry is one ordered pass for every module.  A
+    finite module over a proved finite ring checks action associativity
+    only at the ring's generating labels; a failure there is named by the
+    ordered sweep over every tuple, which also decides lazy windows.
     """
     ring = m.ring
     ring_window = checked_window(ring, depth)
     window = checked_window(m, depth)
-    # the ordered sweeps decide lazy windows and name the first failing tuple
-    finite = exhaustive(ring, m)
-    if not (finite and _symmetric_by_supports(m)):
-        for alpha in ring_window:
-            calpha = ring.conj(alpha)
-            for j in window:
-                for jp in window:
-                    forward = m.action(alpha, jp).coeff(j) != 0
-                    backward = m.action(calpha, j).coeff(jp) != 0
-                    if forward != backward:
-                        return Verdict.fails(
-                            f"based symmetry fails at (α={alpha}, j={j}, j'={jp}): "
-                            f"{j} ⊂ {alpha}⊗{jp} is {forward} but "
-                            f"{jp} ⊂ conj({alpha})⊗{j} is {backward}",
-                            data=(alpha, j, jp))
-    if finite and _associative_by_generators(m):
+    asymmetric = _first_asymmetric(m, ring_window, window)
+    if asymmetric is not None:
+        alpha, j, jp, forward = asymmetric
+        return Verdict.fails(
+            f"based symmetry fails at (α={alpha}, j={j}, j'={jp}): "
+            f"{j} ⊂ {alpha}⊗{jp} is {forward} but "
+            f"{jp} ⊂ conj({alpha})⊗{j} is {not forward}", data=(alpha, j, jp))
+    if exhaustive(ring, m) and _associative_by_generators(m):
         return Verdict.holds()
     failure = first_nonassociative(m, ring, ring_window, ring_window, window)
     if failure is not None:
@@ -207,29 +210,39 @@ def check_module_dimension(m: BasedModule, dims: Mapping[str, Fraction],
     return Verdict.holds_within(depth, m.ring, m)
 
 
-def _symmetric_by_supports(m: BasedModule) -> bool:
-    """Based symmetry of a finite module over a finite ring, one pass over
-    the action supports: every j ∈ supp(α ⊗ j') needs j' ∈ supp(conj(α) ⊗ j).
-
-    With conj an involution on the ring basis, the pass at conj(α) is the
-    converse at α, so both directions are covered.  False when conj is not
-    an involution there, when a pair fails, or when an input error is met;
-    the ordered sweep then decides, or raises, as it would alone.
+def _first_asymmetric(m: BasedModule, alphas: Sequence[str],
+                      js: Sequence[str]) -> Optional[tuple]:
+    """The first (α, j, j′), in loop order, at which j ⊂ α ⊗ j′ and
+    j′ ⊂ conj(α) ⊗ j disagree, as (α, j, j′, whether j ⊂ α ⊗ j′), else None.
+    Per α, on the id rows: α ⊗ j′ for each j′, conj(α) ⊗ j₀ after the first,
+    then conj(α) ⊗ j once per later j, each compared as it arrives; so rows
+    are asked for, and the pass stops, where the loop over (α, j, j′) would.
     """
-    ring = m.ring
-    try:
-        if any(ring.conj(a) not in ring._labels or ring.conj(ring.conj(a)) != a
-               for a in ring.basis):
-            return False
-        for alpha in ring.basis:
-            calpha = ring.conj(alpha)
-            for jp in m.basis:
-                for j, _ in m.action(alpha, jp).items():
-                    if j in m._labels and not m.action(calpha, j).coeff(jp):
-                        return False
-    except (ValueError, ArithmeticError):
-        return False
-    return True
+    place = {m._ids.id(j): n for n, j in enumerate(js)}  # id → window place
+
+    def read(a: int, k: int) -> list:  # the window places of a ⊗ k, in order
+        row = m._at(a, k)
+        if type(row) is int:
+            return [place[row]] if row in place else []
+        return sorted(place[x] for x, _ in row if x in place)
+
+    for alpha in alphas:
+        calpha, a = m.ring.conj(alpha), m._ring_ids.id(alpha)
+        into: list = [[] for _ in js]  # into[n]: the j′ with js[n] ⊂ α ⊗ j′
+        for k, p in place.items():
+            for n in read(a, k):
+                into[n].append(p)
+            if not p:
+                c = m._ring_ids.id(calpha)
+                first = read(c, k)
+            if (into[0][-1:] == [p]) != (p in first):
+                return alpha, js[0], js[p], p not in first
+        for k, n in list(place.items())[1:]:
+            back = read(c, k)
+            if into[n] != back:
+                p = min(set(into[n]).symmetric_difference(back))
+                return alpha, js[n], js[p], p in into[n]
+    return None
 
 
 def _associative_by_generators(m: BasedModule) -> bool:
@@ -288,16 +301,12 @@ def connected_components(m: BasedModule, depth: int = DEFAULT_DEPTH) -> list:
             i = parent[i]
         return i
 
-    def union(i: int, k: int) -> None:
-        ri, rk = find(i), find(k)
-        if ri != rk:
-            parent[max(ri, rk)] = min(ri, rk)
-
     for jp in window:
         for alpha in ring_window:
             for j, _ in m.action(alpha, jp).items():
                 if j in index:
-                    union(index[j], index[jp])
+                    roots = find(index[j]), find(index[jp])
+                    parent[max(roots)] = min(roots)
     groups: Dict[int, list] = {}
     for i, j in enumerate(window):
         groups.setdefault(find(i), []).append(j)

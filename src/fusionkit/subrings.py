@@ -13,7 +13,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple,
                     Union)
 
 from .elements import Element, InvalidInputError, UnknownBasisError
-from .modules import BasedModule, connected_components
+from .modules import BasedModule, connected_components, standard_module
 from .rings import DEFAULT_DEPTH, BasedRing, Verdict, checked_window, exhaustive
 
 MapLike = Union[Mapping[str, str], Callable[[str], str]]
@@ -92,7 +92,8 @@ def verify_subring(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> Verdict:
 
 def coset_classes(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> List[List[str]]:
     """Coset classes of the ambient basis window: the connected components
-    of the ambient ring as a based module over ``e.sub``, s ⊗ x := map(s) ⊗ x.
+    of the ambient ring's standard module restricted to ``e.sub``, as
+    :func:`~fusionkit.induction.restrict` builds it, unchecked.
 
     Its edges join x and y when y ⊂ map(s) ⊗ x for a sub label s within
     depth.  By Frobenius reciprocity, which the ring axioms imply, that is
@@ -101,12 +102,16 @@ def coset_classes(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> List[List[
     splits a class there, never contradicts it.  Classes come in order of
     their least window index, members in window order.
     """
-    amb = e.ambient
-    over_sub = BasedModule(
-        ring=e.sub, basis=amb.basis if amb.is_finite else None,
-        action=lambda s, x: amb.product(e.embed(s), x),
-        name=f"Res({amb.name})", window_fn=amb.basis_up_to_depth)
-    return connected_components(over_sub, depth)
+    return connected_components(_restriction(standard_module(e.ambient), e), depth)
+
+
+def _restriction(m: BasedModule, e: SubringEmbedding) -> BasedModule:
+    """``m`` over ``e.sub``, β acting as map(β) on the same basis or window."""
+    doc = None if m.doc is None or e.doc is None else {
+        "kind": "module", "restricted": {"source": m.doc, "embedding": e.doc}}
+    return BasedModule(ring=e.sub, basis=m._basis, window_fn=m.basis_up_to_depth,
+                       action=lambda beta, j: m.action(e.embed(beta), j),
+                       name=f"Res({m.name})", doc=doc)
 
 
 class DivisibilityCertificate(NamedTuple):

@@ -552,8 +552,9 @@ def intertwines(window, basis1, action1, basis2, action2, mapping):
     return True
 
 
-# --- the ordered associativity sweep over plain dict tables: the order in
-#     which it asks for products fixes its first witness and first error
+# --- the ordered associativity sweep and the based-symmetry loop over plain
+#     dict tables: the order in which they ask for products fixes their
+#     first witness and first error
 
 I64_MAX = 2**63 - 1
 
@@ -616,6 +617,33 @@ def ordered_triple_scan(alphas, betas, js, mul, act):
                     nested = side((alpha, beta, j), {alpha: 1}, ask(act, (beta, j)))
                     if flat != nested:
                         return ("fails", (alpha, beta, j), nested, flat)
+    except _Stop as stop:
+        return stop.outcome
+    return ("holds",)
+
+
+def ordered_symmetry_scan(alphas, conj, js, act):
+    """Based symmetry by the plain loop over α, then j, then j′ on a table:
+    ``act[(x, j)]`` is a {label: coeff} dict, unit pairs included, and a
+    missing key is an action that raises; ``conj`` maps a label to its
+    conjugate.  At each (α, j, j′) it asks for α⊗j′, then conj(α)⊗j.
+    Returns ("holds",), ("fails", (α, j, j′)) for the first tuple at which
+    j ⊂ α⊗j′ and j′ ⊂ conj(α)⊗j disagree, or ("missing", (x, j)) for the
+    first action asked for that is missing."""
+    def ask(key):
+        try:
+            return act[key]
+        except KeyError:
+            raise _Stop(("missing", key)) from None
+
+    try:
+        for alpha in alphas:
+            for j in js:
+                for jp in js:
+                    forward = ask((alpha, jp)).get(j, 0) != 0
+                    backward = ask((conj(alpha), j)).get(jp, 0) != 0
+                    if forward != backward:
+                        return ("fails", (alpha, j, jp))
     except _Stop as stop:
         return stop.outcome
     return ("holds",)

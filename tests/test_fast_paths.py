@@ -1,10 +1,11 @@
 """The finite fast paths of the axiom checks, where they give up.
 
-``associative_by_generators``, ``_symmetric_by_supports`` and
-``_associative_by_generators`` hand an input they cannot prove to the
-ordered sweep.  Each case below reaches one of those fallbacks, and the
-check must then end exactly as the ordered sweep alone ends: the same
-verdict and witness, or the same exception and message.
+``associative_by_generators`` and ``_associative_by_generators`` hand an
+input they cannot prove to the ordered sweep.  Each case below reaches one
+of those fallbacks, and the check must then end exactly as the ordered
+sweep alone ends: the same verdict and witness, or the same exception and
+message.  Based symmetry has no fast path: its one ordered pass is checked
+against an independent scan in ``tests/test_sweep_contract.py``.
 """
 
 import contextlib
@@ -17,7 +18,6 @@ from fusionkit import (
     BasedModule,
     BasedRing,
     Element,
-    InvalidInputError,
     check_module_axioms,
     check_ring_axioms,
     cyclic_group,
@@ -65,15 +65,6 @@ def ring_overflow():
     return check_ring_axioms, ring
 
 
-def action_raises():
-    # an action callable that rejects g ⊗ j
-    def action(alpha, j):
-        raise InvalidInputError(f"no action for ({alpha}, {j})")
-
-    z2 = group_ring(cyclic_group(2, generator="g"))
-    return check_module_axioms, _module_over(z2, action)
-
-
 def module_overflow():
     # g ⊗ (g ⊗ j) has the coefficient 2¹²⁴ at j
     z2 = group_ring(cyclic_group(2, generator="g"))
@@ -86,8 +77,6 @@ CASES = {
     "rings: product leaves the basis": (product_leaves_the_basis,
                                         "associative_by_generators", None),
     "rings: overflow": (ring_overflow, "associative_by_generators", None),
-    "modules: symmetry meets an input error": (action_raises,
-                                               "_symmetric_by_supports", False),
     "modules: overflow": (module_overflow, "_associative_by_generators", False),
 }
 
@@ -119,7 +108,6 @@ def test_a_fallback_ends_as_the_ordered_sweep_alone(case, monkeypatch):
     assert returned and returned[-1] is gave_up
     check, obj = build()
     monkeypatch.setattr(rings, "associative_by_generators", lambda ring: None)
-    monkeypatch.setattr(modules, "_symmetric_by_supports", lambda m: False)
     monkeypatch.setattr(modules, "_associative_by_generators", lambda m: False)
     assert got == _outcome(check, obj)
 

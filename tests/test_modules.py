@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -15,6 +17,7 @@ from fusionkit import (
     cyclic_group,
     explicit_ring,
     find_intertwiner,
+    free_product,
     generating_labels,
     group_ring,
     connected_components,
@@ -26,7 +29,7 @@ from fusionkit import (
     symmetric_group_3,
 )
 from fusionkit.constructions import rep_ring, s3_character_table
-from fusionkit import SubringEmbedding
+from fusionkit import SubringEmbedding, rings
 from oracles import cyclic_mul_oracle, first_module_failure, s3_mul_oracle
 
 
@@ -269,6 +272,52 @@ def test_based_symmetry_over_a_non_involutive_conj():
     assert expected == ("symmetry", ("a", "j", "j"))
     _assert_matches_full_sweep(
         check_module_axioms(_module(ring, ["j"], action)), expected)
+
+
+def test_a_cold_standard_module_check_fills_each_product_once(monkeypatch):
+    # the standard module reads its ring's rows, so only the ring fills a
+    # row, each once, and the unit's row is never filled
+    ring = free_product(group_ring(cyclic_group(2, generator="g")),
+                        group_ring(cyclic_group(3))).ring
+    filled = []
+    original = rings.Based._fill
+
+    def counted(self, a, x):
+        filled.append((self, self._ring_ids.labels[a], self._ids.labels[x]))
+        return original(self, a, x)
+
+    monkeypatch.setattr(rings.Based, "_fill", counted)
+    assert check_module_axioms(standard_module(ring), 4).is_holds
+    pairs = [(a, x) for _, a, x in filled]
+    assert all(obj is ring for obj, _, _ in filled)
+    assert len(pairs) == len(set(pairs)) == len(ring.stored_pairs())
+
+
+def test_a_table_module_is_freed_without_the_cyclic_collector(su2):
+    # over a lazy ring an action table may leave a pair out; its lookup
+    # names the module without holding it
+    gc.collect()
+    gc.disable()
+    try:
+        m = BasedModule(ring=su2, basis=["j"], name="partial",
+                        action={("x1", "j"): Element.basis("j")})
+        assert m.action("x1", "j") == Element.basis("j")
+        with pytest.raises(InvalidInputError,
+                           match=r"^module partial: action undefined for \(x2, j\)$"):
+            m.action("x2", "j")
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_the_unit_acts_on_a_label_no_row_has_named_yet(su2):
+    # a lazy module's unit row is the identity, read for any label
+    m = BasedModule(ring=su2, basis=None, name="lazy", action=su2.product,
+                    window_fn=su2.basis_up_to_depth)
+    assert m.action("x0", "x7") == Element.basis("x7")
+    assert m.action("x0", "x7") is m.action("x0", "x7")
 
 
 # --- the intertwiner witness against the backtracking oracle ---------------------

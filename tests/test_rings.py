@@ -472,7 +472,7 @@ def test_sweep_asks_each_row_once(monkeypatch):
 
     # a module over Z/4 on points m0..m3, α ⊗ mk = m(k + exponent of α):
     # every reader below shares the module's rows, so each non-unit (α, j) is
-    # asked once, when the supports pass first asks it, and the unit never
+    # asked once, when the symmetry pass first asks it, and the unit never
     points = ["m0", "m1", "m2", "m3"]
 
     def image(alpha, j):
@@ -485,20 +485,23 @@ def test_sweep_asks_each_row_once(monkeypatch):
         return Element.basis(image(alpha, j))
 
     m = BasedModule(ring=ring, basis=points, action=action, name="counted")
-    assert check_module_axioms(m).is_holds  # supports pass, generator proof
+    assert check_module_axioms(m).is_holds  # symmetry pass, generator proof
     with monkeypatch.context() as patch:  # the ordered sweep decides alone
-        patch.setattr(modules, "_symmetric_by_supports", lambda m: False)
         patch.setattr(modules, "_associative_by_generators", lambda m: False)
         assert check_module_axioms(m).is_holds
     assert connected_components(m) == [points]
     for alpha, j in itertools.product(basis, points):
         assert m.action(alpha, j) == Element.basis(image(alpha, j))
-    # the supports pass asks α ⊗ j', then conj(α) ⊗ j for j = α ⊗ j'
+    # per α, the symmetry pass asks α ⊗ m0, then conj(α) ⊗ m0, then α ⊗ j'
+    # for the later j', then conj(α) ⊗ j for the later j
     expected = []
-    for alpha, jp in itertools.product(basis, points):
-        expected += [(alpha, jp),
-                     (cyclic_label(-cyclic_exponent(alpha) % 4), image(alpha, jp))]
+    for alpha in basis:
+        calpha = cyclic_label(-cyclic_exponent(alpha) % 4)
+        expected += [(alpha, points[0]), (calpha, points[0])]
+        expected += [(alpha, jp) for jp in points[1:]]
+        expected += [(calpha, j) for j in points[1:]]
     assert calls == [pair for pair in dict.fromkeys(expected) if pair[0] != "e"]
+    assert sorted(calls) == sorted(itertools.product(basis[1:], points))
 
 
 def test_action_names_a_negative_coefficient(z2):

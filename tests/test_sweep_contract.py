@@ -1,9 +1,11 @@
-"""The id-row associativity sweep against an independent oracle.
+"""The id-row associativity sweep and the based-symmetry pass against
+independent oracles.
 
 ``oracles.ordered_triple_scan`` runs the same ordered sweep over plain dict
-tables, with no fusionkit import.  For each case below the check's first
-witness, or its first exception, must be the one the scan names, and both
-are pinned as text.
+tables, and ``oracles.ordered_symmetry_scan`` the plain loop over
+(α, j, j′), with no fusionkit import.  For each case below the check's
+first witness, or its first exception, must be the one the scan names, and
+both are pinned as text.
 """
 
 import re
@@ -25,9 +27,11 @@ from fusionkit import (
 )
 from oracles import (
     LazyTable,
+    cg_tensor_oracle,
     first_window_collision,
     modular_mul,
     modular_words,
+    ordered_symmetry_scan,
     ordered_triple_scan,
 )
 
@@ -213,3 +217,100 @@ def test_lazy_ring_overflows_at_a_known_triple():
     with pytest.raises(OverflowError, match=f"^coefficient {K * K} exceeds "
                                             r"the signed 64-bit range$"):
         check_ring_axioms(ring, 2)
+
+
+# --- based symmetry: one ordered pass for finite and lazy modules ----------------
+
+def _symmetry_witness(alpha, j, jp, forward):
+    return (f"based symmetry fails at (α={alpha}, j={j}, j'={jp}): {j} ⊂ "
+            f"{alpha}⊗{jp} is {forward} but {jp} ⊂ conj({alpha})⊗{j} is "
+            f"{not forward}")
+
+
+def _table_module(ring, basis, act, name):
+    """A finite module acting by ``act``; a pair it lacks raises."""
+    def action(alpha, j):
+        if (alpha, j) not in act:
+            raise InvalidInputError(f"no action for ({alpha}, {j})")
+        return Element(act[(alpha, j)])
+
+    return BasedModule(ring=ring, basis=basis, action=action, name=name)
+
+
+def _with_unit(ring, basis, act):
+    return {**{(ring.unit, j): {j: 1} for j in basis}, **act}
+
+
+def test_lazy_module_first_asymmetric_at_a_later_j():
+    # x_m ⊗ x_n by Clebsch–Gordan, except x1 ⊗ x2 = x3: the loop first
+    # disagrees at j = x1, not at the first window label x0, and x3 lies
+    # outside the window
+    def rule(x, j):
+        m, n = int(x[1:]), int(j[1:])
+        if (m, n) == (1, 2):
+            return {"x3": 1}
+        return {f"x{k}": c for k, c in cg_tensor_oracle(m, n).items()}
+
+    ring = BasedRing(name="CG", unit="x0", conj=lambda a: a, dim=lambda a: 1,
+                     product=lambda x, y: Element(rule(x, y)), generators=["x1"])
+    module = BasedModule(ring=ring, basis=None, name="twisted",
+                         action=lambda x, j: Element(rule(x, j)),
+                         window_fn=ring.basis_up_to_depth)
+    window = ring.basis_up_to_depth(2)
+    assert window == module.basis_up_to_depth(2) == ["x0", "x1", "x2"]
+    outcome = ordered_symmetry_scan(window, lambda a: a, window, LazyTable(rule))
+    assert outcome == ("fails", ("x1", "x1", "x2"))
+    verdict = check_module_axioms(module, 2)
+    assert verdict.data == outcome[1]
+    assert verdict.witness == _symmetry_witness("x1", "x1", "x2", False)
+
+
+FAILS_FIRST = {
+    # a cycles j → k → l; a2 sends j to l, as its inverse does, but fixes
+    # k: the loop fails at (a, k, j), a later j, before it asks for a2 ⊗ l
+    "at a later j": ({("a", "j"): {"k": 1}, ("a", "k"): {"l": 1},
+                      ("a", "l"): {"j": 1}, ("a2", "j"): {"l": 1},
+                      ("a2", "k"): {"k": 1}}, ("a", "k", "j"), True),
+    # j ⊂ a ⊗ k but k ⊄ a2 ⊗ j: the loop fails at (a, j, k), on the first
+    # j, before it asks for a ⊗ l
+    "at the first j": ({("a", "j"): {"k": 1}, ("a", "k"): {"j": 1},
+                        ("a2", "j"): {"l": 1}}, ("a", "j", "k"), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILS_FIRST))
+def test_finite_module_fails_before_a_row_that_raises(case):
+    act, first, forward = FAILS_FIRST[case]
+    z3 = group_ring(cyclic_group(3))
+    basis = ["j", "k", "l"]
+    conj = {x: z3.conj(x) for x in z3.basis}
+    outcome = ordered_symmetry_scan(z3.basis, conj.get, basis,
+                                    _with_unit(z3, basis, act))
+    assert outcome == ("fails", first)
+    verdict = check_module_axioms(_table_module(z3, basis, act, case))
+    assert verdict.data == first
+    assert verdict.witness == _symmetry_witness(*first, forward)
+
+
+RAISING = {
+    # every non-unit row raises: the first one asked is g ⊗ j
+    "every row": ("z2", ["j"], {}, ("g", "j")),
+    # a ⊗ j is fine, and a2 ⊗ j = conj(a) ⊗ j is asked right after it,
+    # before a ⊗ k, which raises too
+    "conj(α) ⊗ j0": ("z3", ["j", "k"], {("a", "j"): {"j": 1}}, ("a2", "j")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISING))
+def test_symmetry_raises_at_the_first_row_the_loop_asks_for(case):
+    group, basis, act, first = RAISING[case]
+    ring = (group_ring(cyclic_group(2, generator="g")) if group == "z2"
+            else group_ring(cyclic_group(3)))
+    conj = {x: ring.conj(x) for x in ring.basis}
+    outcome = ordered_symmetry_scan(ring.basis, conj.get, basis,
+                                    _with_unit(ring, basis, act))
+    assert outcome == ("missing", first)
+    module = _table_module(ring, basis, act, case)
+    message = re.escape(f"no action for ({first[0]}, {first[1]})")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        check_module_axioms(module)
