@@ -139,14 +139,13 @@ class _Session:
         for ring in _rings_of(obj):
             if all(ring is not known for known in self.rings):
                 self.rings.append(ring)
-                if self.cache is not None:
-                    self.cache.load_into(ring)
         return obj
 
     def finish(self) -> None:
         if self.cache is None:
             return
         for ring in self.rings:
+            self.cache.load_into(ring)
             self.cache.flush(ring)
 
 
@@ -370,12 +369,8 @@ _HANDLERS = {
 
 def _argument_doc(args) -> dict:
     skip = {"command", "json", "no_cache"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in skip and value is not None}
 
 
 def cli_dispatch(argv: List[str]) -> int:

@@ -71,7 +71,9 @@ class BasedModule(Based):
             self._rows, self._singles = _RingRows(self._unit, ring._rows), ring._singles
 
     def _validate_table(self, table: Mapping[Tuple[str, str], Element]) -> None:
-        assert self._basis is not None
+        if self._basis is None:
+            raise InvalidInputError(f"module {self.name}: a lazy basis needs a "
+                                    "callable action, not a table")
         ring_labels = self.ring._labels
         for (alpha, j), value in table.items():
             if j not in self._labels or (ring_labels is not None

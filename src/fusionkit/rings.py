@@ -246,29 +246,24 @@ class Based:
         return self._fill(a, x) if row is None else row
 
     def _fill(self, a: int, x: int) -> Any:
-        """Compute, check and store the row of a ⊗ x."""
+        """Compute, check and store the row of a ⊗ x, each coefficient
+        range-checked; a one-label Element is the one shared from here on."""
         row = self._rule(a, x)
         if type(row) is not int:
             if type(row) is not dict:
                 require_nonnegative(row, "{} ⊗ {}", self._ring_ids.labels[a],
                                     self._ids.labels[x])
-            row = self._row(row)
+                single = row.single_label()
+                if single is not None:
+                    self._rows[a][x] = i = self._ids.id(single)
+                    self._singles.setdefault(i, row)
+                    return i
+                row = {self._ids.id(y): c for y, c in row.items()}
+            row = _single(checked_sums(row))
+            if type(row) is not int:
+                row = tuple(sorted(row.items(), key=lambda t: self._ids.labels[t[0]]))
         self._rows[a][x] = row
         return row
-
-    def _row(self, value: Any) -> Any:
-        """An Element, or a dict of coefficients by id, as a row, each
-        coefficient range-checked."""
-        if isinstance(value, Element):
-            single = value.single_label()
-            if single is not None:  # this Element is the one shared from here on
-                i = self._ids.id(single)
-                self._singles.setdefault(i, value)
-                return i
-            value = {self._ids.id(x): c for x, c in value.items()}
-        value = _single(checked_sums(value))
-        return value if type(value) is int else tuple(
-            sorted(value.items(), key=lambda t: self._ids.labels[t[0]]))
 
     def _element(self, row: Any) -> Element:
         """A row, or a dict of coefficients by id, as an Element."""
@@ -358,17 +353,6 @@ class BasedRing(Based):
         la, lb = self._ids.labels[a], self._ids.labels[b]
         self._reject_unknown(la, lb)
         return self._product_fn(la, lb)
-
-    def remember(self, a: str, b: str, value: Element) -> None:
-        """Keep a ⊗ b = ``value``, read back from a log of this ring's
-        products, unless it is known or names a label the ring cannot
-        resolve."""
-        try:
-            rows, b = self._rows[self._ids.id(a)], self._ids.id(b)
-            if b not in rows:
-                rows[b] = self._row(value)
-        except UnknownBasisError:
-            pass
 
     def stored_pairs(self) -> list:
         labels = self._ids.labels

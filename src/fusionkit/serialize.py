@@ -16,9 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from sys import intern
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional,
                     Tuple, Union)
 
@@ -621,17 +624,33 @@ def dumps(obj: Any) -> str:
 # ---------------------------------------------------------------------------
 # product cache
 
-class ProductCache:
-    """Append-only per-ring product log keyed by the ring's content hash.
+# a record as ``flush`` writes it; a torn one appended to has a brace in its value
+_RECORD = re.compile(rb'\{"a":"([ !#-\[\]-~]*)","b":"([ !#-\[\]-~]*)",'
+                     rb'"v":\{[^{}\n]*\}\}\n')
 
-    Records are one JSON object per line; a corrupt tail is truncated on
-    load.  The cache is semantically invisible: entries only ever replay
-    values the product function would compute.
-    """
+
+def _parsed_key(line: bytes) -> Optional[Tuple[str, str]]:
+    """(a, b) of a complete log record in any JSON spelling, else None."""
+    try:
+        record = json.loads(line)
+        _typed(record["v"], dict, "cache record", int)
+        key = _typed(record["a"], str, "cache"), _typed(record["b"], str, "cache")
+    except (ValueError, KeyError, TypeError, LoadError):
+        return None
+    return key if line.endswith(b"\n") else None  # else torn mid-write
+
+
+class ProductCache:
+    """Write-only per-ring log of products, one canonical JSON line each,
+    keyed by the ring's content hash.  :meth:`load_into` reads only the logged
+    (a, b) keys, and nothing goes back into the ring; :meth:`flush` appends
+    each stored product once, and first cuts a log at a torn or corrupt line."""
 
     def __init__(self, directory: str):
         self.directory = directory
-        self._baseline: Dict[int, set] = {}
+        # id(ring) -> ({a: logged b}, torn line's offset) until the next flush;
+        # sets of label strings: a key tuple per record would wake the cyclic GC
+        self._logged: Dict[int, Tuple[Dict[str, set], Optional[int]]] = {}
 
     def _path(self, ring: BasedRing) -> Optional[str]:
         if ring.doc is None:
@@ -639,41 +658,41 @@ class ProductCache:
         return os.path.join(self.directory, content_hash(ring.doc) + ".jsonl")
 
     def load_into(self, ring: BasedRing) -> int:
+        """Read the keys of ``ring``'s log, leaving the ring as it is, and
+        return the number of complete records."""
         path = self._path(ring)
-        baseline = set()
-        loaded = 0
+        logged, torn_at = defaultdict(set), None
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        a, b, value = record["a"], record["b"], record["v"]
-                        element = _as_element(value, "cache record")
-                    except (json.JSONDecodeError, KeyError, TypeError, LoadError):
-                        break  # corrupt tail: ignore the rest
-                    baseline.add((a, b))
-                    ring.remember(a, b, element)
-                    loaded += 1
-        self._baseline[id(ring)] = baseline
-        return loaded
+                    match = _RECORD.fullmatch(line)
+                    if match is not None:
+                        logged[intern(match[1].decode())].add(intern(match[2].decode()))
+                    elif line.strip():  # blank lines are skipped
+                        key = _parsed_key(line)
+                        if key is None:
+                            torn_at = handle.tell() - len(line)
+                            break
+                        logged[key[0]].add(key[1])
+        self._logged[id(ring)] = logged, torn_at
+        return sum(map(len, logged.values()))
 
     def flush(self, ring: BasedRing) -> int:
         path = self._path(ring)
         if path is None:
             return 0
-        baseline = self._baseline.get(id(ring), set())
-        fresh = [key for key in ring.stored_pairs() if key not in baseline]
+        if id(ring) not in self._logged:  # no keys read since the last flush
+            self.load_into(ring)
+        logged, torn_at = self._logged.pop(id(ring))
+        fresh = [(a, b) for a, b in ring.stored_pairs() if b not in logged[a]]
         if not fresh:
             return 0
         os.makedirs(self.directory, exist_ok=True)
         with open(path, "a", encoding="utf-8") as handle:
+            if torn_at is not None:
+                handle.truncate(torn_at)
             for a, b in sorted(fresh):
                 record = {"a": a, "b": b,
                           "v": dict(ring.product(a, b).items())}
                 handle.write(canonical_json(record) + "\n")
-        baseline.update(fresh)
-        self._baseline[id(ring)] = baseline
         return len(fresh)

@@ -5,10 +5,9 @@ import runpy
 
 import pytest
 
-from fusionkit import (Element, UnknownBasisError,
-                       find_divisibility_certificate, induction, modules,
-                       serialize)
-from fusionkit import cyclic_group, group_ring, symmetric_group_3
+from fusionkit import (Element, find_divisibility_certificate, induction,
+                       modules, serialize)
+from fusionkit import cyclic_group, group_ring, su2_ring, symmetric_group_3
 from fusionkit.cli import cli_dispatch
 from fusionkit.serialize import (
     LoadError,
@@ -255,7 +254,7 @@ def test_cache_roundtrip_and_corrupt_tail(tmp_path, z4):
     assert written >= 2
     path = tmp_path / (content_hash(z4.doc) + ".jsonl")
     assert path.exists()
-    # corrupt the tail; loading must truncate, not crash
+    # corrupt the tail; loading must stop there, not crash
     with open(path, "a") as handle:
         handle.write('{"a": "a", "b":')
     from fusionkit import cyclic_group, group_ring
@@ -267,8 +266,8 @@ def test_cache_roundtrip_and_corrupt_tail(tmp_path, z4):
 
 
 def test_cache_never_changes_values(tmp_path, z4):
-    # a poisoned cache record is simply replayed; the invariant that caches
-    # never change verdicts holds because flush only writes computed values
+    # nothing in a log is read back into a ring, so a cache cannot change a
+    # value or a verdict; flush writes only computed values, each pair once
     cache = ProductCache(str(tmp_path))
     cache.load_into(z4)
     z4.product("a", "a")
@@ -290,23 +289,91 @@ def test_cache_skips_rings_without_documents_and_blank_records(tmp_path, z4):
     assert cache.load_into(z4) == 1
 
 
-def test_cache_replays_only_labels_the_ring_resolves(tmp_path):
-    # a free product resolves only the words it has registered: a logged
-    # product naming any other word is skipped, and stays unknown
-    from fusionkit import free_product
-    ring = free_product(group_ring(cyclic_group(2, generator="g")),
-                        group_ring(cyclic_group(3))).ring
-    before = (ring.basis_up_to_depth(1), ring.stored_pairs())
+def test_cache_log_is_never_read_back(tmp_path):
+    # a poisoned record for a pair the ring has not computed changes nothing
+    ring = su2_ring()
     path = tmp_path / (content_hash(ring.doc) + ".jsonl")
-    path.write_text('{"a": "g", "b": "g", "v": {"ε": 1}}\n'
-                    '{"a": "g", "b": "a", "v": {"ga": 1}}\n'
-                    '{"a": "gaga", "b": "g", "v": {"gag": 1}}\n', encoding="utf-8")
-    assert ProductCache(str(tmp_path)).load_into(ring) == 3
-    assert ring.stored_pairs() == before[1] + [("g", "g")]
-    assert ring.basis_up_to_depth(1) == before[0]
-    assert ring.product("g", "g") == Element.basis("ε")
-    with pytest.raises(UnknownBasisError, match="unknown basis label 'gaga'"):
-        ring.product("gaga", "g")
+    path.write_text('{"a":"x5","b":"x5","v":{"x1":1}}\n'
+                    '{"a": "x1", "b": "x1", "v": {"x3": 1}}\n', encoding="utf-8")
+    cache = ProductCache(str(tmp_path))
+    assert cache.load_into(ring) == 2
+    assert ring.stored_pairs() == []
+    assert ring.product("x5", "x5") == Element(
+        {f"x{k}": 1 for k in range(0, 11, 2)})
+    assert ring.product("x1", "x1") == Element({"x0": 1, "x2": 1})
+    assert cache.flush(ring) == 0  # both keys are logged already
+    assert path.read_text(encoding="utf-8").count("\n") == 2
+
+
+def test_warm_cache_load_leaves_the_ring_as_it_is(tmp_path):
+    # the free product's unit word ε is logged with an escape, and read back
+    from fusionkit import free_product
+    def ring():
+        return free_product(group_ring(cyclic_group(2, generator="g")),
+                            group_ring(cyclic_group(3))).ring
+    cold = ring()
+    cold.basis_up_to_depth(3)
+    cache = ProductCache(str(tmp_path))
+    assert cache.load_into(cold) == 0
+    logged = cache.flush(cold)
+    assert logged == len(cold.stored_pairs()) > 0
+    assert any(a == "ε" for a, _ in cold.stored_pairs())
+    warm = ring()
+    before = warm.stored_pairs()
+    warm_cache = ProductCache(str(tmp_path))
+    assert warm_cache.load_into(warm) == logged
+    assert warm.stored_pairs() == before
+    warm.basis_up_to_depth(3)
+    assert warm_cache.flush(warm) == 0
+
+
+def test_cache_torn_tail_is_cut_once(tmp_path):
+    # three records and a torn one: the next flush cuts the tear and
+    # appends the rest, and the run after it writes nothing
+    pairs = [("x1", "x1"), ("x1", "x2"), ("x2", "x2"), ("x2", "x3"), ("x3", "x3")]
+
+    def run() -> int:
+        ring = su2_ring()
+        cache = ProductCache(str(tmp_path))
+        cache.load_into(ring)
+        for a, b in pairs:
+            ring.product(a, b)
+        return cache.flush(ring)
+
+    assert run() == 5
+    path = tmp_path / (content_hash(su2_ring().doc) + ".jsonl")
+    cold = path.read_bytes()
+    path.write_bytes(b"".join(cold.splitlines(keepends=True)[:3])
+                     + b'{"a": "x0", "b":')
+    assert ProductCache(str(tmp_path)).load_into(su2_ring()) == 3
+    assert run() == 2
+    assert run() == 0
+    assert path.read_bytes() == cold
+
+
+X3 = b'{"a":"x3","b":"x3","v":{"x0":1,"x2":1,"x4":1,"x6":1}}\n'
+
+
+@pytest.mark.parametrize("tail", [
+    b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}',  # complete but for its newline
+    b'{"a":"x1","b":"x1","v":{"x0":1,' + X3,  # torn, then appended to
+    b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}' + X3,
+    b'{"a":"x1","b":"x1","v":[]}\n' + X3,
+    b'["x1","x1"]\n' + X3,
+    b'{"a":"x1","b":1,"v":{}}\n' + X3,
+    b'{"a":"x\xff","b":"x1","v":{}}\n' + X3,
+], ids=["no-newline", "torn-then-appended", "merged", "list-value",
+        "list-record", "int-label", "bad-utf8"])
+def test_cache_corrupt_record_ends_the_log(tmp_path, tail):
+    ring = su2_ring()
+    path = tmp_path / (content_hash(ring.doc) + ".jsonl")
+    head = b'{"a":"x2","b":"x2","v":{"x0":1,"x2":1,"x4":1}}\n'
+    path.write_bytes(head + tail)
+    cache = ProductCache(str(tmp_path))
+    assert cache.load_into(ring) == 1
+    ring.product("x1", "x1")
+    assert cache.flush(ring) == 1
+    assert path.read_bytes() == head + b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}\n'
 
 
 # --- CLI -----------------------------------------------------------------------

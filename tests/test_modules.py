@@ -69,6 +69,14 @@ def test_doubling_action_fails_associativity(z2):
     assert "4·j" in verdict.witness
 
 
+def test_lazy_module_with_an_action_table_rejected(su2):
+    with pytest.raises(InvalidInputError,
+                       match="module lazy: a lazy basis needs a callable action"):
+        BasedModule(ring=su2, basis=None, name="lazy",
+                    action={("x1", "x0"): Element.basis("x1")},
+                    window_fn=su2.basis_up_to_depth)
+
+
 def test_missing_action_entry_rejected(z4):
     with pytest.raises(InvalidInputError):
         BasedModule(ring=z4, basis=["j"],
