@@ -2,9 +2,9 @@
 
 Group rings, representation rings from character tables, the lazy
 Clebsch-Gordan ring with its index-two even subring, componentwise direct
-products, alternating-word free products, and group-twisted semi-direct
-products.  Every factory attaches a serializable construction expression so
-rings can be hashed and reloaded.
+products, alternating-word free products, and semi-direct products, which
+are the direct product twisted by a group action.  Every factory attaches a
+serializable construction expression so rings can be hashed and reloaded.
 """
 
 from __future__ import annotations
@@ -423,8 +423,9 @@ def so3_subring(ambient: Optional[BasedRing] = None) -> SubringEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# products: one letters rule, one embedding builder; labels register on
-# the ring's id registry, ``rings.Labels``
+# products: one letters rule, one embedding builder, one pair builder for
+# the direct and semi-direct products; labels register on the ring's id
+# registry, ``rings.Labels``
 
 class RingWithFactorEmbeddings(NamedTuple):
     ring: BasedRing
@@ -465,29 +466,32 @@ def _two_factor_doc(construct: str, r1: BasedRing, r2: BasedRing
             "left": r1.doc, "right": r2.doc}
 
 
-def _pair_label(pair: Tuple[str, str]) -> str:
-    return f"({pair[0]},{pair[1]})"
-
-
-def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
-    """Componentwise fusion on pairs, with both factor embeddings."""
-    name = f"{r1.name} × {r2.name}"
-    labels = Labels(name, _pair_label)
+def _pair_product(name: str, r1: BasedRing, r2: BasedRing,
+                  twist: Callable[[str, str], str], doc: Optional[dict],
+                  left: Tuple[str, str], right: Tuple[str, str]
+                  ) -> RingWithFactorEmbeddings:
+    """Pairs (a, x) of factor labels with the twisted fusion
+    (a, x) ⊗ (b, y) = (a ⊗ b) × (τ_b(x) ⊗ y), conj(a, x) =
+    (conj a, τ_{conj a}(conj x)) and d(a, x) = d(a)·d(x), where
+    ``twist(b, x)`` is τ_b(x); ``left`` and ``right`` are each factor
+    embedding's canonical form and label."""
+    labels = Labels(name, lambda pair: f"({pair[0]},{pair[1]})")
     make, decode = labels.make, labels.decode
 
     def product(la: str, lb: str) -> Element:
-        a1, a2 = decode(la)
-        b1, b2 = decode(lb)
-        return bilinear(lambda x, y: Element.basis(make((x, y))),
-                        r1.product(a1, b1), r2.product(a2, b2))
+        a, x = decode(la)
+        b, y = decode(lb)
+        return bilinear(lambda u, v: Element.basis(make((u, v))),
+                        r1.product(a, b), r2.product(twist(b, x), y))
 
     def conj(la: str) -> str:
-        a1, a2 = decode(la)
-        return make((r1.conj(a1), r2.conj(a2)))
+        a, x = decode(la)
+        c = r1.conj(a)
+        return make((c, twist(c, r2.conj(x))))
 
     def dim(la: str) -> Fraction:
-        a1, a2 = decode(la)
-        return r1.dim(a1) * r2.dim(a2)
+        a, x = decode(la)
+        return r1.dim(a) * r2.dim(x)
 
     unit = make((r1.unit, r2.unit))
     if r1.is_finite and r2.is_finite:
@@ -496,14 +500,18 @@ def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
         basis_kw = {"generators": [make((g, r2.unit)) for g in _letters(r1)]
                     + [make((r1.unit, g)) for g in _letters(r2)]}
     ring = BasedRing(name=name, unit=unit, conj=conj, product=product, dim=dim,
-                     doc=_two_factor_doc("direct_product", r1, r2),
-                     labels=labels, **basis_kw)
+                     doc=doc, labels=labels, **basis_kw)
     return RingWithFactorEmbeddings(
-        ring,
-        _factor_embedding(ring, r1, lambda a: make((a, r2.unit)),
-                          "direct_left", r1.name),
-        _factor_embedding(ring, r2, lambda b: make((r1.unit, b)),
-                          "direct_right", r2.name))
+        ring, _factor_embedding(ring, r1, lambda a: make((a, r2.unit)), *left),
+        _factor_embedding(ring, r2, lambda x: make((r1.unit, x)), *right))
+
+
+def direct_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
+    """Componentwise fusion on pairs, with both factor embeddings: the pair
+    product with the identity twist."""
+    return _pair_product(f"{r1.name} × {r2.name}", r1, r2, lambda b, x: x,
+                         _two_factor_doc("direct_product", r1, r2),
+                         ("direct_left", r1.name), ("direct_right", r2.name))
 
 
 _FREE_UNIT = "ε"
@@ -679,46 +687,18 @@ class SemidirectProductRing(NamedTuple):
 
 def semidirect_product(gamma: FiniteGroupPresentation, target: BasedRing,
                        act: RingAutomorphismAction) -> SemidirectProductRing:
-    """Pairs (γ, x) with the twisted fusion
-    (γ, x) ⊗ (γ', x') = (γγ', σ(x) ⊗ x') where σ is the action of γ'⁻¹,
-    and conj(γ, x) = (γ⁻¹, α_γ(conj x))."""
+    """Z[Γ] × R twisted by the action: τ_γ is the action of γ⁻¹, so
+    (γ, x) ⊗ (γ', x') = (γγ', α_{γ'⁻¹}(x) ⊗ x') and
+    conj(γ, x) = (γ⁻¹, α_γ(conj x))."""
     verify_automorphism_action(act, target)
     if act.group is not gamma and act.group.elements != gamma.elements:
         raise InvalidInputError("action group does not match the given group")
-    name = f"{len(gamma.elements)}-group ⋉ {target.name}"
-    labels = Labels(name, _pair_label)
-    make, decode = labels.make, labels.decode
-    basis = [make((g, x)) for g in gamma.elements for x in target.basis]
-
-    def product(la: str, lb: str) -> Element:
-        g1, x = decode(la)
-        g2, xp = decode(lb)
-        twist = act.perms[gamma.inv(g2)]
-        g12 = gamma.mul(g1, g2)
-        # make((g12, ·)) is injective, so no two terms share a label
-        return Element.from_sums({make((g12, z)): coeff for z, coeff
-                                  in target.product(twist[x], xp).items()})
-
-    def conj(la: str) -> str:
-        g1, x = decode(la)
-        return make((gamma.inv(g1), act.perms[g1][target.conj(x)]))
-
-    def dim(la: str) -> Fraction:
-        _, x = decode(la)
-        return target.dim(x)
-
     doc = None
     if target.doc is not None:
         doc = {"kind": "construct", "construct": "semidirect_product",
                "group": gamma.to_doc(), "target": target.doc,
                "action": act.to_doc()}
-    ring = BasedRing(name=name, unit=make((gamma.identity, target.unit)),
-                     conj=conj, product=product, dim=dim, basis=basis, doc=doc,
-                     labels=labels)
-    return SemidirectProductRing(
-        ring,
-        _factor_embedding(ring, group_ring(gamma),
-                          lambda g: make((g, target.unit)),
-                          "semidirect_group", "group"),
-        _factor_embedding(ring, target, lambda x: make((gamma.identity, x)),
-                          "semidirect_target", target.name))
+    return SemidirectProductRing(*_pair_product(
+        f"{len(gamma.elements)}-group ⋉ {target.name}", group_ring(gamma),
+        target, lambda g, x: act.perms[gamma.inv(g)][x], doc,
+        ("semidirect_group", "group"), ("semidirect_target", target.name)))

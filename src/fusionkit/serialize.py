@@ -206,6 +206,8 @@ def _load_group(doc: Any, what: str) -> FiniteGroupPresentation:
     for triple in _typed(doc["mult"], list, f"{what}.mult"):
         a, b, c = _row(triple, (str, str, str), f"{what}: mult entries are "
                        "[a, b, ab]")
+        if (a, b) in mult:
+            raise LoadError(f"{what}: duplicate mult entry ({a}, {b})")
         mult[(a, b)] = c
     return _build(what, FiniteGroupPresentation, elements, mult)
 
@@ -217,7 +219,7 @@ def _load_character_table(doc: Any, what: str) -> CharacterTable:
     for entry in _typed(doc["classes"], list, f"{what}.classes"):
         _require_keys(entry, {"label", "size"}, set(), f"{what}.classes")
         classes.append((_typed(entry["label"], str, f"{what}.classes label"),
-                        entry["size"]))
+                        _typed(entry["size"], int, f"{what}.classes size")))
     irreps = []
     for entry in _typed(doc["irreps"], list, f"{what}.irreps"):
         _require_keys(entry, {"label", "values"}, set(), f"{what}.irreps")
@@ -354,12 +356,13 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
 # ---------------------------------------------------------------------------
 # embeddings and certificates
 
-# canonical embedding → the construction its ambient must be
+# canonical embedding → (the construction its ambient must be, the slot of
+# the built construction that holds it)
 _CANONICAL_AMBIENT = {
-    "direct_left": "direct_product", "direct_right": "direct_product",
-    "free_left": "free_product", "free_right": "free_product",
-    "semidirect_group": "semidirect_product",
-    "semidirect_target": "semidirect_product"}
+    "direct_left": ("direct_product", 1), "direct_right": ("direct_product", 2),
+    "free_left": ("free_product", 1), "free_right": ("free_product", 2),
+    "semidirect_group": ("semidirect_product", 1),
+    "semidirect_target": ("semidirect_product", 2)}
 
 
 def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
@@ -376,17 +379,13 @@ def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
         if name not in _CANONICAL_AMBIENT:
             raise LoadError(f"embedding: unknown canonical form {name!r}")
         _require_keys(doc, {"kind", "canonical", "ambient"}, set(), "embedding")
-        ambient_doc, needed = doc["ambient"], _CANONICAL_AMBIENT[name]
+        ambient_doc, (needed, slot) = doc["ambient"], _CANONICAL_AMBIENT[name]
         if not (isinstance(ambient_doc, dict)
                 and ambient_doc.get("kind") == "construct"
                 and _construction(ambient_doc) == needed):
             raise LoadError(f"embedding {name} needs a {needed} construct "
                             "as its ambient")
-        made = _product(ambient_doc, base_dir, f"embedding {name}")
-        if needed == "semidirect_product":
-            return (made.group_embedding if name == "semidirect_group"
-                    else made.target_embedding)
-        return made.left if name.endswith("_left") else made.right
+        return _product(ambient_doc, base_dir, f"embedding {name}")[slot]
     _require_keys(doc, {"kind", "sub", "ambient", "map"}, {"name"}, "embedding")
     sub = _ref(doc["sub"], "ring", base_dir)
     ambient = _ref(doc["ambient"], "ring", base_dir)

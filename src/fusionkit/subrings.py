@@ -229,7 +229,7 @@ def verify_certificate(c: DivisibilityCertificate,
     it lies beyond the bound, and a window label factored through one fails.
     Such a representative t must still carry the entry t ↦ (t, sub unit),
     as t = map(unit) ⊗ t gives every true one at any depth, so a listed
-    class that no product generates fails.
+    class that no product generates fails.  So does a class listed twice.
     """
     e = c.embedding
     sub, amb = e.sub, e.ambient
@@ -247,7 +247,9 @@ def verify_certificate(c: DivisibilityCertificate,
             f"factorization of the unit is {got}, expected "
             f"({amb.unit}, {sub.unit})")
     reps = []
-    for t in c.classes:
+    for k, t in enumerate(c.classes):
+        if t in c.classes[:k]:
+            return Verdict.fails(f"class {t} is listed twice", data=(t,))
         got = c.factorization.get(t)
         if exhaustive(amb) or t in inside:
             reps.append(t)

@@ -7,8 +7,9 @@ a free product of fusion rings, plain-integer character convolution,
 representation rings from complex floating-point characters,
 cyclic and permutation arithmetic on labels, a Counter fold for bilinear
 extensions, transitive G-sets from subgroup classes with Mackey's orbit
-sizes, an unpruned torsion-module census, and the backtracking
-intertwiner search on plain tables.
+sizes, semi-direct products of groups in the textbook law, an unpruned
+torsion-module census, and the backtracking intertwiner search on plain
+tables.
 """
 
 import cmath
@@ -386,6 +387,25 @@ def mackey_orbit_sizes(table, h, k):
             seen.add(double)
             sizes.append(len(h) // len(h & conjugate(table, g, k)))
     return sorted(sizes)
+
+
+def semidirect_oracle(gamma, normal, action):
+    """N ⋊ Γ from the tables of Γ and N and the automorphisms
+    ``action[γ]`` of N as index lists, in the textbook law
+    (n, γ)·(n′, γ′) = (n·γ(n′), γγ′) on the elements n·γ.  The pair (γ, x)
+    names the element γ·x = γ(x)·γ.  Returns the product and the inverse
+    of every pair, as pairs."""
+    pairs = [(g, x) for g in range(len(gamma)) for x in range(len(normal))]
+    textbook = {(g, x): (action[g][x], g) for g, x in pairs}
+    pair_of = {v: k for k, v in textbook.items()}
+    mul = {}
+    for p in pairs:
+        for q in pairs:
+            (n, g), (m, h) = textbook[p], textbook[q]
+            mul[(p, q)] = pair_of[(normal[n][action[g][m]], gamma[g][h])]
+    inverse = {p: next(q for q in pairs if mul[(p, q)] == (0, 0))
+               for p in pairs}
+    return mul, inverse
 
 
 def is_permutation_matrix(rows):

@@ -29,8 +29,9 @@ from fusionkit import (
     verify_subring,
 )
 from fusionkit.cyclotomic import Cyclo, cyclotomic_polynomial
-from oracles import (cg_tensor_oracle, float_rep_ring_oracle,
-                     free_word_product, root_of_unity, s3_fusion_oracle)
+from oracles import (cg_tensor_oracle, cyclic_label, cyclic_table,
+                     float_rep_ring_oracle, free_word_product, root_of_unity,
+                     s3_fusion_oracle, semidirect_oracle)
 from test_rings import _in_threads
 
 
@@ -559,6 +560,36 @@ def test_semidirect_matches_s3_group_ring():
         for lb in labels:
             value = sd.ring.product(la, lb)
             assert to_s3(value.single_label()) == s3.mul(to_s3(la), to_s3(lb))
+
+
+@pytest.mark.parametrize("n, inverted", [(3, True), (4, True), (3, False)],
+                         ids=["Z3 by inversion", "Z4 by inversion",
+                              "Z3 trivially"])
+def test_twisted_products_match_the_semidirect_group(n, inverted):
+    # Z/n ⋊ Z/2 from plain tables; the trivial action's ring is also the
+    # direct product, whose twist is the identity
+    g2 = cyclic_group(2, generator="g")
+    target = group_ring(cyclic_group(n))
+    identity = list(range(n))
+    action = [identity, [-x % n for x in identity] if inverted else identity]
+    mul, inverse = semidirect_oracle(cyclic_table(2), cyclic_table(n), action)
+    names = ["e", "g"], [cyclic_label(k) for k in identity]
+
+    def label(pair):
+        return f"({names[0][pair[0]]},{names[1][pair[1]]})"
+
+    perms = {gamma: {names[1][x]: names[1][action[i][x]] for x in identity}
+             for i, gamma in enumerate(names[0])}
+    rings = [semidirect_product(g2, target, RingAutomorphismAction(g2, perms)).ring]
+    if not inverted:
+        rings.append(direct_product(g2.ring, target).ring)
+    for ring in rings:
+        assert sorted(ring.basis) == sorted(map(label, inverse))
+        for (p, q), r in mul.items():
+            assert ring.product(label(p), label(q)) == Element.basis(label(r))
+        for p, q in inverse.items():
+            assert ring.conj(label(p)) == label(q)
+            assert ring.dim(label(p)) == 1
 
 
 def test_semidirect_embeddings_verify():

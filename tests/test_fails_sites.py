@@ -226,6 +226,12 @@ CASES = {
             z2_in_z4(), ("e", "a"), {"e": ("e", "g")}))),
         ("fails", "factorization of the unit is ('e', 'g'), expected (e, e)",
          None)),
+    # a true certificate with its unit class listed again
+    "certificate: class listed twice": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in_z4(), ("e", "a", "e"), {"e": ("e", "e"), "a2": ("e", "g"),
+                                          "a": ("a", "e"), "a3": ("a", "g")}))),
+        ("fails", "class e is listed twice", ("e",))),
     # a lazy ring's class beyond the window must carry its entry t ↦ (t, e)
     "certificate: class no product generates": (
         lambda: verdict(verify_certificate(with_class(

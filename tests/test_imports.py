@@ -1,11 +1,13 @@
-"""Each command imports only what it runs, and the package namespace
-resolves its names lazily.
+"""Each command imports only what it runs, the package namespace
+resolves its names lazily, and every name the bench tracer wraps exists.
 
 The guard runs every subcommand in a fresh interpreter and compares the
 modules loaded after the command with those loaded before it, which are
 the bare interpreter's.
 """
 
+import ast
+import functools
 import importlib
 import json
 import os
@@ -154,3 +156,28 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fusionkit.no_such_name
     assert not hasattr(fusionkit, "dataclass")
+
+
+# --- the names the bench tracer wraps -----------------------------------------
+
+TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "bench", "tracing.py")
+
+
+def _traced_names():
+    """(module, attribute path) of each entry of ``SPANS`` and ``COUNTS``,
+    read from the tracer's source without importing it."""
+    with open(TRACING, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("SPANS", "COUNTS")}
+    assert set(tables) == {"SPANS", "COUNTS"}
+    return [(module, path) for module, path, _ in tables["SPANS"] + tables["COUNTS"]]
+
+
+@pytest.mark.parametrize("module, path", _traced_names())
+def test_every_traced_name_resolves(module, path):
+    owner = importlib.import_module(module)
+    assert callable(functools.reduce(getattr, path.split("."), owner))

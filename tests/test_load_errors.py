@@ -209,6 +209,12 @@ CASES = {
     "group: empty": (
         group_ring({"elements": [], "mult": []}),
         "group_ring.group: group must be non-empty"),
+    # the first entry would be Z/2's a ⊗ a = a, which has no identity
+    "group: duplicate mult entry": (
+        group_ring({"elements": ["e", "a"],
+                    "mult": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"],
+                             ["a", "a", "a"], ["a", "a", "e"]]}),
+        "group_ring.group: duplicate mult entry (a, a)"),
     "group: no identity": (
         group_ring({"elements": ["a", "b"],
                     "mult": [[x, y, "a"] for x in "ab" for y in "ab"]}),
@@ -225,6 +231,10 @@ CASES = {
         character_table([("1", 1), ("2", 0)],
                         [("triv", [1, 1]), ("sgn", [1, -1])]),
         TABLE + "class sizes must be positive integers"),
+    # a JSON boolean is not an integer, though Python reads true as 1
+    "character table: class size type": (
+        character_table([("1", True)], [("triv", [1])]),
+        "rep_ring.character_table.classes size: expected int"),
     "character table: identity class": (
         character_table([("1", 2)], [("triv", [1])]),
         TABLE + "first class must be the identity class, size 1"),
