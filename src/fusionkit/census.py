@@ -78,9 +78,9 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
 
     Labels are assigned in basis order, each followed by its conjugate; the
     unit acts as the identity.  Each non-unit pair (a, b) is checked once,
-    with ``bilinear`` as in ``check_module_axioms``, when the walk assigns
-    the last of a, b and the support of a ⊗ b; the based symmetry of
-    (a, a*) is checked when the later of the two is assigned.  So every
+    with ``bilinear`` on the partial table, when the walk assigns the last
+    of a, b and the support of a ⊗ b; the based symmetry of (a, a*) is
+    checked, on supports, when the later of the two is assigned.  So every
     yielded table is a based module, and no leaf re-checks it.
 
     Both candidate lists are closed under relabelling the basis by a

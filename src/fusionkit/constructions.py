@@ -52,6 +52,10 @@ class FiniteGroupPresentation:
                 if c not in universe:
                     raise InvalidInputError(
                         f"table not closed: ({a}, {b}) ↦ {c!r}")
+        for a, b in self.mult:
+            if a not in universe or b not in universe:
+                raise InvalidInputError(f"multiplication table entry ({a}, {b}) "
+                                        "is not over the group elements")
         identity = None
         for e in self.elements:
             if all(self.mult[(e, a)] == a and self.mult[(a, e)] == a
@@ -70,7 +74,7 @@ class FiniteGroupPresentation:
             name=f"Z[{len(self.elements)}-elt group]", unit=identity,
             conj=inverse.__getitem__,
             product=lambda a, b: Element.basis(mult[(a, b)]),
-            dim=lambda a: Fraction(1), basis=self.elements,
+            dim=lambda a: 1, basis=self.elements,
             doc={"kind": "construct", "construct": "group_ring", "group": self.to_doc()})
         if associative_by_generators(self.ring) is None:
             # Light's test failed; the ordered sweep names the first triple
@@ -334,7 +338,7 @@ def rep_ring(t: CharacterTable) -> BasedRing:
     return BasedRing(name=f"R(order-{t.order} group)", unit=t.trivial,
                      conj=t.conjugate_of.__getitem__,
                      product=lambda a, b: fusion[(a, b)],
-                     dim=lambda a: Fraction(t.degree(a)),
+                     dim=t.degree,
                      basis=t.irreps, doc=doc)
 
 
@@ -389,8 +393,8 @@ def _cg_ring(construct: str, name: str, step: int) -> BasedRing:
         index(a)
         return a
 
-    def dim(a: str) -> Fraction:
-        return Fraction(index(a) + 1)
+    def dim(a: str) -> int:
+        return index(a) + 1
 
     return BasedRing(name=name, unit="x0", conj=conj, product=product, dim=dim,
                      generators=(f"x{step}",),
@@ -489,7 +493,7 @@ def _pair_product(name: str, r1: BasedRing, r2: BasedRing,
         c = r1.conj(a)
         return make((c, twist(c, r2.conj(x))))
 
-    def dim(la: str) -> Fraction:
+    def dim(la: str) -> Union[int, Fraction]:
         a, x = decode(la)
         return r1.dim(a) * r2.dim(x)
 
@@ -584,8 +588,8 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
             intern((k,))
         return make(flipped)
 
-    def dim(la: str) -> Fraction:
-        out = Fraction(1)
+    def dim(la: str) -> Union[int, Fraction]:
+        out = 1
         for k in labels.decode(la):
             out *= factors[k & 1].dim(text[k])
         return out

@@ -202,8 +202,7 @@ def check_module_dimension(m: BasedModule, dims: Mapping[str, Fraction],
     for alpha in ring_window:
         d_alpha = m.ring.dim(alpha)
         for j in m.basis:
-            total = sum((c * dims[k] for k, c in m.action(alpha, j).items()),
-                        Fraction(0))
+            total = sum(c * dims[k] for k, c in m.action(alpha, j).items())
             if total != d_alpha * dims[j]:
                 return Verdict.fails(
                     f"module dimension incompatible at ({alpha}, {j}): "

@@ -192,7 +192,7 @@ def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
                          if unit not in (a, b)),
     }
     if "name" in doc:
-        normalized["name"] = doc["name"]
+        normalized["name"] = _typed(doc["name"], str, "explicit_ring: name")
     return _build(None, explicit_ring,
                   name=doc.get("name", "explicit ring"), basis=basis, unit=unit,
                   conj=conj, dim=dim, fusion=fusion, doc=normalized)
@@ -338,7 +338,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
                             "implied unit action")
     normalized = module_doc(ring, basis, table)
     if "name" in doc:
-        normalized["name"] = doc["name"]
+        normalized["name"] = _typed(doc["name"], str, "module: name")
     module = _build(None, BasedModule, ring=ring, basis=basis, action=table,
                     name=doc.get("name", UNNAMED), doc=normalized)
     if "dim" in doc:
@@ -393,7 +393,7 @@ def _load_embedding_doc(doc: dict, base_dir: str) -> SubringEmbedding:
     normalized = {"kind": "embedding", "sub": sub.doc, "ambient": ambient.doc,
                   "map": {k: mapping[k] for k in sorted(mapping)}}
     if "name" in doc:
-        normalized["name"] = doc["name"]
+        normalized["name"] = _typed(doc["name"], str, "embedding: name")
     return _build(None, SubringEmbedding, sub=sub, ambient=ambient,
                   mapping=mapping, name=doc.get("name", UNNAMED),
                   doc=normalized)

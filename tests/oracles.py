@@ -413,15 +413,17 @@ def is_permutation_matrix(rows):
             and all(sum(col) == 1 for col in zip(*rows)))
 
 
-# --- an unpruned census: every 0/1 matrix for every non-unit label
+# --- an unpruned census: every bounded matrix for every non-unit label
 
-def census_forms(basis, unit, conj, fusion, max_rank):
-    """Canonical forms (rank, form) of the connected based modules with 0/1
-    action matrices up to ``max_rank``.  ``fusion[(a, b)]`` is the
-    {label: coefficient} expansion of a ⊗ b.  Each label ranges over all
-    2^(rank²) matrices; an assignment is abandoned as soon as a
-    symmetry or associativity condition whose matrices are all assigned
-    fails, so every module survives."""
+def census_forms(basis, unit, conj, fusion, max_rank, max_coeff=1):
+    """Canonical forms (rank, form) of the connected based modules up to
+    ``max_rank`` whose action matrices have entries at most ``max_coeff``.
+    ``fusion[(a, b)]`` is the {label: coefficient} expansion of a ⊗ b.
+    Each label ranges over all (max_coeff + 1)^(rank²) matrices; an
+    assignment is abandoned as soon as a symmetry or associativity
+    condition whose matrices are all assigned fails, so every module
+    survives.  Based symmetry compares supports: M_a has a non-zero (i, j)
+    entry exactly when M_{a*} has a non-zero (j, i) entry."""
     labels = [a for a in basis if a != unit]
     found = set()
     for rank in range(1, max_rank + 1):
@@ -429,7 +431,8 @@ def census_forms(basis, unit, conj, fusion, max_rank):
                          for i in range(rank))
         matrices = [tuple(tuple(cells[i * rank:(i + 1) * rank])
                           for i in range(rank))
-                    for cells in itertools.product((0, 1), repeat=rank * rank)]
+                    for cells in itertools.product(range(max_coeff + 1),
+                                                   repeat=rank * rank)]
 
         def needs(a, b):
             return {a, b, *fusion[(a, b)]} - {unit}

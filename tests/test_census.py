@@ -349,3 +349,24 @@ def test_census_matches_unpruned_census(ring):
     assert len(set(got)) == len(got)
     assert set(got) == want
     _assert_canonical_and_sorted(result.modules)
+
+
+def test_rep_s3_census_at_coefficient_2_reads_symmetry_on_supports():
+    # pins the census's reading of based symmetry: two of the rank-2
+    # classes, transposes of each other, have a std matrix that is not
+    # symmetric (std ⊗ m0 = 2·m1 while std ⊗ m1 = m0 ⊕ m1), so they are
+    # symmetric in support only; a reading by multiplicities drops both
+    ring = rep_ring(s3_character_table())
+    fusion = {(a, b): dict(ring.product(a, b).items())
+              for a in ring.basis for b in ring.basis}
+    conj = {a: ring.conj(a) for a in ring.basis}
+    want = oracles.census_forms(ring.basis, ring.unit, conj, fusion, 2, 2)
+    result = enumerate_torsion_modules(ring, EnumerationBudget(2, 2))
+    assert result.complete
+    assert [len(m.basis) for m in result.modules] == [1, 2, 2, 2]
+    alphas = [a for a in ring.basis if a != ring.unit]
+    got = {(len(m.basis), oracles.canonical_form(
+                [_matrices(m)[a] for a in alphas])) for m in result.modules}
+    assert got == want
+    std = [_matrices(m)["std"] for m in result.modules]
+    assert sum(m != [list(row) for row in zip(*m)] for m in std) == 2

@@ -53,6 +53,9 @@ def test_group_axioms_rejected_with_witness():
     with pytest.raises(InvalidInputError):
         FiniteGroupPresentation(["x", "y"], {("x", "x"): "x", ("x", "y"): "y",
                                              ("y", "x"): "y", ("y", "y"): "y"})
+    # an entry beyond the table would stay in mult, to_doc and mul
+    with pytest.raises(InvalidInputError, match=r"entry \(z, z\)"):
+        FiniteGroupPresentation(["e"], {("e", "e"): "e", ("z", "z"): "q"})
 
 
 @st.composite

@@ -115,6 +115,17 @@ CASES = {
     "ring: duplicate fusion entry": (
         dict(EXPLICIT_Z2, fusion=[["g", "g", {"e": 1}], ["g", "g", {"e": 1}]]),
         "explicit_ring: duplicate fusion entry (g, g)"),
+    # a name is copied into the normalized document, so only a string loads
+    "ring: name type": (
+        dict(EXPLICIT_Z2, name=5),
+        "explicit_ring: name: expected str"),
+    "module: name type": (
+        module([["g", "j", {"j": 1}]], name=[1, 2]),
+        "module: name: expected str"),
+    "embedding: name type": (
+        {"kind": "embedding", "name": {"kind": "x"}, "sub": EXPLICIT_Z2,
+         "ambient": EXPLICIT_Z2, "map": {"e": "e", "g": "g"}},
+        "embedding: name: expected str"),
     "character value: zeta order": (
         character_table([("1", 1)], [("triv", [{"zeta": 0, "coeffs": {}}])]),
         "rep_ring.character_table.triv: zeta order must be a positive integer"),
@@ -215,6 +226,10 @@ CASES = {
                     "mult": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"],
                              ["a", "a", "a"], ["a", "a", "e"]]}),
         "group_ring.group: duplicate mult entry (a, a)"),
+    "group: mult entry outside the elements": (
+        group_ring({"elements": ["e"], "mult": [["e", "e", "e"], ["z", "z", "q"]]}),
+        "group_ring.group: multiplication table entry (z, z) is not over the "
+        "group elements"),
     "group: no identity": (
         group_ring({"elements": ["a", "b"],
                     "mult": [[x, y, "a"] for x in "ab" for y in "ab"]}),

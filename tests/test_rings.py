@@ -23,8 +23,10 @@ from fusionkit import (
     free_product,
     generating_labels,
     group_ring,
+    inversion_action,
     rep_ring,
     s3_character_table,
+    semidirect_product,
     su2_ring,
     symmetric_group_3,
     tensor,
@@ -34,7 +36,8 @@ from fusionkit.cli import cli_dispatch
 from fusionkit.modules import (BasedModule, check_module_axioms,
                                connected_components, standard_module)
 from fusionkit.rings import first_nonassociative
-from fusionkit.serialize import load, load_session, loaded_verdict
+from fusionkit.serialize import (canonical_json, load, load_session,
+                                 loaded_verdict)
 from oracles import (
     bilinear_oracle,
     cg_tensor_oracle,
@@ -136,8 +139,8 @@ def _rep_a4(dim_x):
 
 @pytest.mark.parametrize("dim_x, witness", [
     (3, None),
-    (4, "d(x)·d(x) = 16 but Σ N·d = 11"),  # integers only
-    (Fraction(5, 2), "d(x)·d(x) = 25/4 but Σ N·d = 8"),  # Fractions
+    (4, "d(x)·d(x) = 16 but Σ N·d = 11"),  # every dimension an int
+    (Fraction(5, 2), "d(x)·d(x) = 25/4 but Σ N·d = 8"),  # d(x) a Fraction
 ])
 def test_dimension_with_multiplicity_two(dim_x, witness):
     ring = _rep_a4(dim_x)
@@ -148,6 +151,44 @@ def test_dimension_with_multiplicity_two(dim_x, witness):
     else:
         assert verdict.data == ("x", "x")
         assert verdict.witness == f"dimension not multiplicative at (x, x): {witness}"
+
+
+def _z3_by_inversion():
+    g2, z3 = cyclic_group(2, generator="g"), group_ring(cyclic_group(3))
+    return semidirect_product(g2, z3, inversion_action(g2, z3)).ring
+
+
+@pytest.mark.parametrize("build", [
+    lambda: explicit_ring(name="t", basis=["e", "g"], unit="e",
+                          conj={"e": "e", "g": "g"},
+                          dim={"e": Fraction(1), "g": Fraction(4, 4)},
+                          fusion={("g", "g"): Element.basis("e")}),
+    lambda: group_ring(symmetric_group_3()),
+    lambda: rep_ring(s3_character_table()),
+    su2_ring,
+    lambda: direct_product(group_ring(cyclic_group(2)), su2_ring()).ring,
+    _z3_by_inversion,
+    lambda: free_product(group_ring(cyclic_group(2, generator="g")),
+                         group_ring(cyclic_group(3))).ring,
+], ids=["explicit", "group", "rep", "SU2", "direct", "semidirect", "free"])
+def test_integral_dimensions_are_ints(build):
+    ring = build()
+    labels = ring.basis_up_to_depth(3)
+    assert len(labels) > 1
+    assert all(type(ring.dim(x)) is int for x in labels)
+
+
+def test_a_fractional_dimension_is_a_fraction():
+    ring = _rep_a4(Fraction(5, 2))
+    assert type(ring.dim("x")) is Fraction and ring.dim("x") == Fraction(5, 2)
+    assert type(ring.dim("a")) is int
+
+
+def test_verdict_data_goes_to_json_as_built():
+    verdict = rings.Verdict.fails("w", data=(("a", "b"), {"j": ["x", ("y", 2)]}))
+    assert verdict.to_doc()["data"] is verdict.data
+    assert canonical_json(verdict.to_doc()) == (
+        '{"data":[["a","b"],{"j":["x",["y",2]]}],"status":"fails","witness":"w"}')
 
 
 def test_based_axiom_violation_witnessed():
