@@ -641,6 +641,9 @@ def verify_automorphism_action(act: RingAutomorphismAction,
         if set(perm) != basis or set(perm.values()) != basis:
             raise InvalidInputError(
                 f"action of {gamma} is not a permutation of the basis")
+    stray = sorted(set(act.perms) - set(g.elements))
+    if stray:
+        raise InvalidInputError(f"action names {stray[0]}, not a group element")
     ident = act.perms[g.identity]
     for x in target.basis:
         if ident[x] != x:

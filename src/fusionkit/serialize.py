@@ -1,4 +1,4 @@
-"""Definition-file schema, canonical JSON, content hashes, product cache.
+"""Definition-file schema, canonical JSON, content hashes, write-once product logs.
 
 Definition files are JSON documents with a top-level ``kind``.  The loader
 checks what a document alone can get wrong: JSON types, fields, duplicate
@@ -16,12 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from fractions import Fraction
-from sys import intern
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional,
                     Tuple, Union)
 
@@ -308,7 +305,7 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
         return standard_module(_ref(doc["standard_of"], "ring", base_dir))
     if "induced" in doc:
         from .induction import induce
-        _require_keys(doc, {"kind", "induced"}, {"provenance"}, "module")
+        _require_keys(doc, {"kind", "induced"}, set(), "module")
         inner = doc["induced"]
         _require_keys(inner, {"source", "certificate"}, set(), "module.induced")
         source = _ref(inner["source"], "module", base_dir)
@@ -623,33 +620,15 @@ def dumps(obj: Any) -> str:
 # ---------------------------------------------------------------------------
 # product cache
 
-# a record as ``flush`` writes it; a torn one appended to has a brace in its value
-_RECORD = re.compile(rb'\{"a":"([ !#-\[\]-~]*)","b":"([ !#-\[\]-~]*)",'
-                     rb'"v":\{[^{}\n]*\}\}\n')
-
-
-def _parsed_key(line: bytes) -> Optional[Tuple[str, str]]:
-    """(a, b) of a complete log record in any JSON spelling, else None."""
-    try:
-        record = json.loads(line)
-        _typed(record["v"], dict, "cache record", int)
-        key = _typed(record["a"], str, "cache"), _typed(record["b"], str, "cache")
-    except (ValueError, KeyError, TypeError, LoadError):
-        return None
-    return key if line.endswith(b"\n") else None  # else torn mid-write
-
-
 class ProductCache:
-    """Write-only per-ring log of products, one canonical JSON line each,
-    keyed by the ring's content hash.  :meth:`load_into` reads only the logged
-    (a, b) keys, and nothing goes back into the ring; :meth:`flush` appends
-    each stored product once, and first cuts a log at a torn or corrupt line."""
+    """Write-once per-ring log of products, keyed by the ring's content hash.
+    The first :meth:`flush` of a ring writes every stored product, sorted,
+    one canonical JSON line each, to a temporary file that it renames onto
+    the log, so a log is whole or absent.  Nothing reads a log back, and a
+    log that exists is left as it is."""
 
     def __init__(self, directory: str):
         self.directory = directory
-        # id(ring) -> ({a: logged b}, torn line's offset) until the next flush;
-        # sets of label strings: a key tuple per record would wake the cyclic GC
-        self._logged: Dict[int, Tuple[Dict[str, set], Optional[int]]] = {}
 
     def _path(self, ring: BasedRing) -> Optional[str]:
         if ring.doc is None:
@@ -657,41 +636,28 @@ class ProductCache:
         return os.path.join(self.directory, content_hash(ring.doc) + ".jsonl")
 
     def load_into(self, ring: BasedRing) -> int:
-        """Read the keys of ``ring``'s log, leaving the ring as it is, and
-        return the number of complete records."""
-        path = self._path(ring)
-        logged, torn_at = defaultdict(set), None
-        if path is not None and os.path.exists(path):
-            with open(path, "rb") as handle:
-                for line in handle:
-                    match = _RECORD.fullmatch(line)
-                    if match is not None:
-                        logged[intern(match[1].decode())].add(intern(match[2].decode()))
-                    elif line.strip():  # blank lines are skipped
-                        key = _parsed_key(line)
-                        if key is None:
-                            torn_at = handle.tell() - len(line)
-                            break
-                        logged[key[0]].add(key[1])
-        self._logged[id(ring)] = logged, torn_at
-        return sum(map(len, logged.values()))
+        """No record of a log is read back, so the ring is left as it is."""
+        return 0
 
     def flush(self, ring: BasedRing) -> int:
+        """Write ``ring``'s log unless it has one; the records written."""
         path = self._path(ring)
-        if path is None:
+        if path is None or os.path.exists(path):
             return 0
-        if id(ring) not in self._logged:  # no keys read since the last flush
-            self.load_into(ring)
-        logged, torn_at = self._logged.pop(id(ring))
-        fresh = [(a, b) for a, b in ring.stored_pairs() if b not in logged[a]]
-        if not fresh:
+        pairs = sorted(ring.stored_pairs())
+        if not pairs:
             return 0
-        os.makedirs(self.directory, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
-            if torn_at is not None:
-                handle.truncate(torn_at)
-            for a, b in sorted(fresh):
-                record = {"a": a, "b": b,
-                          "v": dict(ring.product(a, b).items())}
-                handle.write(canonical_json(record) + "\n")
-        return len(fresh)
+        temporary = f"{path}.{os.getpid()}.tmp"
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            with open(temporary, "w", encoding="utf-8") as handle:
+                for a, b in pairs:
+                    record = {"a": a, "b": b,
+                              "v": dict(ring.product(a, b).items())}
+                    handle.write(canonical_json(record) + "\n")
+            os.replace(temporary, path)
+        except OSError as exc:
+            with suppress(OSError):
+                os.remove(temporary)
+            raise LoadError(f"cannot write product log {path}: {exc}") from exc
+        return len(pairs)

@@ -309,6 +309,10 @@ def verify_certificate(c: DivisibilityCertificate,
                         f"sub action is not block regular at "
                         f"(β={beta}, t={t}, s={s}): map({beta}) ⊗ {i} = "
                         f"{lhs.format()} ≠ {rhs.format()}", data=(beta, t, s))
+    stray = sorted(set(c.factorization) - inside) if exhaustive(amb) else []
+    if stray:
+        return Verdict.fails(f"factorization key {stray[0]} is not an ambient "
+                             "basis label", data=(stray[0],))
     return Verdict.holds_within(min(depth, c.verified_depth), sub, amb)
 
 

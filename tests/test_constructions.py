@@ -613,6 +613,17 @@ def test_bad_automorphism_action_rejected():
         semidirect_product(g2, z3ring, RingAutomorphismAction(g2, perms))
 
 
+def test_action_keyed_by_a_stray_element_rejected():
+    # a permutation for something outside the group is refused, not dropped
+    g2 = cyclic_group(2, generator="g")
+    z3ring = group_ring(cyclic_group(3))
+    perms = dict(inversion_action(g2, z3ring).perms,
+                 zz={x: x for x in z3ring.basis})
+    with pytest.raises(InvalidInputError,
+                       match="^action names zz, not a group element$"):
+        semidirect_product(g2, z3ring, RingAutomorphismAction(g2, perms))
+
+
 def test_divisibility_of_construction_factors(z2, z3):
     # every canonical factor embedding of the built-in constructions admits
     # a certificate

@@ -268,6 +268,14 @@ CASES = {
              "y": ("x", "g")}))),
         ("fails", "sub action is not block regular at (β=g, t=x, s=g): "
          "map(g) ⊗ y = y ≠ x", ("g", "x", "g"))),
+    # a true certificate with an entry for a label Z/4 does not have
+    "certificate: factorization key outside the ambient basis": (
+        lambda: verdict(verify_certificate(certificate(
+            z2_in_z4(), ("e", "a"), {"e": ("e", "e"), "a2": ("e", "g"),
+                                     "a": ("a", "e"), "a3": ("a", "g"),
+                                     "zz": ("nope", "q")}))),
+        ("fails", "factorization key zz is not an ambient basis label",
+         ("zz",))),
     # sgn ⊗ std = std: the class of std has no injective representative
     "search: representative not injective": (
         lambda: search(z2_in(REP_S3, "sgn")),

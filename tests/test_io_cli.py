@@ -246,23 +246,21 @@ def test_census_doc_roundtrip_shape(z2):
 # --- product cache -------------------------------------------------------------
 
 def test_cache_roundtrip_and_corrupt_tail(tmp_path, z4):
+    # a log is written once and never read back, so a corrupt tail changes
+    # neither a value nor the log
     cache = ProductCache(str(tmp_path))
-    cache.load_into(z4)
-    z4.product("a", "a3")
-    z4.product("a2", "a2")
-    written = cache.flush(z4)
-    assert written >= 2
+    assert cache.load_into(z4) == 0
+    assert cache.flush(z4) == 16
     path = tmp_path / (content_hash(z4.doc) + ".jsonl")
-    assert path.exists()
-    # corrupt the tail; loading must stop there, not crash
     with open(path, "a") as handle:
         handle.write('{"a": "a", "b":')
-    from fusionkit import cyclic_group, group_ring
+    logged = path.read_bytes()
     fresh = group_ring(cyclic_group(4))
     cache2 = ProductCache(str(tmp_path))
-    loaded = cache2.load_into(fresh)
-    assert loaded >= 2
+    assert cache2.load_into(fresh) == 0
     assert fresh.product("a", "a3") == Element.basis("e")
+    assert cache2.flush(fresh) == 0
+    assert path.read_bytes() == logged
 
 
 def test_cache_never_changes_values(tmp_path, z4):
@@ -273,7 +271,17 @@ def test_cache_never_changes_values(tmp_path, z4):
     z4.product("a", "a")
     # building the group proved its ring, which computed all 4 × 4 products
     assert cache.flush(z4) == 16
-    assert cache.flush(z4) == 0  # append-only, no duplicates
+    assert cache.flush(z4) == 0  # written once, never appended to
+
+
+def test_cold_log_is_every_product_sorted(tmp_path, z4):
+    # building the group proved its ring, which computed all 4 × 4 products
+    assert ProductCache(str(tmp_path)).flush(z4) == 16
+    expected = [f'{{"a":"{a}","b":"{b}","v":{{"{c}":1}}}}\n'
+                for a, b, c in sorted(Z4_DOC["group"]["mult"])]
+    name = content_hash(z4.doc) + ".jsonl"
+    assert os.listdir(tmp_path) == [name]  # no temporary file is left
+    assert (tmp_path / name).read_text(encoding="utf-8") == "".join(expected)
 
 
 def test_cache_skips_rings_without_documents_and_blank_records(tmp_path, z4):
@@ -283,30 +291,35 @@ def test_cache_skips_rings_without_documents_and_blank_records(tmp_path, z4):
     assert cache.load_into(bare) == 0
     bare.product("a", "a")
     assert cache.flush(bare) == 0
+    assert cache.flush(su2_ring()) == 0  # nothing computed, so no log
     assert list(tmp_path.iterdir()) == []
     path = tmp_path / (content_hash(z4.doc) + ".jsonl")
     path.write_text('\n{"a": "a", "b": "a", "v": {"a2": 1}}\n\n', encoding="utf-8")
-    assert cache.load_into(z4) == 1
+    assert cache.load_into(z4) == 0
+    assert cache.flush(z4) == 0
+    assert path.read_text(encoding="utf-8") == (
+        '\n{"a": "a", "b": "a", "v": {"a2": 1}}\n\n')
 
 
 def test_cache_log_is_never_read_back(tmp_path):
     # a poisoned record for a pair the ring has not computed changes nothing
     ring = su2_ring()
     path = tmp_path / (content_hash(ring.doc) + ".jsonl")
-    path.write_text('{"a":"x5","b":"x5","v":{"x1":1}}\n'
-                    '{"a": "x1", "b": "x1", "v": {"x3": 1}}\n', encoding="utf-8")
+    poisoned = (b'{"a":"x5","b":"x5","v":{"x1":1}}\n'
+                b'{"a": "x1", "b": "x1", "v": {"x3": 1}}\n')
+    path.write_bytes(poisoned)
     cache = ProductCache(str(tmp_path))
-    assert cache.load_into(ring) == 2
+    assert cache.load_into(ring) == 0
     assert ring.stored_pairs() == []
     assert ring.product("x5", "x5") == Element(
         {f"x{k}": 1 for k in range(0, 11, 2)})
     assert ring.product("x1", "x1") == Element({"x0": 1, "x2": 1})
-    assert cache.flush(ring) == 0  # both keys are logged already
-    assert path.read_text(encoding="utf-8").count("\n") == 2
+    assert cache.flush(ring) == 0  # the log exists already
+    assert path.read_bytes() == poisoned
 
 
 def test_warm_cache_load_leaves_the_ring_as_it_is(tmp_path):
-    # the free product's unit word ε is logged with an escape, and read back
+    # the free product's unit word ε is logged with an escape
     from fusionkit import free_product
     def ring():
         return free_product(group_ring(cyclic_group(2, generator="g")),
@@ -318,62 +331,59 @@ def test_warm_cache_load_leaves_the_ring_as_it_is(tmp_path):
     logged = cache.flush(cold)
     assert logged == len(cold.stored_pairs()) > 0
     assert any(a == "ε" for a, _ in cold.stored_pairs())
+    path = tmp_path / (content_hash(cold.doc) + ".jsonl")
+    cold_log = path.read_bytes()
+    assert cold_log.count(b"\n") == logged
     warm = ring()
     before = warm.stored_pairs()
     warm_cache = ProductCache(str(tmp_path))
-    assert warm_cache.load_into(warm) == logged
+    assert warm_cache.load_into(warm) == 0
     assert warm.stored_pairs() == before
-    warm.basis_up_to_depth(3)
+    warm.basis_up_to_depth(4)
     assert warm_cache.flush(warm) == 0
+    assert path.read_bytes() == cold_log
 
 
-def test_cache_torn_tail_is_cut_once(tmp_path):
-    # three records and a torn one: the next flush cuts the tear and
-    # appends the rest, and the run after it writes nothing
-    pairs = [("x1", "x1"), ("x1", "x2"), ("x2", "x2"), ("x2", "x3"), ("x3", "x3")]
-
-    def run() -> int:
-        ring = su2_ring()
-        cache = ProductCache(str(tmp_path))
-        cache.load_into(ring)
-        for a, b in pairs:
-            ring.product(a, b)
-        return cache.flush(ring)
-
-    assert run() == 5
-    path = tmp_path / (content_hash(su2_ring().doc) + ".jsonl")
-    cold = path.read_bytes()
-    path.write_bytes(b"".join(cold.splitlines(keepends=True)[:3])
-                     + b'{"a": "x0", "b":')
-    assert ProductCache(str(tmp_path)).load_into(su2_ring()) == 3
-    assert run() == 2
-    assert run() == 0
-    assert path.read_bytes() == cold
-
-
+X2 = b'{"a":"x2","b":"x2","v":{"x0":1,"x2":1,"x4":1}}\n'
 X3 = b'{"a":"x3","b":"x3","v":{"x0":1,"x2":1,"x4":1,"x6":1}}\n'
 
 
-@pytest.mark.parametrize("tail", [
-    b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}',  # complete but for its newline
-    b'{"a":"x1","b":"x1","v":{"x0":1,' + X3,  # torn, then appended to
-    b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}' + X3,
-    b'{"a":"x1","b":"x1","v":[]}\n' + X3,
-    b'["x1","x1"]\n' + X3,
-    b'{"a":"x1","b":1,"v":{}}\n' + X3,
-    b'{"a":"x\xff","b":"x1","v":{}}\n' + X3,
+@pytest.mark.parametrize("log", [
+    X2 + b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}',  # complete but for its newline
+    X2 + b'{"a":"x1","b":"x1","v":{"x0":1,' + X3,  # torn, then appended to
+    X2 + b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}' + X3,
+    X2 + b'{"a":"x1","b":"x1","v":[]}\n' + X3,
+    X2 + b'["x1","x1"]\n' + X3,
+    X2 + b'{"a":"x1","b":1,"v":{}}\n' + X3,
+    X2 + b'{"a":"x\xff","b":"x1","v":{}}\n' + X3,
+    X2 + b'{"a": "x0", "b":',
+    b'{"a":"x1","b":"x1","v":{"x5":1}}\n',
+    b'\n' + X2 + b'\n\n',
 ], ids=["no-newline", "torn-then-appended", "merged", "list-value",
-        "list-record", "int-label", "bad-utf8"])
-def test_cache_corrupt_record_ends_the_log(tmp_path, tail):
-    ring = su2_ring()
-    path = tmp_path / (content_hash(ring.doc) + ".jsonl")
-    head = b'{"a":"x2","b":"x2","v":{"x0":1,"x2":1,"x4":1}}\n'
-    path.write_bytes(head + tail)
-    cache = ProductCache(str(tmp_path))
-    assert cache.load_into(ring) == 1
-    ring.product("x1", "x1")
-    assert cache.flush(ring) == 1
-    assert path.read_bytes() == head + b'{"a":"x1","b":"x1","v":{"x0":1,"x2":1}}\n'
+        "list-record", "int-label", "bad-utf8", "torn", "poisoned",
+        "blank-lines"])
+def test_cache_existing_log_is_left_as_it_is(files, tmp_path, capsys,
+                                             monkeypatch, log):
+    # a command that computes more products than a log holds neither reads
+    # nor extends it, and prints what it prints without the cache
+    argv = ["product", files["su2"], "x3", "x3", "--depth", "4", "--json"]
+    name = content_hash({"kind": "construct", "construct": "su2"}) + ".jsonl"
+    assert cli_dispatch(argv + ["--no-cache"]) == 0
+    uncached = capsys.readouterr().out
+    # into an empty directory the command logs more than any log below holds
+    monkeypatch.setenv("FUSIONKIT_CACHE", str(tmp_path / "cold"))
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == uncached
+    cold_log = (tmp_path / "cold" / name).read_bytes()
+    assert X3 in cold_log and cold_log.count(b"\n") > 2
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / name).write_bytes(log)
+    monkeypatch.setenv("FUSIONKIT_CACHE", str(cache))
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == uncached
+    assert os.listdir(cache) == [name]
+    assert (cache / name).read_bytes() == log
 
 
 # --- CLI -----------------------------------------------------------------------
@@ -639,6 +649,17 @@ def test_cli_no_cache_flag(files, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert not cache_dir.exists()
+
+
+def test_cli_unusable_cache_directory_is_a_load_error(files, tmp_path, capsys,
+                                                      monkeypatch):
+    # a cache directory below a file cannot be made: exit 4, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("FUSIONKIT_CACHE", str(blocker / "cache"))
+    code, out, err = run_cli(capsys, "product", files["z2"], "g", "g")
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot write product log {blocker / 'cache'}")
 
 
 # --- one resolver: inline references validate like paths -----------------------

@@ -142,6 +142,10 @@ CASES = {
     "construct: fields": (
         {"kind": "construct", "construct": "su2", "left": EXPLICIT_Z2},
         "construct su2: expected fields [], got ['left']"),
+    # induce prints provenance beside the module document, not inside it
+    "module: induced with provenance": (
+        {"kind": "module", "induced": {}, "provenance": 5},
+        "module: unknown fields ['provenance'] rejected"),
     "module: duplicate action entry": (
         module([["g", "j", {"j": 1}], ["g", "j", {"j": 1}]]),
         "module: duplicate action entry (g, j)"),
@@ -297,6 +301,10 @@ CASES = {
         semidirect(REP_S3, {"e": identity_on(["triv", "sgn", "std"]),
                             "g": {"triv": "triv", "sgn": "std", "std": "sgn"}}),
         SEMI + "action of g changes the dimension of sgn"),
+    "action: not a group element": (
+        semidirect(Z3, {"e": ID3, "g": {"e": "e", "a": "a2", "a2": "a"},
+                        "zz": {"e": "e", "a": "a", "a2": "q"}}),
+        SEMI + "action names zz, not a group element"),
     "action: not multiplicative": (
         semidirect(Z5, {"e": identity_on(["e", "a", "a2", "a3", "a4"]),
                         "g": {"e": "e", "a": "a2", "a2": "a",
