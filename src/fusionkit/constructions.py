@@ -67,13 +67,15 @@ class FiniteGroupPresentation:
         self.identity = identity
         # the group ring is the proof table, so its generator proof runs
         # once, here; its callables hold the tables, not the group, and conj
-        # reads the inverses only once they are found
+        # reads the inverses only once they are found.  Its rule reads the
+        # table by id: element k of the group has id k in the ring
         self.inverse: Dict[str, str] = {}
-        inverse, mult = self.inverse, self.mult
+        inverse, mult, els = self.inverse, self.mult, self.elements
+        index = {x: k for k, x in enumerate(els)}
         self.ring = BasedRing(
             name=f"Z[{len(self.elements)}-elt group]", unit=identity,
-            conj=inverse.__getitem__,
-            product=lambda a, b: Element.basis(mult[(a, b)]),
+            conj=inverse.__getitem__, product=None,
+            id_product=lambda a, b: index[mult[(els[a], els[b])]],
             dim=lambda a: 1, basis=self.elements,
             doc={"kind": "construct", "construct": "group_ring", "group": self.to_doc()})
         if associative_by_generators(self.ring) is None:

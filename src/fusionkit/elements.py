@@ -72,15 +72,8 @@ class Element:
         are not re-checked.  Zeros are dropped and each final coefficient is
         range-checked with the same error as :func:`check_coeff`.
         """
-        terms = {}
-        for label, c in sums.items():
-            if c:
-                if c > I64_MAX or c < I64_MIN:
-                    raise OverflowError(
-                        f"coefficient {c} exceeds the signed 64-bit range")
-                terms[label] = c
         out = cls.__new__(cls)
-        out._terms = terms
+        out._terms = checked_sums(sums)
         return out
 
     @classmethod
@@ -194,9 +187,16 @@ def bilinear(rule: Callable[[str, str], Element], a: Element,
 
 
 def checked_sums(sums: Mapping) -> dict:
-    """``sums`` without its zeros, each coefficient range-checked as
-    :meth:`Element.from_sums` does; the keys may be labels or ids."""
-    return Element.from_sums(sums)._terms
+    """``sums`` without its zeros, each coefficient checked against the
+    signed 64-bit range with the same error as :func:`check_coeff`; the
+    keys may be labels or ids."""
+    terms = {}
+    for key, c in sums.items():
+        if c:
+            if c > I64_MAX or c < I64_MIN:
+                raise OverflowError(f"coefficient {c} exceeds the signed 64-bit range")
+            terms[key] = c
+    return terms
 
 
 def require_nonnegative(e: Element, context: str = "", *args: str) -> Element:

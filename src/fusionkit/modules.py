@@ -102,9 +102,13 @@ class BasedModule(Based):
     action = Based._get  # α ⊗ j over the module basis
 
     def _reject_unknown(self, alpha: str, j: str) -> None:
-        """Raise for a j outside a finite basis; an unknown α is the action's."""
+        """Raise for a j outside a finite basis; an unknown α is the action's,
+        and the standard module's action is its ring's product, whose rule
+        may read by id."""
         if self._labels is not None and j not in self._labels:
             raise UnknownBasisError(f"unknown module label {j!r} in module {self.name}")
+        if self.mirrors_ring:
+            self.ring._reject_unknown(alpha)
 
     def _rule(self, a: int, i: int) -> Any:
         return self._action_fn(self._ring_ids.labels[a], self._ids.labels[i])

@@ -23,7 +23,6 @@ serial order, so they assign the serial ids.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import defaultdict
 from fractions import Fraction
@@ -35,6 +34,7 @@ from .elements import (
     InvalidInputError,
     UnknownBasisError,
     bilinear,
+    check_coeff,
     checked_sums,
     require_nonnegative,
 )
@@ -417,39 +417,72 @@ def check_ring_axioms(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
     triples of :func:`generating_labels`; a failure there is named by the
     ordered sweep over every triple, which also decides lazy rings.  For
     lazy rings the verdict records the window it covered.
+
+    The checks read the id rows of :class:`Based`.  Per pair (a, b) the
+    pair pass asks for conj(a)⊗b, then a⊗b, the conjugate of each of its
+    terms in label order, and conj(b)⊗conj(a), as a loop over labels
+    would, so its first witness and first exception are that loop's; a
+    conjugate is resolved to its id as ``product`` resolves a label, and
+    Elements are built only for a witness.
     """
     window = checked_window(ring, depth)
     if ring.conj(ring.unit) != ring.unit:
         return Verdict.fails(
             f"conj(unit) = {ring.conj(ring.unit)} ≠ {ring.unit}")
-    for a in window:
+    labels, to_id, rows, fill = ring._ids.labels, ring._ids.id, ring._rows, ring._fill
+    u, ids = to_id(ring.unit), [to_id(a) for a in window]
+    for a, i in zip(window, ids):
         cc = ring.conj(ring.conj(a))
         if cc != a:
             return Verdict.fails(f"conj is not involutive at {a}: conj(conj({a})) = {cc}",
                                  data=(a,))
-        if ring.product(ring.unit, a) != Element.basis(a):
+        row = ring._at(u, i)
+        if row != i:
             return Verdict.fails(
                 f"unit not left-neutral at {a}: \U0001d7d9 ⊗ {a} = "
-                f"{ring.product(ring.unit, a).format()}", data=(a,))
-        if ring.product(a, ring.unit) != Element.basis(a):
+                f"{ring._element(row).format()}", data=(a,))
+        row = ring._at(i, u)
+        if row != i:
             return Verdict.fails(
                 f"unit not right-neutral at {a}: {a} ⊗ \U0001d7d9 = "
-                f"{ring.product(a, ring.unit).format()}", data=(a,))
-    for a in window:
-        ca = ring.conj(a)
-        for b in window:
-            got = ring.product(ca, b).coeff(ring.unit)
-            want = 1 if a == b else 0
+                f"{ring._element(row).format()}", data=(a,))
+    conj_ids: dict = {}  # id → the id of its conjugate
+    conj_labels: dict = {}  # id → the label of its conjugate
+    for a, i in zip(window, ids):
+        ci = conj_ids.get(i)
+        if ci is None:
+            conj_ids[i] = ci = to_id(ring.conj(a))
+        row_i, row_ci = rows[i], rows[ci]
+        for b, j in zip(window, ids):
+            row = row_ci[j] if j in row_ci else fill(ci, j)
+            got = (1 if row == u else 0) if type(row) is int else dict(row).get(u, 0)
+            want = 1 if i == j else 0
             if got != want:
                 return Verdict.fails(
                     f"unit coefficient of conj({a}) ⊗ {b} is {got}, expected {want}",
                     data=(a, b))
-            lhs = conjugate(ring, ring.product(a, b))
-            rhs = ring.product(ring.conj(b), ring.conj(a))
-            if lhs != rhs:
+            ab = row_i[j] if j in row_i else fill(i, j)
+            lhs: dict = {}  # conj(a ⊗ b) by label
+            for x, c in ((ab, 1),) if type(ab) is int else ab:
+                cx = conj_labels.get(x)
+                if cx is None:
+                    cx = ring.conj(labels[x])
+                    if not isinstance(cx, str):
+                        raise InvalidInputError(f"basis label {cx!r} is not a string")
+                    conj_labels[x] = cx
+                lhs[cx] = lhs.get(cx, 0) + c
+            cj = conj_ids.get(j)
+            if cj is None:
+                conj_ids[j] = cj = to_id(ring.conj(b))
+            rhs = rows[cj][ci] if ci in rows[cj] else fill(cj, ci)
+            if type(rhs) is int and len(lhs) == 1 and lhs.get(labels[rhs]) == 1:
+                continue
+            lhs = checked_sums(lhs)
+            if lhs != {labels[y]: c for y, c in _terms(rhs).items()}:
                 return Verdict.fails(
-                    f"conj({a} ⊗ {b}) = {lhs.format()} ≠ "
-                    f"conj({b}) ⊗ conj({a}) = {rhs.format()}", data=(a, b))
+                    f"conj({a} ⊗ {b}) = {Element.from_sums(lhs).format()} ≠ "
+                    f"conj({b}) ⊗ conj({a}) = {ring._element(rhs).format()}",
+                    data=(a, b))
     if exhaustive(ring) and associative_by_generators(ring) is not None:
         return Verdict.holds()
     # the ordered sweep decides lazy windows and names the first failing triple
@@ -475,12 +508,16 @@ def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
     fill to raise is fixed; β⊗j is read during the first α only, and kept.
     A one-label row is used directly, (α⊗β)⊗j = l⊗j for α⊗β = l and
     α⊗(β⊗j) = α⊗m for β⊗j = m, so both sides are ids compared as ints; any
-    other row is summed term by term, each final coefficient range-checked.
+    other row is summed term by term, each final coefficient range-checked,
+    once per row and j, or α and row, within one call: a repeat is a sum
+    that already finished without raising.
     """
     xs, ys = [ring._ids.id(x) for x in alphas], [ring._ids.id(y) for y in betas]
     ks = [table._ids.id(j) for j in js]
     act, fill, prod = table._rows, table._fill, ring._rows
     by_beta: dict = {}  # β → [β⊗j for j in js]
+    flats: dict = {}  # (α⊗β row, j) → (α⊗β)⊗j, for a row of several terms
+    nesteds: dict = {}  # (α, β⊗j row) → α⊗(β⊗j), likewise
     for a in xs:
         ra, pa = act[a], prod[a]
         for b in ys:
@@ -490,14 +527,18 @@ def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
             bjs = by_beta.setdefault(b, [])
             for k, j in enumerate(ks):
                 if rab is None:
-                    flat = _sum(act, fill, [(x, j, c) for x, c in ab])
+                    flat = flats.get((ab, j))
+                    if flat is None:
+                        flats[ab, j] = flat = _sum(act, fill, [(x, j, c) for x, c in ab])
                 else:
                     flat = rab[j] if j in rab else fill(ab, j)
                 if first:
                     bjs.append(act[b][j] if j in act[b] else fill(b, j))
                 bj = bjs[k]
                 if type(bj) is tuple:
-                    nested = _sum(act, fill, [(a, y, c) for y, c in bj])
+                    nested = nesteds.get((a, bj))
+                    if nested is None:
+                        nesteds[a, bj] = nested = _sum(act, fill, [(a, y, c) for y, c in bj])
                 else:
                     nested = ra[bj] if bj in ra else fill(a, bj)
                 if nested != flat and _terms(nested) != _terms(flat):
@@ -543,19 +584,25 @@ def generating_labels(ring: BasedRing) -> list:
     M = the whole ring: the |S|·n² triples (x, s, y) with s ∈ S decide
     associativity.  Products must stay on the basis.
     """
-    seen = {ring.unit}
-    closed = [ring.unit]
+    ids, rows, fill = ring._ids, ring._rows, ring._fill  # the closure is kept by id
+    seen = {ids.id(ring.unit)}
+    closed = list(seen)
     labels: list = []
     pending: list = []  # products with two or more labels outside the closure
     paired = 0  # closed[:paired] have been multiplied with each other
     while True:
         for c in closed[paired:]:
             paired += 1
+            row_c = rows[c]
             for x in closed[:paired]:
-                pending += (ring.product(c, x), ring.product(x, c))
+                row_x = rows[x]
+                pending += (row_c[x] if x in row_c else fill(c, x),
+                            row_x[c] if c in row_x else fill(x, c))
         waiting = []
         for p in pending:
-            outside = [label for label in p.support if label not in seen]
+            if type(p) is int:
+                p = ((p, 1),)
+            outside = [y for y, _ in p if y not in seen]
             if len(outside) == 1:
                 seen.add(outside[0])
                 closed.append(outside[0])
@@ -564,12 +611,12 @@ def generating_labels(ring: BasedRing) -> list:
         pending = waiting
         if paired < len(closed):
             continue
-        spare = next((label for label in ring.basis if label not in seen), None)
+        spare = next((label for label in ring.basis if ids.ids[label] not in seen), None)
         if spare is None:
             return labels
         labels.append(spare)
-        seen.add(spare)
-        closed.append(spare)
+        seen.add(ids.ids[spare])
+        closed.append(ids.ids[spare])
 
 
 def associative_by_generators(ring: BasedRing) -> Optional[list]:
@@ -593,8 +640,10 @@ def _generator_proof(ring: BasedRing) -> Optional[list]:
         for a in basis:
             if ring._at(unit, a) != a or ring._at(a, unit) != a:
                 return None
+            row_a = ring._rows[a]
             for b in basis:
-                if not inside.issuperset(_terms(ring._at(a, b))):
+                row = row_a[b] if b in row_a else ring._fill(a, b)
+                if not (row in inside if type(row) is int else inside.issuperset(dict(row))):
                     return None
         labels = generating_labels(ring)
         if first_nonassociative(ring, ring, ring.basis, labels, ring.basis):
@@ -606,7 +655,8 @@ def _generator_proof(ring: BasedRing) -> Optional[list]:
 
 def check_dimension(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Verify positivity, conjugation invariance and multiplicativity of the
-    dimension function on all pairs within depth."""
+    dimension function on all pairs within depth.  The pairs read the id
+    rows of :class:`Based`, and the dimension of each term in label order."""
     window = checked_window(ring, depth)
     dim = ring.dim
     if dim(ring.unit) != 1:
@@ -619,11 +669,21 @@ def check_dimension(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
             return Verdict.fails(
                 f"d(conj({a})) = {dim(ring.conj(a))} ≠ d({a}) = {da}",
                 data=(a,))
-    for a in window:
-        da = dim(a)
-        for b in window:
-            want = da * dim(b)
-            total = sum(c * dim(k) for k, c in ring.product(a, b).items())
+    labels, rows, fill = ring._ids.labels, ring._rows, ring._fill
+    ids = [ring._ids.id(a) for a in window]
+    # id → d: the window's, read above, and any other term's when first met
+    dims = dict(zip(ids, map(dim, window)))
+    for a, i in zip(window, ids):
+        da, row_i = dims[i], rows[i]
+        for b, j in zip(window, ids):
+            want = da * dims[j]
+            row = row_i[j] if j in row_i else fill(i, j)
+            total = 0
+            for k, c in ((row, 1),) if type(row) is int else row:
+                dk = dims.get(k)
+                if dk is None:
+                    dims[k] = dk = dim(labels[k])
+                total += c * dk
             if total != want:
                 return Verdict.fails(
                     f"dimension not multiplicative at ({a}, {b}): "
@@ -637,44 +697,58 @@ def explicit_ring(*, name: str, basis: Iterable[str], unit: str,
     """Build a finite ring from explicit tables, checked once, here.
 
     ``conj`` and ``dim`` map exactly the basis, ``conj`` into it.
-    ``fusion`` maps pairs of basis labels to Elements supported on the
-    basis, with non-negative coefficients; every non-unit pair must be
-    listed, because a missing pair is undefined, never a silent zero.  Unit products are implied, and an
-    entry for a unit pair is never read.
+    ``fusion`` maps pairs of basis labels to their products, supported on
+    the basis, with non-negative coefficients: each an Element or a
+    {label: coeff} dict of ints.  Every non-unit pair must be listed,
+    because a missing pair is undefined, never a silent zero.  Unit
+    products are implied, and an entry for a unit pair is never read.
+
+    The table becomes one of rows by id, here, with the unit's row and
+    column implied, and the ring's rule reads it by id.  A missing pair is
+    reported before the first entry, in table order, that names an
+    unknown label or holds a negative coefficient.
     """
-    conj, dim, fusion = dict(conj), dict(dim), dict(fusion)
-
-    def product_fn(a: str, b: str) -> Element:
-        if a == unit:
-            return Element.basis(b)
-        if b == unit:
-            return Element.basis(a)
-        return fusion[(a, b)]
-
-    ring = BasedRing(name=name, unit=unit, conj=conj.__getitem__,
-                     product=product_fn, dim=dim.__getitem__, basis=basis,
-                     doc=doc)
-    labels = ring._labels
-    for what, table in (("conj", conj), ("dim", dim)):
-        if set(table) != labels:
+    conj, dim = dict(conj), dict(dim)
+    table: list = []  # table[a][b]: a ⊗ b by id, an id or {id: coeff}
+    ring = BasedRing(name=name, unit=unit, conj=conj.__getitem__, product=None,
+                     id_product=lambda a, b: table[a][b], dim=dim.__getitem__,
+                     basis=basis, doc=doc)
+    labels, ids = ring._labels, ring._ids.ids
+    for what, given in (("conj", conj), ("dim", dim)):
+        if set(given) != labels:
             raise InvalidInputError(
                 f"ring {name}: {what} table must map exactly the basis "
-                f"labels; it differs at {sorted(set(table) ^ labels, key=str)}")
+                f"labels; it differs at {sorted(set(given) ^ labels, key=str)}")
     for label, target in conj.items():
         if target not in labels:
             raise InvalidInputError(f"ring {name}: conj({label!r}) = "
                                     f"{target!r} is not a basis label")
-    for a, b in itertools.product(ring.basis, repeat=2):
-        if unit not in (a, b) and (a, b) not in fusion:
-            raise InvalidInputError(f"ring {name}: fusion entry for ({a}, {b}) is "
-                                    "missing; unlisted pairs are undefined, not zero")
+    n, u = len(ring.basis), ids[unit]  # the basis has ids 0 … n - 1
+    table.extend([None] * n for _ in range(n))
+    table[u] = list(range(n))
+    for a, row in enumerate(table):
+        row[u] = a
+    fault = None  # the first entry that names an unknown label or is negative
     for (a, b), value in fusion.items():
-        stray = {a, b, *value.support} - labels
-        if stray:
-            raise InvalidInputError(f"ring {name}: fusion entry ({a}, {b}) "
-                                    f"names unknown labels {sorted(stray)}")
-        for label, c in value.items():
-            if c < 0:
-                raise InvalidInputError(f"ring {name}: negative coefficient "
-                                        f"{c}·{label} in fusion entry ({a}, {b})")
+        terms = value._terms if isinstance(value, Element) else value
+        row: Any = {}  # a listed pair, even one with a fault
+        if not (a in labels and b in labels and labels.issuperset(terms)):
+            fault = fault or (f"fusion entry ({a}, {b}) names unknown labels "
+                              f"{sorted({a, b, *terms} - labels, key=str)}")
+        else:
+            row = _single({ids[x]: c for x, c in terms.items() if check_coeff(c)})
+            if type(row) is dict and min(row.values(), default=0) < 0:
+                label, c = next((x, c) for x, c in sorted(terms.items()) if c < 0)
+                fault = fault or (f"negative coefficient {c}·{label} in fusion "
+                                  f"entry ({a}, {b})")
+        if unit not in (a, b) and a in labels and b in labels:
+            table[ids[a]][ids[b]] = row
+    for a, row in enumerate(table):
+        if None in row:
+            raise InvalidInputError(
+                f"ring {name}: fusion entry for ({ring.basis[a]}, "
+                f"{ring.basis[row.index(None)]}) is missing; unlisted pairs are "
+                "undefined, not zero")
+    if fault is not None:
+        raise InvalidInputError(f"ring {name}: {fault}")
     return ring

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional,
                     Tuple, Union)
 
-from .elements import Element, InvalidInputError
+from .elements import Element, InvalidInputError, checked_sums
 from .modules import (BasedModule, check_module_axioms, check_module_dimension,
                       module_doc, standard_module)
 from .rings import (
@@ -88,8 +88,8 @@ def _typed(value: Any, kind: type, what: str, each: Optional[type] = None) -> An
 def _row(value: Any, kinds: Tuple[type, ...], what: str) -> list:
     """A fixed-length list entry, such as a fusion triple, checked item by
     item; ``what`` names the expected form."""
-    if not (_is(value, list) and len(value) == len(kinds)
-            and all(map(_is, value, kinds))):
+    if not (isinstance(value, list) and len(value) == len(kinds)
+            and all(map(isinstance, value, kinds)) and bool not in map(type, value)):
         raise LoadError(what)
     return value
 
@@ -169,14 +169,18 @@ def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
     conj = _typed(doc["conj"], dict, "explicit_ring: conj", str)
     dim = {label: _as_fraction(value, f"dim[{label}]") for label, value
            in _typed(doc["dim"], dict, "explicit_ring: dim").items()}
-    fusion: Dict[Tuple[str, str], Element] = {}
+    fusion: Dict[Tuple[str, str], dict] = {}
     for triple in _typed(doc["fusion"], list, "explicit_ring: fusion"):
         a, b, value = _row(triple, (str, str, dict), "explicit_ring: fusion "
                            "entries are [a, b, {label: coeff}]")
         if (a, b) in fusion:
             raise LoadError(f"explicit_ring: duplicate fusion entry ({a}, {b})")
-        fusion[(a, b)] = element = _as_element(value, f"fusion[{a},{b}]")
-        if unit in (a, b) and element != Element.basis(b if a == unit else a):
+        for c in value.values():
+            if type(c) is not int and not _is(c, int):
+                raise LoadError(f"fusion[{a},{b}]: expected dict of int")
+        # keys are strings in JSON; zeros go and each coefficient is range-checked
+        fusion[(a, b)] = terms = checked_sums(value)
+        if unit in (a, b) and terms != {b if a == unit else a: 1}:
             raise LoadError(f"explicit_ring: fusion[{a},{b}] contradicts "
                             "the implied unit product")
     normalized = {
@@ -185,7 +189,7 @@ def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
         "unit": unit,
         "conj": {a: conj[a] for a in sorted(conj)},
         "dim": {a: _fraction_doc(dim[a]) for a in sorted(dim)},
-        "fusion": sorted([a, b, dict(v.items())] for (a, b), v in fusion.items()
+        "fusion": sorted([a, b, terms] for (a, b), terms in fusion.items()
                          if unit not in (a, b)),
     }
     if "name" in doc:

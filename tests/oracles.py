@@ -575,9 +575,9 @@ def intertwines(window, basis1, action1, basis2, action2, mapping):
     return True
 
 
-# --- the ordered associativity sweep and the based-symmetry loop over plain
-#     dict tables: the order in which they ask for products fixes their
-#     first witness and first error
+# --- the ordered associativity sweep, the pair and dimension passes and the
+#     based-symmetry loop over plain dict tables: the order in which they
+#     ask for products fixes their first witness and first error
 
 I64_MAX = 2**63 - 1
 
@@ -642,6 +642,53 @@ def ordered_triple_scan(alphas, betas, js, mul, act):
                         return ("fails", (alpha, beta, j), nested, flat)
     except _Stop as stop:
         return stop.outcome
+    return ("holds",)
+
+
+def ordered_pair_scan(window, unit, conj, mul):
+    """The pair pass of the ring axioms on a table: ``mul[(a, b)]`` is a
+    {label: coeff} dict, unit pairs included, and a missing key is a
+    product that raises; ``conj`` maps a label to its conjugate.  Per
+    (a, b) in loop order it asks for conj(a)⊗b and checks its unit
+    coefficient, then asks for a⊗b, conjugates its terms and asks for
+    conj(b)⊗conj(a).  Returns ("holds",), ("unit", (a, b), got, want),
+    ("conj", (a, b), conj(a⊗b), conj(b)⊗conj(a)), or ("missing", (x, y))
+    for the first product asked for that is missing."""
+    def ask(key):
+        try:
+            return mul[key]
+        except KeyError:
+            raise _Stop(("missing", key)) from None
+
+    try:
+        for a in window:
+            for b in window:
+                got = ask((conj(a), b)).get(unit, 0)
+                want = 1 if a == b else 0
+                if got != want:
+                    return ("unit", (a, b), got, want)
+                lhs = Counter()
+                for x, c in sorted(ask((a, b)).items()):
+                    lhs[conj(x)] += c
+                rhs = ask((conj(b), conj(a)))
+                if dict(+lhs) != {x: c for x, c in rhs.items() if c}:
+                    return ("conj", (a, b), dict(+lhs), rhs)
+    except _Stop as stop:
+        return stop.outcome
+    return ("holds",)
+
+
+def ordered_dimension_scan(window, dim, mul):
+    """Multiplicativity of ``dim`` by the plain loop over (a, b) on a
+    table, as in :func:`ordered_pair_scan`.  Returns ("holds",),
+    ("fails", (a, b), d(a)·d(b), Σ N·d) or ("missing", (a, b))."""
+    for a in window:
+        for b in window:
+            if (a, b) not in mul:
+                return ("missing", (a, b))
+            total = sum(Fraction(c) * dim[x] for x, c in mul[(a, b)].items())
+            if total != dim[a] * dim[b]:
+                return ("fails", (a, b), dim[a] * dim[b], total)
     return ("holds",)
 
 

@@ -109,12 +109,33 @@ CASES = {
     "ring: zero denominator": (
         dict(EXPLICIT_Z2, dim={"e": 1, "g": [1, 0]}),
         "dim[g]: zero denominator"),
+    "ring: boolean in a dimension fraction": (
+        dict(EXPLICIT_Z2, dim={"e": 1, "g": [True, 2]}),
+        "dim[g]: expected integer or [numerator, denominator]"),
     "ring: empty basis": (
         dict(EXPLICIT_Z2, basis=[]),
         "explicit_ring: basis must be a non-empty list of labels"),
     "ring: duplicate fusion entry": (
         dict(EXPLICIT_Z2, fusion=[["g", "g", {"e": 1}], ["g", "g", {"e": 1}]]),
         "explicit_ring: duplicate fusion entry (g, g)"),
+    "ring: two-item fusion entry": (
+        dict(EXPLICIT_Z2, fusion=[["g", "g"]]),
+        "explicit_ring: fusion entries are [a, b, {{label: coeff}}]"),
+    "ring: float coefficient": (
+        dict(EXPLICIT_Z2, fusion=[["g", "g", {"e": 1.0}]]),
+        "fusion[g,g]: expected dict of int"),
+    # a JSON boolean is not an integer, though Python reads true as 1
+    "ring: boolean coefficient": (
+        dict(EXPLICIT_Z2, fusion=[["g", "g", {"e": True}]]),
+        "fusion[g,g]: expected dict of int"),
+    "ring: coefficient past 64 bits": (
+        dict(EXPLICIT_Z2, fusion=[["g", "g", {"e": 2**70}]]),
+        f"coefficient {2**70} exceeds the signed 64-bit range"),
+    # the loader reads every entry before the constructor checks any label
+    "ring: a loader fault after an unknown label": (
+        dict(EXPLICIT_Z2, fusion=[["g", "z", {"e": 1}], ["g", "g", {"e": 1}],
+                                  ["g", "e"]]),
+        "explicit_ring: fusion entries are [a, b, {{label: coeff}}]"),
     # a name is copied into the normalized document, so only a string loads
     "ring: name type": (
         dict(EXPLICIT_Z2, name=5),

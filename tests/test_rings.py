@@ -117,9 +117,32 @@ def test_finite_rings_reject_unknown_labels_alike(make):
     known = ring.basis[-1]
     message = re.escape(f"unknown basis label 'zz' in ring {ring.name}")
     for call in (lambda: ring.product(known, "zz"), lambda: ring.product("zz", known),
-                 lambda: ring.conj("zz"), lambda: ring.dim("zz")):
+                 lambda: ring.conj("zz"), lambda: ring.dim("zz"),
+                 lambda: standard_module(ring).action("zz", known)):
         with pytest.raises(UnknownBasisError, match=f"^{message}$"):
             call()
+
+
+@pytest.mark.parametrize("check", [check_ring_axioms, check_dimension])
+def test_ring_checks_register_no_unknown_label(check):
+    # conj sends a outside the basis: each check raises where a loop over
+    # labels raises, and the finite ring's registry keeps only its basis
+    conj = {"e": "e", "a": "zz", "b": "a"}
+    ring = BasedRing(name="R", unit="e", basis=["e", "a", "b"], conj=conj.__getitem__,
+                     dim=lambda x: 1, product=lambda x, y: Element.basis(y))
+    with pytest.raises(UnknownBasisError, match=r"^unknown basis label 'zz' in ring R$"):
+        check(ring)
+    assert ring._ids.labels == ["e", "a", "b"]
+
+
+def test_explicit_ring_takes_coefficient_dicts():
+    fusion = {k: dict(v.items()) for k, v in Z3_TABLES["fusion"].items()}
+    ring = explicit_ring(name="z3", **{**Z3_TABLES, "fusion": {
+        **fusion, ("a", "b"): {"e": 1, "a": 0}}})
+    assert ring.product("a", "b") == Element.basis("e")
+    assert check_ring_axioms(ring).is_holds
+    with pytest.raises(InvalidInputError, match="^coefficient True is not an integer$"):
+        explicit_ring(name="z3", **{**Z3_TABLES, "fusion": {**fusion, ("a", "a"): {"b": True}}})
 
 
 def _rep_a4(dim_x):
@@ -611,6 +634,22 @@ def test_conj_memo_keeps_no_value_for_a_label_that_raised():
     for _ in range(2):  # a free product rejects a word it never met, each time
         with pytest.raises(UnknownBasisError, match="unknown basis label 'gag'"):
             inner.conj("gag")
+
+
+def test_pair_pass_rejects_a_conjugate_that_is_not_a_label():
+    # Z on x-2 … x2 and beyond, lazily: conj(x_n) = x_-n on the window at
+    # depth 1, but no label past it; x-1 ⊗ x-1 = x-2 is the first product
+    # term outside the window that the pair pass conjugates
+    def label(n):
+        return f"x{n}"
+
+    ring = BasedRing(name="Z", unit="x0", dim=lambda a: 1,
+                     conj=lambda a: label(-int(a[1:])) if abs(int(a[1:])) < 2 else 2,
+                     product=lambda a, b: Element.basis(label(int(a[1:]) + int(b[1:]))),
+                     generators=["x1", "x-1"])
+    assert ring.basis_up_to_depth(1) == ["x0", "x-1", "x1"]
+    with pytest.raises(InvalidInputError, match="^basis label 2 is not a string$"):
+        check_ring_axioms(ring, 1)
 
 
 def test_dim_rejects_an_unknown_label_on_every_call(z4):

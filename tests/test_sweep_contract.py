@@ -1,14 +1,16 @@
-"""The id-row associativity sweep and the based-symmetry pass against
-independent oracles.
+"""The id-row associativity sweep, the ring axioms' pair pass, the
+dimension pass and the based-symmetry pass against independent oracles.
 
 ``oracles.ordered_triple_scan`` runs the same ordered sweep over plain dict
-tables, and ``oracles.ordered_symmetry_scan`` the plain loop over
-(α, j, j′), with no fusionkit import.  For each case below the check's
+tables, ``oracles.ordered_pair_scan`` and ``oracles.ordered_dimension_scan``
+the plain loops over (a, b), and ``oracles.ordered_symmetry_scan`` the
+plain loop over (α, j, j′), with no fusionkit import.  For each case below the check's
 first witness, or its first exception, must be the one the scan names, and
 both are pinned as text.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,7 @@ from fusionkit import (
     BasedRing,
     Element,
     InvalidInputError,
+    check_dimension,
     check_module_axioms,
     check_ring_axioms,
     cyclic_group,
@@ -31,23 +34,27 @@ from oracles import (
     first_window_collision,
     modular_mul,
     modular_words,
+    ordered_dimension_scan,
+    ordered_pair_scan,
     ordered_symmetry_scan,
     ordered_triple_scan,
 )
 
 
+def _fmt(value):
+    """A {label: coeff} dict as ``Element.format`` renders it."""
+    return " ⊕ ".join(x if n == 1 else f"{n}·{x}"
+                      for x, n in sorted(value.items())) or "0"
+
+
 def _witness(outcome, kind="associativity"):
     """The witness text of a ("fails", …) outcome of the scan."""
     _, (a, b, c), nested, flat = outcome
-
-    def fmt(value):
-        return " ⊕ ".join(x if n == 1 else f"{n}·{x}"
-                          for x, n in sorted(value.items())) or "0"
     if kind == "associativity":
         return (f"associativity fails at ({a}, {b}, {c}): ({a}⊗{b})⊗{c} = "
-                f"{fmt(flat)} ≠ {a}⊗({b}⊗{c}) = {fmt(nested)}")
+                f"{_fmt(flat)} ≠ {a}⊗({b}⊗{c}) = {_fmt(nested)}")
     return (f"action associativity fails at ({a}, {b}, {c}): {a}⊗({b}⊗{c}) = "
-            f"{fmt(nested)} ≠ ({a}⊗{b})⊗{c} = {fmt(flat)}")
+            f"{_fmt(nested)} ≠ ({a}⊗{b})⊗{c} = {_fmt(flat)}")
 
 
 # --- a lazy ring that fails only from depth k on ---------------------------------
@@ -134,6 +141,117 @@ def test_finite_ring_fails_at_a_non_generator_triple():
     assert verdict.witness == _witness(outcome) == (
         "associativity fails at (p, q, r): (p⊗q)⊗r = 1 ⊕ q ⊕ r ≠ "
         "p⊗(q⊗r) = 1 ⊕ p ⊕ q")
+
+
+# --- the pair pass and the dimension pass on explicit rings ----------------------
+
+def _z5(changes):
+    """Z/5 on g0…g4 as a plain table, unit pairs included, with ``changes``
+    made to it, and its conjugation."""
+    g = [f"g{k}" for k in range(5)]
+    mul = {(g[i], g[j]): {g[(i + j) % 5]: 1} for i in range(5) for j in range(5)}
+    mul.update(changes)
+    return g, mul, {g[i]: g[-i % 5] for i in range(5)}
+
+
+def _table_ring(basis, mul, conj, dim=None):
+    return explicit_ring(name="t", basis=basis, unit=basis[0], conj=conj,
+                         dim=dim or {x: 1 for x in basis},
+                         fusion={k: Element(v) for k, v in mul.items()
+                                 if basis[0] not in k})
+
+
+# name → (changes to Z/5, the first failure the oracle names, its witness)
+PAIR_PASS = {
+    # g1 ⊗ g4 = 2·g0 is conj(g4) ⊗ g4, the last pair of the pass
+    "unit coefficient at the last pair": (
+        {("g1", "g4"): {"g0": 2}}, ("unit", ("g4", "g4"), 2, 1),
+        "unit coefficient of conj(g4) ⊗ g4 is 2, expected 1"),
+    # g1 ⊗ g3 is asked as a ⊗ b at (g1, g3), before any pair asks for it
+    # as conj(b) ⊗ conj(a), so the conjugated side has two terms
+    "conj not anti-multiplicative": (
+        {("g1", "g3"): {"g2": 1, "g4": 1}},
+        ("conj", ("g1", "g3"), {"g1": 1, "g3": 1}, {"g1": 1}),
+        "conj(g1 ⊗ g3) = g1 ⊕ g3 ≠ conj(g3) ⊗ conj(g1) = g1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_PASS))
+def test_pair_pass_matches_the_scan(case):
+    changes, first, witness = PAIR_PASS[case]
+    basis, mul, conj = _z5(changes)
+    outcome = ordered_pair_scan(basis, "g0", conj.get, mul)
+    assert outcome == first
+    if outcome[0] == "unit":
+        (a, b), got, want = outcome[1:]
+        text = f"unit coefficient of conj({a}) ⊗ {b} is {got}, expected {want}"
+    else:
+        (a, b), lhs, rhs = outcome[1:]
+        text = f"conj({a} ⊗ {b}) = {_fmt(lhs)} ≠ conj({b}) ⊗ conj({a}) = {_fmt(rhs)}"
+    verdict = check_ring_axioms(_table_ring(basis, mul, conj))
+    assert verdict.data == outcome[1]
+    assert verdict.witness == text == witness
+
+
+# name → (changes to Z/5, its dimensions, the first failure the oracle names,
+# its witness)
+DIMENSION_PASS = {
+    # d(g1) = d(g4) = 1/2 is conjugation invariant, and multiplicative on
+    # every pair until (g1, g1) = g2
+    "fractional dimension": (
+        {}, {"g1": Fraction(1, 2), "g4": Fraction(1, 2)},
+        ("fails", ("g1", "g1"), Fraction(1, 4), 1),
+        "dimension not multiplicative at (g1, g1): d(g1)·d(g1) = 1/4 but Σ N·d = 1"),
+    "a row of two labels": (
+        {("g1", "g3"): {"g2": 1, "g4": 1}}, {},
+        ("fails", ("g1", "g3"), 1, 2),
+        "dimension not multiplicative at (g1, g3): d(g1)·d(g3) = 1 but Σ N·d = 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIMENSION_PASS))
+def test_dimension_pass_matches_the_scan(case):
+    changes, dims, first, witness = DIMENSION_PASS[case]
+    basis, mul, conj = _z5(changes)
+    dim = {x: dims.get(x, 1) for x in basis}
+    outcome = ordered_dimension_scan(basis, dim, mul)
+    assert outcome == first
+    (a, b), want, total = outcome[1:]
+    verdict = check_dimension(_table_ring(basis, mul, conj, dim))
+    assert verdict.data == outcome[1]
+    assert verdict.witness == (f"dimension not multiplicative at ({a}, {b}): "
+                               f"d({a})·d({b}) = {want} but Σ N·d = {total}") == witness
+
+
+def test_lazy_pair_pass_raises_at_the_first_missing_product():
+    # Z2 ∗ Z3 at depth 2, whose one missing product ga2 ⊗ ga is first asked
+    # as conj(b) ⊗ conj(a) at (a2g, ag), 54th of the pass's 64 first asks;
+    # the window and the unit checks ask for no product of two words of
+    # length 2
+    words = {_label(w): w for w in modular_words(4)}
+    inverse = {"g": "g", "a": "a2", "a2": "a"}
+
+    def conj(x):
+        return _label(tuple(inverse[t] for t in reversed(words[x])))
+
+    def rule(x, y):
+        if (x, y) == ("ga2", "ga"):
+            return None
+        return {_label(modular_mul(words[x], words[y])): 1}
+
+    def product(x, y):
+        if rule(x, y) is None:
+            raise InvalidInputError(f"no product at ({x}, {y})")
+        return Element(rule(x, y))
+
+    ring = BasedRing(name="Z2*Z3", unit="ε", dim=lambda x: 1, conj=conj,
+                     product=product, generators=["g", "a", "a2"])
+    window = ring.basis_up_to_depth(2)
+    assert window == ["ε", "a", "a2", "g", "a2g", "ag", "ga", "ga2"]
+    outcome = ordered_pair_scan(window, "ε", conj, LazyTable(rule))
+    assert outcome == ("missing", ("ga2", "ga"))
+    with pytest.raises(InvalidInputError, match=r"^no product at \(ga2, ga\)$"):
+        check_ring_axioms(ring, 2)
 
 
 # --- a failing module -------------------------------------------------------------
