@@ -12,7 +12,7 @@ import math
 import time
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .elements import Element, InvalidInputError, bilinear
+from .elements import Element, InvalidInputError, check_coeff
 from .modules import (
     BasedModule,
     check_module_axioms,
@@ -64,24 +64,23 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     """Backtrack over the action tables (non-unit label, module label) →
     column on ``basis`` that satisfy every based-module axiom.
 
-    A label's candidate action is a tuple of column Elements, column j
-    being α ⊗ basis[j].  An invertible label, one with ``a ⊗ a* = 1``
-    exactly, tries only the ``rank!`` permutation tuples.  This is exact:
-    the module axiom gives M_a·M_{a*} = I, and a matrix of non-negative
-    integers with a non-negative inverse is monomial, whose integer entries
-    must then be 1.  Every other label tries all (max_coeff + 1)^(rank²)
-    tuples of the (max_coeff + 1)^rank columns.  Candidates of both kinds
-    are generated at each node, one at a time, with the deadline checked
-    before each.  A walk holds only the ``rank`` columns of its current
-    candidate, building each as it comes, so it holds the same memory
-    however long it runs; without a deadline only its time is unbounded.
+    The walk holds each label's action as its matrix, a tuple of ``rank``
+    integer columns (column j: α ⊗ basis[j]).  An invertible label, one
+    with ``a ⊗ a* = 1`` exactly, tries only the ``rank!`` permutations of
+    the identity's columns.  This is exact: the module axiom gives
+    M_a·M_{a*} = I, and a non-negative integer matrix with a non-negative
+    inverse is monomial, so a permutation matrix.  Every other label tries
+    all (max_coeff + 1)^(rank²) tuples of the (max_coeff + 1)^rank columns.
+    Candidates are generated one at a time, the deadline checked before
+    each, so a walk holds the same memory however long it runs.
 
     Labels are assigned in basis order, each followed by its conjugate; the
-    unit acts as the identity.  Each non-unit pair (a, b) is checked once,
-    with ``bilinear`` on the partial table, when the walk assigns the last
-    of a, b and the support of a ⊗ b; the based symmetry of (a, a*) is
+    unit's matrix is the identity.  Each non-unit pair (a, b) is checked
+    once, when the walk assigns the last of a, b and the support of a ⊗ b:
+    for each j, Σᵢ (b⊗mⱼ)ᵢ·(a⊗mᵢ) = Σ N_ab^c·(c⊗mⱼ) in integer columns, each
+    final coefficient range-checked.  The based symmetry of (a, a*) is
     checked, on supports, when the later of the two is assigned.  So every
-    yielded table is a based module, and no leaf re-checks it.
+    yielded table is a based module, and only they become ``Element``s.
 
     Both candidate lists are closed under relabelling the basis by a
     permutation, and every check is invariant under it, so the walk yields
@@ -93,60 +92,61 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
         if a != unit and a not in alphas:
             alphas.extend(dict.fromkeys((a, ring.conj(a))))
     position = {unit: -1, **{a: p for p, a in enumerate(alphas)}}
-    identity = {j: Element.basis(j) for j in basis}
     invertible = {a for a in alphas
                   if ring.product(a, ring.conj(a)) == Element.basis(unit)}
     rank = len(basis)
-    keys = [[(a, j) for j in basis] for a in alphas]
+    identity = tuple(tuple(int(i == j) for i in range(rank)) for j in range(rank))
+    mats = [identity] * (len(alphas) + 1)  # by position; the unit's is last
     # the checks that become decidable when position p is assigned
     mirrors: List[list] = [[] for _ in alphas]
     pairs: List[list] = [[] for _ in alphas]
     for a in alphas:
         conj = ring.conj(a)
         if position[a] <= position[conj]:
-            mirrors[position[conj]].append((a, conj))
+            mirrors[position[conj]].append((position[a], position[conj]))
         for b in alphas:
-            ab = ring.product(a, b)
-            last = max(position[x] for x in (a, b, *ab.support))
-            pairs[last].append((Element.basis(a), b, ab))
-    table: Table = {}
+            ab = [(n, position[c]) for c, n in ring.product(a, b).items()]
+            last = max(position[a], position[b], *(q for _, q in ab))
+            pairs[last].append((position[a], position[b], ab))
 
-    def rule(x: str, j: str) -> Element:
-        return identity[j] if x == unit else table[(x, j)]
+    def combine(terms: list) -> tuple:
+        # Σ n·column over the (n, column) terms; one term 1·column is the column
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        return tuple(check_coeff(sum(n * column[i] for n, column in terms))
+                     for i in range(rank))
 
     def holds(p: int) -> bool:
-        for a, conj in mirrors[p]:
-            for x, y in ((a, conj), (conj, a)):
-                for k in basis:
-                    for j in table[(x, k)].support:
-                        if not table[(y, j)].coeff(k):
-                            return False
-        for a_single, b, ab in pairs[p]:
-            for j in basis:
-                if bilinear(rule, a_single, table[(b, j)]) != \
-                        bilinear(rule, ab, identity[j]):
+        # entries of later positions are stale here, and no check reads them
+        for x, y in mirrors[p]:
+            for column, row in zip(mats[x], zip(*mats[y])):
+                if column != row and [*map(bool, column)] != [*map(bool, row)]:
+                    return False
+        for x, y, xy in pairs[p]:
+            for j, column in enumerate(mats[y]):
+                lhs = zip(filter(None, column), itertools.compress(mats[x], column))
+                if combine([*lhs]) != combine([(n, mats[q][j]) for n, q in xy]):
                     return False
         return True
 
-    def general(k: int = 0) -> Iterator[Tuple[Element, ...]]:
-        # the columns from position k on in product(columns, repeat=rank - k)
-        # order, each built once per tuple of the columns before it
-        for coeffs in itertools.product(range(max_coeff + 1), repeat=rank):
-            column = (Element.from_sums(dict(zip(basis, coeffs))),)
+    def general(k: int = 0) -> Iterator[tuple]:
+        # columns k.. in product(columns, repeat=rank - k) order, built lazily
+        for column in itertools.product(range(max_coeff + 1), repeat=rank):
             for rest in general(k + 1) if k + 1 < rank else [()]:
-                yield column + rest
+                yield (column,) + rest
 
     def walk(p: int) -> Iterator[Table]:
         if p == len(alphas):
-            yield dict(table)
+            yield {(a, j): Element.from_sums(dict(zip(basis, column)))
+                   for a, matrix in zip(alphas, mats)
+                   for j, column in zip(basis, matrix)}
             return
-        candidates = (itertools.permutations(identity.values())
+        candidates = (itertools.permutations(identity)
                       if alphas[p] in invertible else general())
         for candidate in candidates:
             if time.monotonic() > deadline:
                 raise TimeoutError
-            # entries of later labels are stale here, and no check reads them
-            table.update(zip(keys[p], candidate))
+            mats[p] = candidate
             if holds(p):
                 yield from walk(p + 1)
 

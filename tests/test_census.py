@@ -17,6 +17,7 @@ from fusionkit import (
     cyclic_group,
     direct_product,
     enumerate_torsion_modules,
+    explicit_ring,
     find_divisibility_certificate,
     find_intertwiner,
     group_ring,
@@ -328,27 +329,51 @@ def test_group_census_matches_transitive_gsets(table, max_rank, ranks):
     _assert_canonical_and_sorted(result.modules)
 
 
-@pytest.mark.parametrize("ring", [
-    group_ring(cyclic_group(2, generator="g")),
-    group_ring(cyclic_group(3)),
-    group_ring(symmetric_group_3()),
-    rep_ring(s3_character_table()),
-    direct_product(group_ring(cyclic_group(2, generator="g")),
-                   rep_ring(s3_character_table())).ring,
-], ids=["Z2", "Z3", "S3", "RepS3", "Z2xRepS3"])
-def test_census_matches_unpruned_census(ring):
+# Rep(S3) at coeff 2 and Z/2 × Rep(S3) at rank 3 reach multi-term pair sums,
+# entries of 2, and invertible labels next to labels that are not
+@pytest.mark.parametrize("ring, max_rank, max_coeff, ranks", [
+    (group_ring(cyclic_group(2, generator="g")), 2, 1, [1, 2]),
+    (group_ring(cyclic_group(3)), 2, 1, [1]),
+    (group_ring(symmetric_group_3()), 2, 1, [1, 2]),
+    (rep_ring(s3_character_table()), 2, 1, [2]),
+    (direct_product(group_ring(cyclic_group(2, generator="g")),
+                    rep_ring(s3_character_table())).ring, 2, 1, [2, 2]),
+    (rep_ring(s3_character_table()), 3, 2, [1, 2, 2, 2, 3, 3]),
+    (direct_product(group_ring(cyclic_group(2, generator="g")),
+                    rep_ring(s3_character_table())).ring, 3, 1,
+     [2, 2, 3, 3, 3, 3]),
+], ids=["Z2", "Z3", "S3", "RepS3", "Z2xRepS3", "RepS3-3-2", "Z2xRepS3-3-1"])
+def test_census_matches_unpruned_census(ring, max_rank, max_coeff, ranks):
     # Rep(S3)'s std is not invertible, so it keeps the general candidates
     fusion = {(a, b): dict(ring.product(a, b).items())
               for a in ring.basis for b in ring.basis}
     conj = {a: ring.conj(a) for a in ring.basis}
-    want = oracles.census_forms(ring.basis, ring.unit, conj, fusion, 2)
-    result = enumerate_torsion_modules(ring, EnumerationBudget(2, 1))
+    want = oracles.census_forms(ring.basis, ring.unit, conj, fusion, max_rank,
+                                max_coeff)
+    result = enumerate_torsion_modules(ring,
+                                       EnumerationBudget(max_rank, max_coeff))
+    assert result.complete
+    assert [len(m.basis) for m in result.modules] == ranks
     alphas = [a for a in ring.basis if a != ring.unit]
     got = [(len(m.basis), oracles.canonical_form(
                 [_matrices(m)[a] for a in alphas])) for m in result.modules]
     assert len(set(got)) == len(got)
     assert set(got) == want
     _assert_canonical_and_sorted(result.modules)
+
+
+def test_the_walk_range_checks_each_pair_sum():
+    # a ⊗ a = 2⁶²·a: at rank 1 and coeff 2 the candidate a ⊗ m0 = 2·m0 makes
+    # the pair sum 2⁶²·(a ⊗ m0) = 2⁶³·m0, one past the signed 64-bit range,
+    # and the walk raises; unchecked, the two sides would merely differ and
+    # the census would return one module
+    ring = explicit_ring(name="big", basis=["e", "a"], unit="e",
+                         conj={"e": "e", "a": "a"}, dim={"e": 1, "a": 2**62},
+                         fusion={("a", "a"): {"a": 2**62}})
+    with pytest.raises(OverflowError) as raised:
+        enumerate_torsion_modules(ring, EnumerationBudget(1, 2))
+    assert str(raised.value) == (
+        "coefficient 9223372036854775808 exceeds the signed 64-bit range")
 
 
 def test_rep_s3_census_at_coefficient_2_reads_symmetry_on_supports():
