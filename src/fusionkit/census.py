@@ -56,7 +56,7 @@ class CensusResult(NamedTuple):
     complete: bool
 
 
-Table = Dict[Tuple[str, str], Element]
+Table = Dict[Tuple[str, str], Dict[str, int]]
 
 
 def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
@@ -80,7 +80,7 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
     for each j, Σᵢ (b⊗mⱼ)ᵢ·(a⊗mᵢ) = Σ N_ab^c·(c⊗mⱼ) in integer columns, each
     final coefficient range-checked.  The based symmetry of (a, a*) is
     checked, on supports, when the later of the two is assigned.  So every
-    yielded table is a based module, and only they become ``Element``s.
+    yielded table is a based module, its columns {label: coeff} without zeros.
 
     Both candidate lists are closed under relabelling the basis by a
     permutation, and every check is invariant under it, so the walk yields
@@ -137,7 +137,7 @@ def _assignments(ring: BasedRing, basis: List[str], max_coeff: int,
 
     def walk(p: int) -> Iterator[Table]:
         if p == len(alphas):
-            yield {(a, j): Element.from_sums(dict(zip(basis, column)))
+            yield {(a, j): {i: c for i, c in zip(basis, column) if c}
                    for a, matrix in zip(alphas, mats)
                    for j, column in zip(basis, matrix)}
             return
@@ -182,7 +182,7 @@ def enumerate_torsion_modules(ring: BasedRing,
                 leaf = BasedModule(ring=ring, basis=basis, action=table)
                 if len(connected_components(leaf)) > 1:
                     continue
-                form = tuple(tuple(table[(a, j)].coeff(i) for i in basis
+                form = tuple(tuple(table[(a, j)].get(i, 0) for i in basis
                                    for j in basis) for a in alphas)
                 for entry in found[start:]:
                     if find_intertwiner(leaf, entry[3]) is not None:

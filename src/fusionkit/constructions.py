@@ -17,7 +17,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
 
 from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
 from .rings import (BasedRing, Labels, associative_by_generators,
-                    first_nonassociative)
+                    explicit_ring, first_nonassociative)
 
 if TYPE_CHECKING:
     from .cyclotomic import Cyclo
@@ -317,7 +317,7 @@ def rep_ring(t: CharacterTable) -> BasedRing:
     """
     from .cyclotomic import Cyclo
     n = t._n
-    fusion: Dict[Tuple[str, str], Element] = {}
+    fusion: Dict[Tuple[str, str], Dict[str, int]] = {}
     # (a, b) and (b, a) have equal class sums, so b < a copies (b, a), which
     # was checked first: the first bad triple in loop order is unchanged
     for i, a in enumerate(t.irreps):
@@ -334,14 +334,12 @@ def rep_ring(t: CharacterTable) -> BasedRing:
                         "non-negative integer; character table inconsistent")
                 if total:
                     terms[c] = total.numerator // t.order
-            fusion[(a, b)] = fusion[(b, a)] = Element(terms)
-    doc = {"kind": "construct", "construct": "rep_ring",
-           "character_table": t.to_doc()}
-    return BasedRing(name=f"R(order-{t.order} group)", unit=t.trivial,
-                     conj=t.conjugate_of.__getitem__,
-                     product=lambda a, b: fusion[(a, b)],
-                     dim=t.degree,
-                     basis=t.irreps, doc=doc)
+            fusion[(a, b)] = fusion[(b, a)] = terms
+    return explicit_ring(name=f"R(order-{t.order} group)", basis=t.irreps,
+                         unit=t.trivial, conj=t.conjugate_of,
+                         dim={a: t.degree(a) for a in t.irreps}, fusion=fusion,
+                         doc={"kind": "construct", "construct": "rep_ring",
+                              "character_table": t.to_doc()})
 
 
 def s3_character_table() -> CharacterTable:

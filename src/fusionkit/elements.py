@@ -199,11 +199,14 @@ def checked_sums(sums: Mapping) -> dict:
     return terms
 
 
-def require_nonnegative(e: Element, context: str = "", *args: str) -> Element:
-    """Fusion and action data must have non-negative structure constants.
-    ``context`` is a format string, filled with ``args`` only on a failure."""
-    if min(e._terms.values(), default=0) < 0:
-        label, c = next((label, c) for label, c in e.items() if c < 0)
+def require_nonnegative(e: Union[Element, Mapping[str, int]], context: str = "",
+                        *args: str) -> None:
+    """Fusion and action data, an Element or its {label: coeff} terms, must
+    have non-negative structure constants; a failure names the negative term
+    of least label.  ``context`` is a format string, filled with ``args``
+    only on a failure."""
+    terms = e._terms if isinstance(e, Element) else e
+    if min(terms.values(), default=0) < 0:
+        label = min((x for x, c in terms.items() if c < 0), key=str)
         where = f" in {context.format(*args)}" if context else ""
-        raise InvalidInputError(f"negative coefficient {c}·{label}{where}")
-    return e
+        raise InvalidInputError(f"negative coefficient {terms[label]}·{label}{where}")

@@ -148,7 +148,7 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
     restricted = restrict(m, e, check_depth=depth)
     summands: List[BasedModule] = []
     for idx, comp in enumerate(connected_components(restricted, depth)):
-        table = {(beta, j): restricted.action(beta, j)
+        table = {(beta, j): dict(restricted.action(beta, j).items())
                  for beta in e.sub.basis if beta != e.sub.unit for j in comp}
         summands.append(BasedModule(
             ring=e.sub, basis=comp, action=table,

@@ -12,26 +12,22 @@ from collections import Counter
 from fractions import Fraction
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .elements import (
-    Element,
-    InvalidInputError,
-    UnknownBasisError,
-    bilinear,
-    require_nonnegative,
-)
+from .elements import (Element, InvalidInputError, UnknownBasisError, bilinear,
+                       check_coeff, require_nonnegative)
 from .rings import (DEFAULT_DEPTH, Based, BasedRing, Verdict,
                     associative_by_generators, checked_window, exhaustive,
                     first_nonassociative)
 
-ActionLike = Union[Mapping[Tuple[str, str], Element], Callable[[str, str], Element]]
+ActionLike = Union[Mapping[Tuple[str, str], Any], Callable[[str, str], Element]]
 
 
 class BasedModule(Based):
     """Module basis plus action coefficients over a :class:`BasedRing`.
 
     The basis is a finite explicit tuple, or a lazy window (``window_fn``).
-    The action is a total table over (non-unit ring label, module label) or
-    a callable; the unit acts as the identity.  Actions are the id rows of
+    The action is a callable or a total table over (non-unit ring label,
+    module label) of Elements or {label: coeff} dicts, kept by id; the unit
+    acts as the identity.  Actions are the id rows of
     :class:`~fusionkit.rings.Based`, by ring id and module id; the standard
     module (``mirrors_ring``) keeps its ring's labels and non-unit rows.
     """
@@ -56,10 +52,9 @@ class BasedModule(Based):
         if callable(action):
             self._action_fn = action
         else:
-            table = dict(action)
-            self._validate_table(table)
+            table = self._validate_table(action)
 
-            def lookup(alpha: str, j: str) -> Element:  # holds no module
+            def lookup(alpha: str, j: str) -> dict:  # holds no module
                 try:
                     return table[(alpha, j)]
                 except KeyError:
@@ -70,29 +65,32 @@ class BasedModule(Based):
         if mirrors_ring:
             self._rows, self._singles = _RingRows(self._unit, ring._rows), ring._singles
 
-    def _validate_table(self, table: Mapping[Tuple[str, str], Element]) -> None:
+    def _validate_table(self, action: Mapping) -> dict:
+        """The table, each entry as {id: coeff} without zeros: entries checked
+        in order for labels, coefficients, sign and targets, then missing pairs."""
         if self._basis is None:
             raise InvalidInputError(f"module {self.name}: a lazy basis needs a "
                                     "callable action, not a table")
-        ring_labels = self.ring._labels
-        for (alpha, j), value in table.items():
+        ring_labels, ids, table = self.ring._labels, self._ids.ids, {}
+        for (alpha, j), value in action.items():
             if j not in self._labels or (ring_labels is not None
                                          and alpha not in ring_labels):
                 raise InvalidInputError(f"module {self.name}: action entry "
                                         f"({alpha}, {j}) names an unknown label")
-            require_nonnegative(value, "{} ⊗ {} of module {}",
-                                alpha, j, self.name)
-            for lbl, _ in value.items():
-                if lbl not in self._labels:
-                    raise InvalidInputError(
-                        f"module {self.name}: action ({alpha}, {j}) hits "
-                        f"unknown label {lbl!r}")
+            terms = {x: c for x, c in value.items() if check_coeff(c)}
+            require_nonnegative(terms, "{} ⊗ {} of module {}", alpha, j, self.name)
+            if not self._labels.issuperset(terms):
+                raise InvalidInputError(
+                    f"module {self.name}: action ({alpha}, {j}) hits unknown "
+                    f"label {min(set(terms) - self._labels, key=str)!r}")
+            table[(alpha, j)] = {ids[x]: c for x, c in terms.items()}
         if self.ring.is_finite:
             for alpha, j in itertools.product(self.ring.basis, self._basis):
                 if alpha != self.ring.unit and (alpha, j) not in table:
                     raise InvalidInputError(
                         f"module {self.name}: action undefined for "
                         f"({alpha}, {j}); missing pairs are not zero")
+        return table
 
     def basis_up_to_depth(self, depth: int) -> list:
         if self._basis is not None:
@@ -148,11 +146,11 @@ def standard_module(ring: BasedRing) -> BasedModule:
 
 
 def module_doc(ring: BasedRing, basis: Sequence[str],
-               table: Mapping[Tuple[str, str], Element]) -> dict:
+               table: Mapping[Tuple[str, str], Mapping[str, int]]) -> dict:
     """The explicit document of a finite module: its ring's document, its
-    basis and the non-unit entries of its action table, sorted."""
+    basis and the non-unit entries of its {label: coeff} table, sorted."""
     return {"kind": "module", "ring": ring.doc, "basis": list(basis),
-            "action": sorted([alpha, j, dict(value.items())]
+            "action": sorted([alpha, j, dict(sorted(value.items()))]
                              for (alpha, j), value in table.items()
                              if alpha != ring.unit)}
 

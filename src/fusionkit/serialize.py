@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional,
                     Tuple, Union)
 
-from .elements import Element, InvalidInputError, checked_sums
+from .elements import InvalidInputError, checked_sums
 from .modules import (BasedModule, check_module_axioms, check_module_dimension,
                       module_doc, standard_module)
 from .rings import (
@@ -128,9 +128,11 @@ def _fraction_doc(q: Fraction) -> Any:
     return q.numerator if q.denominator == 1 else [q.numerator, q.denominator]
 
 
-def _as_element(doc: Any, what: str) -> Element:
-    # JSON object keys are strings, and _typed checks that the values are ints
-    return Element.from_sums(_typed(doc, dict, what, int))
+def _entry(value: dict, what: str) -> dict:
+    """A fusion or action entry: ints only, zeros dropped, each range-checked."""
+    if not all(type(c) is int or _is(c, int) for c in value.values()):
+        raise LoadError(f"{what}: expected dict of int")
+    return checked_sums(value)
 
 
 def _as_cyclo(doc: Any, what: str) -> Cyclo:
@@ -175,11 +177,7 @@ def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
                            "entries are [a, b, {label: coeff}]")
         if (a, b) in fusion:
             raise LoadError(f"explicit_ring: duplicate fusion entry ({a}, {b})")
-        for c in value.values():
-            if type(c) is not int and not _is(c, int):
-                raise LoadError(f"fusion[{a},{b}]: expected dict of int")
-        # keys are strings in JSON; zeros go and each coefficient is range-checked
-        fusion[(a, b)] = terms = checked_sums(value)
+        fusion[(a, b)] = terms = _entry(value, f"fusion[{a},{b}]")
         if unit in (a, b) and terms != {b if a == unit else a: 1}:
             raise LoadError(f"explicit_ring: fusion[{a},{b}] contradicts "
                             "the implied unit product")
@@ -327,14 +325,14 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
                   "module")
     ring = _ref(doc["ring"], "ring", base_dir)
     basis = _typed(doc["basis"], list, "module: basis", str)
-    table: Dict[Tuple[str, str], Element] = {}
+    table: Dict[Tuple[str, str], dict] = {}
     for triple in _typed(doc["action"], list, "module: action"):
         alpha, j, value = _row(triple, (str, str, dict), "module: action "
                                "entries are [alpha, j, {label: coeff}]")
         if (alpha, j) in table:
             raise LoadError(f"module: duplicate action entry ({alpha}, {j})")
-        table[(alpha, j)] = element = _as_element(value, f"action[{alpha},{j}]")
-        if alpha == ring.unit and element != Element.basis(j):
+        table[(alpha, j)] = terms = _entry(value, f"action[{alpha},{j}]")
+        if alpha == ring.unit and terms != {j: 1}:
             raise LoadError(f"module: action[{alpha},{j}] contradicts the "
                             "implied unit action")
     normalized = module_doc(ring, basis, table)

@@ -156,10 +156,10 @@ def test_the_walk_yields_every_based_module_in_candidate_order():
     basis = ["m0", "m1"]
     alphas = [a for a in ring.basis if a != ring.unit]
     assert all(ring.conj(a) == a for a in alphas)
-    columns = [Element.from_sums(dict(zip(basis, c)))
-               for c in itertools.product(range(3), repeat=2)]
-    permutations = list(itertools.permutations(
-        [Element.basis(j) for j in basis]))
+    # tables are {label: coeff} columns without zeros, as the walk yields them
+    columns = [{j: c for j, c in zip(basis, column) if c}
+               for column in itertools.product(range(3), repeat=2)]
+    permutations = list(itertools.permutations([{j: 1} for j in basis]))
     choices = [permutations
                if ring.product(a, a) == Element.basis(ring.unit)
                else list(itertools.product(columns, repeat=2)) for a in alphas]

@@ -55,6 +55,11 @@ def test_nonnegative_guard():
     require_nonnegative(Element({"a": 1}))
     with pytest.raises(InvalidInputError):
         require_nonnegative(Element({"a": -1}))
+    # {label: coeff} terms read as their Element does: the least label first
+    require_nonnegative({"a": 1, "b": 0})
+    with pytest.raises(InvalidInputError,
+                       match=r"^negative coefficient -2·b in g ⊗ j$"):
+        require_nonnegative({"c": -1, "b": -2, "a": 1}, "{} ⊗ {}", "g", "j")
 
 
 def test_single_basis_detection():

@@ -236,6 +236,18 @@ CASES = {
     "module: its name in the message": (
         module([["g", "j", {"k": 1}]], name="M"),
         "module M: action (g, j) hits unknown label 'k'"),
+    # a module table's checks, in order: per entry its labels, the sign of
+    # its coefficients, then its targets; missing pairs after every entry
+    "module: a missing pair": (
+        module([["g", "j", {"k": 1}]], basis=["j", "k"], name="M"),
+        "module M: action undefined for (g, k); missing pairs are not zero"),
+    "module: a negative coefficient before an unknown target": (
+        module([["g", "j", {"j": -1, "z": 1}]], name="M"),
+        "negative coefficient -1·j in g ⊗ j of module M"),
+    "module: an unknown label before a missing pair": (
+        module([["g", "j", {"j": 1}], ["h", "k", {"k": 1}]], basis=["j", "k"],
+               name="M"),
+        "module M: action entry (h, k) names an unknown label"),
     "group: table not closed": (
         group_ring({"elements": ["e"], "mult": [["e", "e", "z"]]}),
         "group_ring.group: table not closed: (e, e) ↦ 'z'"),
@@ -460,6 +472,14 @@ LIBRARY_CASES = {
                             action={("g", "j"): Element.basis("k")}),
         InvalidInputError, "module module: action (g, j) hits unknown label "
         "'k'"),
+    "module: a boolean coefficient": (
+        lambda: BasedModule(ring=Z2_RING, basis=["j"],
+                            action={("g", "j"): {"j": True}}),
+        InvalidInputError, "coefficient True is not an integer"),
+    "module: a float coefficient": (
+        lambda: BasedModule(ring=Z2_RING, basis=["j"],
+                            action={("g", "j"): {"j": 1.5}}),
+        InvalidInputError, "coefficient 1.5 is not an integer"),
     "module: its basis over a lazy ring": (
         lambda: standard_module(su2_ring()).basis,
         InvalidInputError, "module standard(SU2) has an infinite basis"),
@@ -510,3 +530,16 @@ def test_library_input_error(site):
     with pytest.raises(Exception) as info:
         call()
     assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_a_module_table_of_dicts_has_the_rows_of_its_element_table():
+    # {label: coeff} entries, zeros included, give the rows of Elements
+    elements = {("g", "m0"): Element({"m0": 1, "m1": 2}),
+                ("g", "m1"): Element.basis("m1")}
+    dicts = {("g", "m0"): {"m1": 2, "m0": 1, "m2": 0}, ("g", "m1"): {"m1": 1}}
+    modules = [BasedModule(ring=Z2_RING, basis=["m0", "m1", "m2"], action=table)
+               for table in ({**elements, ("g", "m2"): Element()},
+                             {**dicts, ("g", "m2"): {}})]
+    for pair in [("e", "m2"), *elements, ("g", "m2")]:
+        assert modules[0].action(*pair) == modules[1].action(*pair)
+    assert modules[0]._rows == modules[1]._rows

@@ -549,3 +549,43 @@ def test_equal_signatures_without_intertwiner():
     assert oracles.intertwiner_oracle(window, basis, tables[0],
                                       basis, tables[1]) is None
     assert find_intertwiner(*(_module(Z2_RING, basis, t) for t in tables)) is None
+
+
+def test_loading_a_module_document_builds_no_element(monkeypatch):
+    # the regular module of an explicit Z/48: 47 · 48 = 2256 action entries,
+    # loaded and validated over the ring its session already holds; no dim,
+    # whose check reads the action as Elements
+    from fusionkit.serialize import load_doc, load_session
+    n = 48
+    basis, points = [f"a{k}" for k in range(n)], [f"m{k}" for k in range(n)]
+    ring_doc = {"kind": "explicit_ring", "basis": basis, "unit": "a0",
+                "conj": {basis[k]: basis[-k % n] for k in range(n)},
+                "dim": {x: 1 for x in basis},
+                "fusion": [[basis[i], basis[j], {basis[(i + j) % n]: 1}]
+                           for i in range(1, n) for j in range(1, n)]}
+    module_doc = {"kind": "module", "ring": ring_doc, "basis": points,
+                  "action": [[basis[i], points[j], {points[(i + j) % n]: 1}]
+                             for i in range(1, n) for j in range(n)]}
+    built = []
+
+    def counted(make):
+        def making(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+        return making
+
+    # every Element is made by __init__, from_sums or basis.  Patching
+    # __new__ instead would count the same, but CPython cannot give the
+    # class back its inherited __new__ afterwards, and every later
+    # Element(...) would raise
+    with load_session():
+        ring = load_doc(ring_doc)
+        monkeypatch.setattr(Element, "__init__", counted(Element.__init__))
+        for name in ("from_sums", "basis"):
+            monkeypatch.setattr(Element, name,
+                                staticmethod(counted(getattr(Element, name))))
+        module = load_doc(module_doc)
+        monkeypatch.undo()
+    assert len(module_doc["action"]) == 2256 and module.ring is ring
+    assert len(built) == 0
+    assert module.action("a5", "m45") == Element.basis("m2")
