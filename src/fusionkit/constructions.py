@@ -16,7 +16,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .elements import Element, InvalidInputError, UnknownBasisError, bilinear
-from .rings import (BasedRing, Labels, associative_by_generators,
+from .rings import (BasedRing, Labels, _pairs, associative_by_generators,
                     explicit_ring, first_nonassociative)
 
 if TYPE_CHECKING:
@@ -552,10 +552,10 @@ def free_product(r1: BasedRing, r2: BasedRing) -> RingWithFactorEmbeddings:
 
     def step(x: int, y: int) -> tuple:
         factor = factors[x & 1]
+        row, names = factor._row(text[x], text[y]), factor._ids.labels
         steps[(x, y)] = out = (
-            tuple(((letter(x & 1, t),), coeff)
-                  for t, coeff in factor.product(text[x], text[y]).items()
-                  if t != factor.unit), factor.conj(text[x]) == text[y])
+            tuple(((letter(x & 1, names[t]),), coeff) for t, coeff in _pairs(row)
+                  if names[t] != factor.unit), factor.conj(text[x]) == text[y])
         return out
 
     def id_product(a: int, b: int) -> Any:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 I64_MAX = 2**63 - 1
 I64_MIN = -(2**63)
@@ -110,13 +110,7 @@ class Element:
 
     def map_basis(self, fn: Callable[[str], str]) -> "Element":
         """Relabel the support through ``fn``, merging any collisions."""
-        sums: dict = {}
-        for label, c in self._terms.items():
-            target = fn(label)
-            if not isinstance(target, str):
-                raise InvalidInputError(f"basis label {target!r} is not a string")
-            sums[target] = sums.get(target, 0) + c
-        return Element.from_sums(sums)
+        return Element.from_sums(relabel(self._terms.items(), fn))
 
     def __add__(self, other: "Element") -> "Element":
         sums = dict(self._terms)
@@ -184,6 +178,18 @@ def bilinear(rule: Callable[[str, str], Element], a: Element,
             for z, c in rule(x, y)._terms.items():
                 sums[z] = get(z, 0) + k * c
     return Element.from_sums(sums)
+
+
+def relabel(terms: Iterable[Tuple[Any, int]], fn: Callable[[Any], str]) -> dict:
+    """Σ c·fn(x) over ``terms`` (x, c), in order, as {label: coeff}: each
+    target must be a string, and the sums are :func:`checked_sums`."""
+    sums: dict = {}
+    for x, c in terms:
+        target = fn(x)
+        if not isinstance(target, str):
+            raise InvalidInputError(f"basis label {target!r} is not a string")
+        sums[target] = sums.get(target, 0) + c
+    return checked_sums(sums)
 
 
 def checked_sums(sums: Mapping) -> dict:

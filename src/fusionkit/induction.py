@@ -18,20 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .elements import (
-    CertificateDepthError,
-    Element,
-    InvalidInputError,
-)
-from .modules import (
-    BasedModule,
-    check_module_axioms,
-    connected_components,
-    first_nonintertwining,
-    is_standard,
-    module_doc,
-)
-from .rings import DEFAULT_DEPTH, BasedRing, Verdict, checked_window
+from .elements import CertificateDepthError, InvalidInputError
+from .modules import (BasedModule, check_module_axioms, connected_components,
+                      first_nonintertwining, is_standard, module_doc)
+from .rings import DEFAULT_DEPTH, BasedRing, Verdict, _pairs, checked_window
 from .subrings import DivisibilityCertificate, SubringEmbedding, _restriction
 
 
@@ -56,7 +46,8 @@ def induce(n: BasedModule, c: DivisibilityCertificate, *,
     (number of classes) × (source rank).
 
     The source must pass its module axioms; action requests that would read
-    past the certificate's verified depth are refused.
+    past the certificate's verified depth are refused.  The action reads
+    rows and returns ids: 1_t ⊙ j has id (place of t)·rank + (place of j).
     """
     e = c.embedding
     if not n.ring.same_as(e.sub):
@@ -76,6 +67,8 @@ def induce(n: BasedModule, c: DivisibilityCertificate, *,
             label = induced_label(t, j)
             basis.append(label)
             pairs[label] = (t, j)
+    starts = {t: p * len(n.basis) for p, t in enumerate(c.classes)}
+    places = {n._ids.id(j): p for p, j in enumerate(n.basis)}  # source id → place
 
     def right_factor(i: str) -> Tuple[str, str]:
         # i sits in conj(l_t) ⊗ map(s) exactly when conj(i) sits in
@@ -88,15 +81,15 @@ def induce(n: BasedModule, c: DivisibilityCertificate, *,
         t, s = located
         return t, sub.conj(s)
 
-    def action(alpha: str, label: str) -> Element:
+    def action(alpha: str, label: str) -> Dict[int, int]:
         t, j = pairs[label]
-        sums: Dict[str, int] = {}
-        for i, coeff in amb.product(alpha, amb.conj(t)).items():
-            ti, si = right_factor(i)
-            for k, coeff2 in n.action(si, j).items():
-                target = induced_label(ti, k)
+        sums: Dict[int, int] = {}
+        for i, coeff in _pairs(amb._row(alpha, amb.conj(t))):
+            ti, si = right_factor(amb._ids.labels[i])
+            for k, coeff2 in _pairs(n._row(si, j)):
+                target = starts[ti] + places[k]
                 sums[target] = sums.get(target, 0) + coeff * coeff2
-        return Element.from_sums(sums)
+        return sums
 
     doc = None
     if n.doc is not None and e.doc is not None:
@@ -146,9 +139,10 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
             "decomposition along a lazily generated subring is refused: "
             "component closure cannot be certified on a window")
     restricted = restrict(m, e, check_depth=depth)
+    labels = restricted._ids.labels
     summands: List[BasedModule] = []
     for idx, comp in enumerate(connected_components(restricted, depth)):
-        table = {(beta, j): dict(restricted.action(beta, j).items())
+        table = {(beta, j): {labels[i]: c for i, c in _pairs(restricted._row(beta, j))}
                  for beta in e.sub.basis if beta != e.sub.unit for j in comp}
         summands.append(BasedModule(
             ring=e.sub, basis=comp, action=table,
@@ -193,7 +187,7 @@ def standardize_from_induced(ind: InducedModule, depth: int = DEFAULT_DEPTH) -> 
         bijection[j] = located[1]
     if len(set(bijection.values())) != len(bijection):
         return Verdict.fails("extracted map is not injective")
-    failure = first_nonintertwining(bijection.__getitem__, n.action, sub.product,
+    failure = first_nonintertwining(bijection.__getitem__, n, sub,
                                     checked_window(sub, depth), n.basis)
     if failure is not None:
         beta, j, lhs, rhs = failure

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .elements import (Element, InvalidInputError, UnknownBasisError, bilinear,
-                       check_coeff, require_nonnegative)
-from .rings import (DEFAULT_DEPTH, Based, BasedRing, Verdict,
+                       check_coeff, relabel, require_nonnegative)
+from .rings import (DEFAULT_DEPTH, Based, BasedRing, Verdict, _pairs,
                     associative_by_generators, checked_window, exhaustive,
                     first_nonassociative)
 
@@ -63,7 +63,7 @@ class BasedModule(Based):
             self._action_fn = lookup
         self._unit = self._ring_ids.id(ring.unit)
         if mirrors_ring:
-            self._rows, self._singles = _RingRows(self._unit, ring._rows), ring._singles
+            self._rows = _RingRows(self._unit, ring._rows)
 
     def _validate_table(self, action: Mapping) -> dict:
         """The table, each entry as {id: coeff} without zeros: entries checked
@@ -195,8 +195,8 @@ def check_module_dimension(m: BasedModule, dims: Mapping[str, Fraction],
                            depth: int = DEFAULT_DEPTH) -> Verdict:
     """Verify a supplied module dimension d_J: positivity, and
     d_J(α ⊗ j) = d(α)·d_J(j) for every ring label α within depth and every
-    module label j."""
-    ring_window = checked_window(m.ring, depth)
+    module label j, reading the row of each (α, j) in that order."""
+    ring_window, labels = checked_window(m.ring, depth), m._ids.labels
     for j, value in dims.items():
         if value <= 0:
             return Verdict.fails(
@@ -204,7 +204,7 @@ def check_module_dimension(m: BasedModule, dims: Mapping[str, Fraction],
     for alpha in ring_window:
         d_alpha = m.ring.dim(alpha)
         for j in m.basis:
-            total = sum(c * dims[k] for k, c in m.action(alpha, j).items())
+            total = sum(c * dims[labels[k]] for k, c in _pairs(m._row(alpha, j)))
             if total != d_alpha * dims[j]:
                 return Verdict.fails(
                     f"module dimension incompatible at ({alpha}, {j}): "
@@ -291,11 +291,11 @@ def connected_components(m: BasedModule, depth: int = DEFAULT_DEPTH) -> list:
     relation {j, j'} ⇔ some α within depth has j ⊂ α ⊗ j'.
 
     The relation is symmetric by the based axiom.  Exact for finite rings
-    and finite modules.
+    and finite modules.  The rows are read per j′, then per α.
     """
     ring_window = checked_window(m.ring, depth)
     window = checked_window(m, depth)
-    index = {j: i for i, j in enumerate(window)}
+    index, labels = {j: i for i, j in enumerate(window)}, m._ids.labels
     parent = list(range(len(window)))
 
     def find(i: int) -> int:
@@ -306,9 +306,9 @@ def connected_components(m: BasedModule, depth: int = DEFAULT_DEPTH) -> list:
 
     for jp in window:
         for alpha in ring_window:
-            for j, _ in m.action(alpha, jp).items():
-                if j in index:
-                    roots = find(index[j]), find(index[jp])
+            for k, _ in _pairs(m._row(alpha, jp)):
+                if labels[k] in index:
+                    roots = find(index[labels[k]]), find(index[jp])
                     parent[max(roots)] = min(roots)
     groups: Dict[int, list] = {}
     for i, j in enumerate(window):
@@ -334,12 +334,14 @@ def is_torsion(m: BasedModule, depth: int = DEFAULT_DEPTH) -> Verdict:
 
 def _supports(m: BasedModule, ring_window: list) -> Dict[str, list]:
     """Per module label j and ring label α: the row α ⊗ j, then the column of
-    j's coefficients in α ⊗ k, on the module basis; each action read once."""
+    j's coefficients in α ⊗ k, on the module basis; each row read once."""
     lines: Dict[str, list] = {j: [] for j in m.basis}
+    labels = m._ids.labels
     for alpha in ring_window:
         cols: Dict[str, dict] = {j: {} for j in m.basis}
         for k in m.basis:
-            row = {j: c for j, c in m.action(alpha, k).items() if j in lines}
+            row = {labels[i]: c for i, c in _pairs(m._row(alpha, k))
+                   if labels[i] in lines}
             lines[k].append(row)
             for j, c in row.items():
                 cols[j][k] = c
@@ -348,18 +350,19 @@ def _supports(m: BasedModule, ring_window: list) -> Dict[str, list]:
     return lines
 
 
-def first_nonintertwining(f: Callable[[str], str], left: Callable[[str, str], Element],
-                          right: Callable[[str, str], Element], alphas: Sequence[str],
-                          xs: Sequence[str]) -> Optional[tuple]:
+def first_nonintertwining(f: Callable[[str], str], left: Based, right: Based,
+                          alphas: Sequence[str], xs: Sequence[str]) -> Optional[tuple]:
     """The first (α, x), in loop order, with f(α ⊗ x) ≠ α ⊗ f(x), as
-    (α, x, f(α ⊗ x), α ⊗ f(x)), else None; ``left`` acts on ``xs``,
-    ``right`` on their images under the label map ``f``."""
+    (α, x, f(α ⊗ x), α ⊗ f(x)), else None; ``left`` (a module) acts on
+    ``xs``, ``right`` (a module, or a ring on itself) on their images under
+    ``f``.  Per (α, x) the row α ⊗ x is read and mapped, then α ⊗ f(x)."""
+    into, onto = left._ids.labels, right._ids.labels
     for alpha in alphas:
         for x in xs:
-            lhs = left(alpha, x).map_basis(f)
-            rhs = right(alpha, f(x))
-            if lhs != rhs:
-                return alpha, x, lhs, rhs
+            lhs = relabel(_pairs(left._row(alpha, x)), lambda i: f(into[i]))
+            rhs = right._row(alpha, f(x))
+            if lhs != {onto[i]: c for i, c in _pairs(rhs)}:
+                return alpha, x, Element.from_sums(lhs), right._element(rhs)
     return None
 
 
@@ -415,8 +418,7 @@ def find_intertwiner(m1: BasedModule, m2: BasedModule,
 
     # full re-verification; the witness must stand on its own
     if not backtrack(0) or first_nonintertwining(
-            assignment.__getitem__, m1.action, m2.action, ring_window,
-            m1.basis) is not None:
+            assignment.__getitem__, m1, m2, ring_window, m1.basis) is not None:
         return None
     return dict(assignment)
 

@@ -9,16 +9,16 @@ closing a generator set under products, depth by depth.
 
 Rings and based modules share one base, :class:`Based`: the finite or lazy
 basis, the id rows of every product or action, and the one ``_fill`` that
-computes, checks and stores a row.
+computes, checks and stores a row.  Every internal reader reads rows;
+``product`` and ``action`` return a fresh Element, for a public result.
 
 Concurrency: extending a lazy basis window is serialized by a per-ring lock,
 so concurrent ``basis_up_to_depth`` calls on one ring see the same levels as
-a serial run.  The product rows, the conjugation and dimension memos, and
-the one shared Element per single-label product, are fill-on-read dicts; a
-duplicate fill computes the same value.  Label ids are assigned on the
-ring's label registry (:class:`Labels`), under its own lock, in the order
-labels are first met; threads running the same check meet them in the
-serial order, so they assign the serial ids.
+a serial run.  The product rows and the conjugation and dimension memos are
+fill-on-read dicts; a duplicate fill computes the same value.  Label ids
+are assigned on the ring's label registry (:class:`Labels`), under its own
+lock, in the order labels are first met; threads running the same check
+meet them in the serial order, so they assign the serial ids.
 """
 
 from __future__ import annotations
@@ -182,12 +182,12 @@ class Based:
 
     ``_rows[a][x]`` holds a ⊗ x, for a ring id a and an id x of this ring or
     module: the id of its label when it is one label with coefficient 1,
-    else its (id, coeff) terms in label order.  On a miss, ``_fill`` runs
-    the subclass's ``_rule``, checks the result (an Element non-negative,
-    every final coefficient in the signed 64-bit range) and stores it; a
-    one-label row's shared Element is the rule's own when it returned one.
-    ``_get`` reads rows by label for ``BasedRing.product`` and
-    ``BasedModule.action``, after the subclass's ``_reject_unknown``.
+    else its (id, coeff) terms in label order, as :func:`_pairs` reads both.
+    On a miss, ``_fill`` runs the subclass's ``_rule``, checks the result
+    (an Element non-negative, every final coefficient in the signed 64-bit
+    range) and stores it.  ``_row`` reads rows by label, after the
+    subclass's ``_reject_unknown``; ``_get`` makes a fresh Element of one
+    for ``BasedRing.product`` and ``BasedModule.action``.
     """
 
     _kind = "ring"  # names the object in messages
@@ -207,7 +207,6 @@ class Based:
             self._ids.id(label)
         self._ring_ids = self._ids if ring is None else ring._ids
         self._rows: defaultdict = defaultdict(dict)  # a → {x: row of a ⊗ x}
-        self._singles: dict = {}  # id → the one shared Element of that label
 
     @property
     def is_finite(self) -> bool:
@@ -219,9 +218,8 @@ class Based:
             raise InvalidInputError(f"{self._kind} {self.name} has an infinite basis")
         return self._basis
 
-    def _get(self, a: str, x: str) -> Element:
-        """Decomposition of a ⊗ x, by label: the row read, or filled once
-        the labels are checked; a one-label row is its shared Element."""
+    def _row(self, a: str, x: str) -> Any:
+        """The row of a ⊗ x, by label: read, or filled once the labels are checked."""
         try:
             row = self._rows[self._ring_ids.ids[a]].get(self._ids.ids[x])
         except KeyError:  # a label not met yet
@@ -229,26 +227,23 @@ class Based:
         if row is None:
             self._reject_unknown(a, x)
             row = self._fill(self._ring_ids.id(a), self._ids.id(x))
-        single = self._singles.get(row)
-        return self._element(row) if single is None else single
+        return row
+
+    def _get(self, a: str, x: str) -> Element:
+        """Decomposition of a ⊗ x, by label, as a fresh Element."""
+        return self._element(self._row(a, x))
 
     def _at(self, a: int, x: int) -> Any:
         row = self._rows[a].get(x)
         return self._fill(a, x) if row is None else row
 
     def _fill(self, a: int, x: int) -> Any:
-        """Compute, check and store the row of a ⊗ x, each coefficient
-        range-checked; a one-label Element is the one shared from here on."""
+        """Compute, check and store the row of a ⊗ x, each coefficient range-checked."""
         row = self._rule(a, x)
         if type(row) is not int:
             if type(row) is not dict:
                 require_nonnegative(row, "{} ⊗ {}", self._ring_ids.labels[a],
                                     self._ids.labels[x])
-                single = row.single_label()
-                if single is not None:
-                    self._rows[a][x] = i = self._ids.id(single)
-                    self._singles.setdefault(i, row)
-                    return i
                 row = {self._ids.id(y): c for y, c in row.items()}
             row = _single(checked_sums(row))
             if type(row) is not int:
@@ -257,12 +252,16 @@ class Based:
         return row
 
     def _element(self, row: Any) -> Element:
-        """A row, or a dict of coefficients by id, as an Element."""
+        """A row, or a dict of coefficients by id, as a fresh Element."""
         if type(row) is int:
-            single = self._singles.get(row)
-            return single or self._singles.setdefault(row, Element.basis(self._ids.labels[row]))
+            return Element.basis(self._ids.labels[row])
         terms = row.items() if type(row) is dict else row
         return Element.from_sums({self._ids.labels[i]: c for i, c in terms})
+
+
+def _pairs(row: Any) -> Any:
+    """The (id, coeff) terms of a row, in label order."""
+    return ((row, 1),) if type(row) is int else row
 
 
 _UNTRIED = object()  # no generator proof has run on the ring yet
@@ -358,13 +357,11 @@ class BasedRing(Based):
             raise InvalidInputError("depth must be non-negative")
         with self._levels_lock:
             while len(self._levels) <= depth:
-                fresh = set()
+                fresh, labels = set(), self._ids.labels
                 for w in self._levels[-1]:
                     for g in self.generators:
-                        for label, _ in self.product(w, g).items():
-                            if label not in self._level_seen:
-                                fresh.add(label)
-                level = sorted(fresh)
+                        fresh.update(labels[i] for i, _ in _pairs(self._row(w, g)))
+                level = sorted(fresh - self._level_seen)
                 self._level_seen.update(level)
                 self._levels.append(level)
             levels = self._levels[: depth + 1]
@@ -463,7 +460,7 @@ def check_ring_axioms(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
                     data=(a, b))
             ab = row_i[j] if j in row_i else fill(i, j)
             lhs: dict = {}  # conj(a ⊗ b) by label
-            for x, c in ((ab, 1),) if type(ab) is int else ab:
+            for x, c in _pairs(ab):
                 cx = conj_labels.get(x)
                 if cx is None:
                     cx = ring.conj(labels[x])
@@ -478,7 +475,7 @@ def check_ring_axioms(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
             if type(rhs) is int and len(lhs) == 1 and lhs.get(labels[rhs]) == 1:
                 continue
             lhs = checked_sums(lhs)
-            if lhs != {labels[y]: c for y, c in _terms(rhs).items()}:
+            if lhs != {labels[y]: c for y, c in _pairs(rhs)}:
                 return Verdict.fails(
                     f"conj({a} ⊗ {b}) = {Element.from_sums(lhs).format()} ≠ "
                     f"conj({b}) ⊗ conj({a}) = {ring._element(rhs).format()}",
@@ -541,7 +538,7 @@ def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
                         nesteds[a, bj] = nested = _sum(act, fill, [(a, y, c) for y, c in bj])
                 else:
                     nested = ra[bj] if bj in ra else fill(a, bj)
-                if nested != flat and _terms(nested) != _terms(flat):
+                if nested != flat and dict(_pairs(nested)) != dict(_pairs(flat)):
                     return (ring._ids.labels[a], ring._ids.labels[b],
                             table._ids.labels[j], table._element(nested),
                             table._element(flat))
@@ -553,13 +550,9 @@ def _sum(rows: dict, fill: Callable[[int, int], Any], terms: list) -> Any:
     sums: dict = {}
     for x, y, c in terms:
         row = rows[x][y] if y in rows[x] else fill(x, y)
-        for z, d in (row if type(row) is tuple else ((row, 1),)):
+        for z, d in _pairs(row):
             sums[z] = sums.get(z, 0) + c * d
     return _single(checked_sums(sums))
-
-
-def _terms(row: Any) -> dict:
-    return {row: 1} if type(row) is int else dict(row)
 
 
 def generating_labels(ring: BasedRing) -> list:
@@ -600,9 +593,7 @@ def generating_labels(ring: BasedRing) -> list:
                             row_x[c] if c in row_x else fill(x, c))
         waiting = []
         for p in pending:
-            if type(p) is int:
-                p = ((p, 1),)
-            outside = [y for y, _ in p if y not in seen]
+            outside = [y for y, _ in _pairs(p) if y not in seen]
             if len(outside) == 1:
                 seen.add(outside[0])
                 closed.append(outside[0])
@@ -679,7 +670,7 @@ def check_dimension(ring: BasedRing, depth: int = DEFAULT_DEPTH) -> Verdict:
             want = da * dims[j]
             row = row_i[j] if j in row_i else fill(i, j)
             total = 0
-            for k, c in ((row, 1),) if type(row) is int else row:
+            for k, c in _pairs(row):
                 dk = dims.get(k)
                 if dk is None:
                     dims[k] = dk = dim(labels[k])

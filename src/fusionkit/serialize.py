@@ -29,6 +29,7 @@ from .rings import (
     DEFAULT_DEPTH,
     BasedRing,
     Verdict,
+    _pairs,
     check_dimension,
     check_ring_axioms,
     explicit_ring,
@@ -646,7 +647,7 @@ class ProductCache:
         path = self._path(ring)
         if path is None or os.path.exists(path):
             return 0
-        pairs = sorted(ring.stored_pairs())
+        pairs, labels = sorted(ring.stored_pairs()), ring._ids.labels
         if not pairs:
             return 0
         temporary = f"{path}.{os.getpid()}.tmp"
@@ -654,8 +655,8 @@ class ProductCache:
             os.makedirs(self.directory, exist_ok=True)
             with open(temporary, "w", encoding="utf-8") as handle:
                 for a, b in pairs:
-                    record = {"a": a, "b": b,
-                              "v": dict(ring.product(a, b).items())}
+                    record = {"a": a, "b": b, "v": {labels[i]: c for i, c
+                                                    in _pairs(ring._row(a, b))}}
                     handle.write(canonical_json(record) + "\n")
             os.replace(temporary, path)
         except OSError as exc:

@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple,
                     Union)
 
-from .elements import Element, InvalidInputError, UnknownBasisError
+from .elements import Element, InvalidInputError, UnknownBasisError, relabel
 from .modules import BasedModule, connected_components, standard_module
-from .rings import DEFAULT_DEPTH, BasedRing, Verdict, checked_window, exhaustive
+from .rings import (DEFAULT_DEPTH, BasedRing, Verdict, _pairs, checked_window,
+                    exhaustive)
 
 MapLike = Union[Mapping[str, str], Callable[[str], str]]
 
@@ -53,7 +54,8 @@ class SubringEmbedding:
 
 def verify_subring(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Check unit/involution compatibility, injectivity, and product closure
-    with coefficient equality on the sub window."""
+    with coefficient equality on the sub window; a failure names the first
+    differing label of the ambient product, else of the embedded one."""
     sub, amb = e.sub, e.ambient
     window = checked_window(sub, depth)
     seen: Dict[str, str] = {}
@@ -74,19 +76,20 @@ def verify_subring(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> Verdict:
             return Verdict.fails(
                 f"map does not commute with conj at {s}: "
                 f"map(conj({s})) = {lhs} but conj(map({s})) = {rhs}", data=(s,))
+    labels, amb_labels = sub._ids.labels, amb._ids.labels
     for a in window:
         for b in window:
-            inside = sub.product(a, b).map_basis(e.embed)
-            outside = amb.product(e.embed(a), e.embed(b))
+            inside = relabel(_pairs(sub._row(a, b)), lambda i: e.embed(labels[i]))
+            row = amb._row(e.embed(a), e.embed(b))
+            outside = {amb_labels[i]: c for i, c in _pairs(row)}
             if inside != outside:
-                stray = [lbl for lbl, _ in outside.items()
-                         if inside.coeff(lbl) != outside.coeff(lbl)]
+                stray = next(x for terms in (outside, inside) for x in sorted(terms)
+                             if inside.get(x, 0) != outside.get(x, 0))
                 return Verdict.fails(
-                    f"product closure fails at ({a}, {b}): ambient "
-                    f"{e.embed(a)} ⊗ {e.embed(b)} = {outside.format()} but the "
-                    f"embedded sub product is {inside.format()} "
-                    f"(first discrepancy at {stray[0] if stray else '?'})",
-                    data=(a, b))
+                    f"product closure fails at ({a}, {b}): ambient {e.embed(a)} ⊗ "
+                    f"{e.embed(b)} = {amb._element(row).format()} but the embedded sub "
+                    f"product is {Element.from_sums(inside).format()} "
+                    f"(first discrepancy at {stray})", data=(a, b))
     return Verdict.holds_within(depth, sub)
 
 
@@ -181,12 +184,12 @@ def find_divisibility_certificate(e: SubringEmbedding,
         for cand in [amb.unit] if amb.unit in cls else cls:
             targets: Dict[str, str] = {}
             for s in sub_window:
-                value = amb.product(e.embed(s), cand)
-                i = value.single_label()
-                if i is None:
-                    failures.append(
-                        f"{e.embed(s)} ⊗ {cand} = {value.format()} is reducible")
+                row = amb._row(e.embed(s), cand)
+                if type(row) is not int:
+                    failures.append(f"{e.embed(s)} ⊗ {cand} = "
+                                    f"{amb._element(row).format()} is reducible")
                     break
+                i = amb._ids.labels[row]
                 if i in targets:
                     failures.append(
                         f"{cand} is not injective: {targets[i]} ⊗ {cand} and "
@@ -261,12 +264,12 @@ def verify_certificate(c: DivisibilityCertificate,
     blocks: Dict[Tuple[str, str], str] = {}
     for t in reps:
         for s in sub_window:
-            value = amb.product(e.embed(s), t)
-            i = value.single_label()
-            if i is None:
-                return Verdict.fails(
-                    f"{e.embed(s)} ⊗ {t} = {value.format()} is reducible",
-                    data=(s, t))
+            row = amb._row(e.embed(s), t)
+            if type(row) is not int:
+                return Verdict.fails(f"{e.embed(s)} ⊗ {t} = "
+                                     f"{amb._element(row).format()} is reducible",
+                                     data=(s, t))
+            i = amb._ids.labels[row]
             recorded = c.factorization.get(i)
             if recorded != (t, s):
                 return Verdict.fails(
@@ -287,28 +290,29 @@ def verify_certificate(c: DivisibilityCertificate,
             return Verdict.fails(
                 f"factorization of {i} = ({t}, {s}) is not reproduced by "
                 f"map({s}) ⊗ {t}", data=(t, s, i))
-    # block-diagonal regular action through the factorization
+    # block-diagonal regular action through the factorization, on distinct targets
+    labels, amb_labels = sub._ids.labels, amb._ids.labels
     for beta in sub_window:
         for t in reps:
             for s in sub_window:
                 i = blocks[(t, s)]
-                lhs = amb.product(e.embed(beta), i)
+                lhs = amb._row(e.embed(beta), i)
                 sums: dict = {}
                 complete = True
-                for sp, coeff in sub.product(beta, s).items():
-                    target = blocks.get((t, sp))
+                for k, coeff in _pairs(sub._row(beta, s)):
+                    target = blocks.get((t, labels[k]))
                     if target is None:
                         complete = False
                         break
                     sums[target] = sums.get(target, 0) + coeff
                 if not complete:
                     continue  # escapes the verified window; bounded check
-                rhs = Element.from_sums(sums)
-                if lhs != rhs:
+                if sums != {amb_labels[x]: c for x, c in _pairs(lhs)}:
                     return Verdict.fails(
                         f"sub action is not block regular at "
                         f"(β={beta}, t={t}, s={s}): map({beta}) ⊗ {i} = "
-                        f"{lhs.format()} ≠ {rhs.format()}", data=(beta, t, s))
+                        f"{amb._element(lhs).format()} ≠ "
+                        f"{Element.from_sums(sums).format()}", data=(beta, t, s))
     stray = sorted(set(c.factorization) - inside) if exhaustive(amb) else []
     if stray:
         return Verdict.fails(f"factorization key {stray[0]} is not an ambient "

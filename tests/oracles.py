@@ -8,8 +8,9 @@ representation rings from complex floating-point characters,
 cyclic and permutation arithmetic on labels, a Counter fold for bilinear
 extensions, transitive G-sets from subgroup classes with Mackey's orbit
 sizes, semi-direct products of groups in the textbook law, an unpruned
-torsion-module census, and the backtracking intertwiner search on plain
-tables.
+torsion-module census, the backtracking intertwiner search on plain
+tables, and the plain loops whose order fixes the first witness and first
+error of each ordered check.
 """
 
 import cmath
@@ -716,6 +717,90 @@ def ordered_symmetry_scan(alphas, conj, js, act):
                         return ("fails", (alpha, j, jp))
     except _Stop as stop:
         return stop.outcome
+    return ("holds",)
+
+
+def ordered_module_dimension_scan(alphas, js, dim, dims, act):
+    """Compatibility of a module dimension by the plain loop over α, then
+    j, on a table: ``act[(α, j)]`` is a {label: coeff} dict, unit pairs
+    included, and a missing key is an action that raises; ``dim`` and
+    ``dims`` map ring and module labels to dimensions.  Returns ("holds",),
+    ("fails", (α, j), Σ N·d_J, d(α)·d_J(j)) for the first pair at which
+    they differ, or ("missing", (α, j)) for the first action asked for that
+    is missing."""
+    for alpha in alphas:
+        for j in js:
+            row = _lookup(act, (alpha, j))
+            if row is None:
+                return ("missing", (alpha, j))
+            total = sum(Fraction(c) * dims[k] for k, c in row.items())
+            if total != dim[alpha] * dims[j]:
+                return ("fails", (alpha, j), total, dim[alpha] * dims[j])
+    return ("holds",)
+
+
+def _lookup(table, key):
+    """``table[key]``, or None for a missing key, a LazyTable filled on the way."""
+    try:
+        return table[key]
+    except KeyError:
+        return None
+
+
+def ordered_component_scan(alphas, js, act):
+    """The components of the window ``js`` under the edges {j, j′} with
+    j ⊂ α ⊗ j′, asking for α ⊗ j′ by the plain loop over j′, then α, on a
+    table as in :func:`ordered_module_dimension_scan`; a label outside the
+    window adds no edge.  Returns ("components", [[labels], …]), each in
+    window order and the components by their first label's place, or
+    ("missing", (α, j′)) for the first action asked for that is missing."""
+    neighbours = {j: set() for j in js}
+    for jp in js:
+        for alpha in alphas:
+            row = _lookup(act, (alpha, jp))
+            if row is None:
+                return ("missing", (alpha, jp))
+            for j, c in row.items():
+                if c and j in neighbours:
+                    neighbours[j].add(jp)
+                    neighbours[jp].add(j)
+    components, placed = [], set()
+    for start in js:  # a depth-first search from each label not yet placed
+        if start in placed:
+            continue
+        reached, stack = {start}, [start]
+        while stack:
+            for k in neighbours[stack.pop()] - reached:
+                reached.add(k)
+                stack.append(k)
+        placed |= reached
+        components.append([j for j in js if j in reached])
+    return ("components", components)
+
+
+def ordered_intertwining_scan(alphas, xs, f, left, right):
+    """The first (α, x), by the plain loop over α, then x, with
+    f(α ⊗ x) ≠ α ⊗ f(x), on tables as in
+    :func:`ordered_module_dimension_scan`: ``left`` acts on ``xs`` and
+    ``right`` on their images under the dict ``f``.  Per (α, x) it asks
+    for α ⊗ x in ``left``, then α ⊗ f(x) in ``right``.  Returns
+    ("holds",), ("fails", (α, x), f(α ⊗ x), α ⊗ f(x)), or
+    ("missing", side, key) for the first action asked for that is missing,
+    side "left" or "right"."""
+    for alpha in alphas:
+        for x in xs:
+            row = _lookup(left, (alpha, x))
+            if row is None:
+                return ("missing", "left", (alpha, x))
+            image = Counter()
+            for y, c in row.items():
+                image[f[y]] += c
+            row = _lookup(right, (alpha, f[x]))
+            if row is None:
+                return ("missing", "right", (alpha, f[x]))
+            want = {y: c for y, c in row.items() if c}
+            if dict(+image) != want:
+                return ("fails", (alpha, x), dict(+image), want)
     return ("holds",)
 
 

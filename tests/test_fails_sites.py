@@ -137,6 +137,19 @@ FREE_DOC = {"kind": "construct", "construct": "free_product",
 # the rank-2 Z2 module on which g fixes both labels
 FIXED_DOC = {"kind": "module", "ring": Z2_DOC, "basis": ["m0", "m1"],
              "action": [["g", "m0", {"m0": 1}], ["g", "m1", {"m1": 1}]]}
+# Rep(S3) with std before sgn, embedded in the Klein group ring as
+# triv → e, std → y, sgn → x: std ⊗ std is the first pair to fail, and every
+# label of its ambient product y ⊗ y = e has its sub coefficient
+KLEIN = ["e", "x", "y", "xy"]
+KLEIN_DOC = {"kind": "construct", "construct": "group_ring", "group": {
+    "elements": KLEIN, "mult": [[a, b, KLEIN[KLEIN.index(a) ^ KLEIN.index(b)]]
+                                for a in KLEIN for b in KLEIN]}}
+REP_S3_DOC = {"kind": "explicit_ring", "basis": ["triv", "std", "sgn"],
+              "unit": "triv", "conj": {"triv": "triv", "std": "std", "sgn": "sgn"},
+              "dim": {"triv": 1, "std": 2, "sgn": 1},
+              "fusion": [["std", "std", {"triv": 1, "sgn": 1, "std": 1}],
+                         ["std", "sgn", {"std": 1}], ["sgn", "std", {"std": 1}],
+                         ["sgn", "sgn", {"triv": 1}]]}
 # block-copy ambient for Z2 = {e, g} with classes e and x, where
 # g ⊗ y should be x; the table is not associative, so no document loads it
 NONASSOCIATIVE = table_ring(["e", "g", "x", "y"], {
@@ -211,6 +224,22 @@ CASES = {
         ("fails", "product closure fails at (g, g): ambient std ⊗ std = "
          "sgn ⊕ std ⊕ triv but the embedded sub product is triv "
          "(first discrepancy at sgn)", ("g", "g"))),
+    # Z3 into Z6 as a ↦ a, a2 ↦ a5: a ⊗ a is a2 in the ambient ring and a5
+    # embedded, and the ambient label is named first
+    "subring: both products have a label the other lacks": (
+        lambda: verdict(verify_subring(SubringEmbedding(
+            sub=group_ring(cyclic_group(3)), ambient=group_ring(cyclic_group(6)),
+            mapping={"e": "e", "a": "a", "a2": "a5"}))),
+        ("fails", "product closure fails at (a, a): ambient a ⊗ a = a2 but the "
+         "embedded sub product is a5 (first discrepancy at a2)", ("a", "a"))),
+    "subring: a label only the embedded product has": (
+        lambda: cli({"emb.json": {"kind": "embedding", "sub": REP_S3_DOC,
+                                  "ambient": KLEIN_DOC,
+                                  "map": {"triv": "e", "std": "y", "sgn": "x"}}},
+                    "validate", "emb.json"),
+        ("fails", "product closure fails at (std, std): ambient y ⊗ y = e but "
+         "the embedded sub product is e ⊕ x ⊕ y (first discrepancy at x)",
+         ["std", "std"], None)),
     "certificate: the embedding fails": (
         lambda: verdict(verify_certificate(certificate(
             z2_in(REP_S3, "std"), ("triv",), {}))),

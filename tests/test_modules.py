@@ -325,7 +325,7 @@ def test_the_unit_acts_on_a_label_no_row_has_named_yet(su2):
     m = BasedModule(ring=su2, basis=None, name="lazy", action=su2.product,
                     window_fn=su2.basis_up_to_depth)
     assert m.action("x0", "x7") == Element.basis("x7")
-    assert m.action("x0", "x7") is m.action("x0", "x7")
+    assert m.action("x0", "x7") == m.action("x0", "x7")
 
 
 # --- the intertwiner witness against the backtracking oracle ---------------------
@@ -551,14 +551,12 @@ def test_equal_signatures_without_intertwiner():
     assert find_intertwiner(*(_module(Z2_RING, basis, t) for t in tables)) is None
 
 
-def test_loading_a_module_document_builds_no_element(monkeypatch):
-    # the regular module of an explicit Z/48: 47 · 48 = 2256 action entries,
-    # loaded and validated over the ring its session already holds; no dim,
-    # whose check reads the action as Elements
-    from fusionkit.serialize import load_doc, load_session
-    n = 48
-    basis, points = [f"a{k}" for k in range(n)], [f"m{k}" for k in range(n)]
-    ring_doc = {"kind": "explicit_ring", "basis": basis, "unit": "a0",
+def _cyclic_docs(n, letter, point):
+    """The documents of an explicit Z/n on ``letter``0 … and of its regular
+    module on ``point``0 …: n − 1 fusion entries and n action entries per
+    non-unit label."""
+    basis, points = [f"{letter}{k}" for k in range(n)], [f"{point}{k}" for k in range(n)]
+    ring_doc = {"kind": "explicit_ring", "basis": basis, "unit": basis[0],
                 "conj": {basis[k]: basis[-k % n] for k in range(n)},
                 "dim": {x: 1 for x in basis},
                 "fusion": [[basis[i], basis[j], {basis[(i + j) % n]: 1}]
@@ -566,6 +564,17 @@ def test_loading_a_module_document_builds_no_element(monkeypatch):
     module_doc = {"kind": "module", "ring": ring_doc, "basis": points,
                   "action": [[basis[i], points[j], {points[(i + j) % n]: 1}]
                              for i in range(1, n) for j in range(n)]}
+    return ring_doc, module_doc
+
+
+def _count_elements(monkeypatch):
+    """A list that grows by one for each Element made until
+    ``monkeypatch.undo()``.
+
+    Every Element is made by __init__, from_sums or basis.  Patching
+    __new__ instead would count the same, but CPython cannot give the class
+    back its inherited __new__ afterwards, and every later Element(...)
+    would raise."""
     built = []
 
     def counted(make):
@@ -574,18 +583,52 @@ def test_loading_a_module_document_builds_no_element(monkeypatch):
             return make(*args, **kwargs)
         return making
 
-    # every Element is made by __init__, from_sums or basis.  Patching
-    # __new__ instead would count the same, but CPython cannot give the
-    # class back its inherited __new__ afterwards, and every later
-    # Element(...) would raise
+    monkeypatch.setattr(Element, "__init__", counted(Element.__init__))
+    for name in ("from_sums", "basis"):
+        monkeypatch.setattr(Element, name, staticmethod(counted(getattr(Element, name))))
+    return built
+
+
+def test_loading_a_module_document_builds_no_element(monkeypatch):
+    # the regular module of an explicit Z/48: 47 · 48 = 2256 action entries,
+    # loaded and validated over the ring its session already holds
+    from fusionkit.serialize import load_doc, load_session
+    ring_doc, module_doc = _cyclic_docs(48, "a", "m")
     with load_session():
         ring = load_doc(ring_doc)
-        monkeypatch.setattr(Element, "__init__", counted(Element.__init__))
-        for name in ("from_sums", "basis"):
-            monkeypatch.setattr(Element, name,
-                                staticmethod(counted(getattr(Element, name))))
+        built = _count_elements(monkeypatch)
         module = load_doc(module_doc)
         monkeypatch.undo()
     assert len(module_doc["action"]) == 2256 and module.ring is ring
     assert len(built) == 0
     assert module.action("a5", "m45") == Element.basis("m2")
+
+
+def test_module_readers_build_no_element(monkeypatch):
+    # the module readers read id rows: on the loaded regular Z/48 module,
+    # and on the module induced from the regular module of Z/24 along
+    # b_k ↦ a_2k, whose action rows the axiom check fills
+    from fusionkit import find_divisibility_certificate, induce
+    from fusionkit.modules import check_module_dimension
+    from fusionkit.serialize import load_doc, load_session
+    ring_doc, module_doc = _cyclic_docs(48, "a", "m")
+    sub_doc, source_doc = _cyclic_docs(24, "b", "s")
+    embedding_doc = {"kind": "embedding", "sub": sub_doc, "ambient": ring_doc,
+                     "map": {f"b{k}": f"a{2 * k}" for k in range(24)}}
+    with load_session():
+        ring, module, embedding, source = map(
+            load_doc, (ring_doc, module_doc, embedding_doc, source_doc))
+    certificate = find_divisibility_certificate(embedding).certificate
+    target = standard_module(ring)
+    built = _count_elements(monkeypatch)
+    dimension = check_module_dimension(module, {j: 1 for j in module.basis})
+    components = connected_components(module)
+    witness = find_intertwiner(module, target)
+    induced = induce(source, certificate)
+    axioms = check_module_axioms(induced)
+    monkeypatch.undo()
+    assert len(built) == 0
+    assert dimension.is_holds and axioms.is_holds
+    assert components == [list(module.basis)]
+    assert witness == {f"m{k}": f"a{k}" for k in range(48)}
+    assert sum(map(len, induced._rows.values())) == 48 * 48  # every action row

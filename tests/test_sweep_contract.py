@@ -17,24 +17,37 @@ import pytest
 from fusionkit import (
     BasedModule,
     BasedRing,
+    DivisibilityCertificate,
     Element,
     InvalidInputError,
     check_dimension,
     check_module_axioms,
     check_ring_axioms,
+    connected_components,
     cyclic_group,
     explicit_ring,
     free_product,
     generating_labels,
     group_ring,
+    identity_embedding,
+    induce,
+    so3_subring,
+    standardize_from_induced,
+    su2_ring,
+    symmetric_group_3,
 )
+from fusionkit.modules import check_module_dimension, first_nonintertwining
+from fusionkit.subrings import coset_classes
 from oracles import (
     LazyTable,
     cg_tensor_oracle,
     first_window_collision,
     modular_mul,
     modular_words,
+    ordered_component_scan,
     ordered_dimension_scan,
+    ordered_intertwining_scan,
+    ordered_module_dimension_scan,
     ordered_pair_scan,
     ordered_symmetry_scan,
     ordered_triple_scan,
@@ -432,3 +445,156 @@ def test_symmetry_raises_at_the_first_row_the_loop_asks_for(case):
     message = re.escape(f"no action for ({first[0]}, {first[1]})")
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         check_module_axioms(module)
+
+
+# --- the module readers: dimension, components and intertwining ------------------
+
+def _dims_witness(alpha, j, total, want):
+    return (f"module dimension incompatible at ({alpha}, {j}): Σ N·d_J = "
+            f"{total} but d({alpha})·d_J({j}) = {want}")
+
+
+S3 = group_ring(symmetric_group_3())
+POINTS = ["p0", "p1", "p2"]
+# S3 permuting three points: each non-unit label's images of p0, p1 and p2
+POINT_ACT = {(g, f"p{i}"): {f"p{image[i]}": 1}
+             for g, image in {"r": (1, 2, 0), "t": (1, 0, 2), "rr": (2, 0, 1),
+                              "rt": (2, 1, 0), "tr": (0, 2, 1)}.items()
+             for i in range(3)}
+# Z3 on j and k, with a ⊗ j = k and a2 ⊗ k = j only: the loop over α, then
+# j, first asks for the missing a ⊗ k; the loop over j′, then α, for a2 ⊗ j
+PARTIAL_Z3 = {("a", "j"): {"k": 1}, ("a2", "k"): {"j": 1}}
+
+
+def test_module_dimension_fails_at_the_first_pair_of_the_scan():
+    # d_J(p2) = 2 passes for the unit, then fails where r moves p1 to p2
+    dims = {"p0": Fraction(1), "p1": Fraction(1), "p2": Fraction(2)}
+    outcome = ordered_module_dimension_scan(
+        S3.basis, POINTS, {x: 1 for x in S3.basis}, dims,
+        _with_unit(S3, POINTS, POINT_ACT))
+    assert outcome == ("fails", ("r", "p1"), 2, 1)
+    verdict = check_module_dimension(
+        BasedModule(ring=S3, basis=POINTS, action=POINT_ACT, name="points"), dims)
+    assert verdict.data == outcome[1]
+    assert verdict.witness == _dims_witness(*outcome[1], *outcome[2:]) == (
+        "module dimension incompatible at (r, p1): Σ N·d_J = 2 but "
+        "d(r)·d_J(p1) = 1")
+
+
+def test_module_dimension_raises_at_the_first_row_the_loop_asks_for():
+    z3 = group_ring(cyclic_group(3))
+    dims = {"j": Fraction(1), "k": Fraction(1)}
+    outcome = ordered_module_dimension_scan(
+        z3.basis, ["j", "k"], {x: 1 for x in z3.basis}, dims,
+        _with_unit(z3, ["j", "k"], PARTIAL_Z3))
+    assert outcome == ("missing", ("a", "k"))
+    module = _table_module(z3, ["j", "k"], PARTIAL_Z3, "partial")
+    with pytest.raises(InvalidInputError, match=r"^no action for \(a, k\)$"):
+        check_module_dimension(module, dims)
+
+
+def test_components_match_the_scan_on_a_finite_module():
+    # Z2 swapping m0 and m2 and fixing m1 and m3: three components, the
+    # second and third of one label each
+    z2 = group_ring(cyclic_group(2, generator="g"))
+    basis = ["m0", "m1", "m2", "m3"]
+    act = {("g", "m0"): {"m2": 1}, ("g", "m1"): {"m1": 1},
+           ("g", "m2"): {"m0": 1}, ("g", "m3"): {"m3": 1}}
+    outcome = ordered_component_scan(z2.basis, basis, _with_unit(z2, basis, act))
+    assert outcome == ("components", [["m0", "m2"], ["m1"], ["m3"]])
+    module = BasedModule(ring=z2, basis=basis, action=act, name="swap")
+    assert connected_components(module) == outcome[1]
+
+
+def test_components_match_the_scan_on_a_lazy_window():
+    # SU2 restricted to its even labels: at depth 3 the window x0 … x3 falls
+    # into the even and the odd labels, and x4 … x6 lie outside it
+    embedding = so3_subring(su2_ring())
+    depth = 3
+    alphas = embedding.sub.basis_up_to_depth(depth)
+    window = embedding.ambient.basis_up_to_depth(depth)
+    assert alphas == ["x0", "x2", "x4", "x6"] and window == ["x0", "x1", "x2", "x3"]
+    act = LazyTable(lambda s, j: {f"x{k}": c for k, c in cg_tensor_oracle(
+        int(s[1:]), int(j[1:])).items()})
+    outcome = ordered_component_scan(alphas, window, act)
+    assert outcome == ("components", [["x0", "x2"], ["x1", "x3"]])
+    assert coset_classes(embedding, depth) == outcome[1]
+
+
+def test_components_raise_at_the_first_row_the_loop_asks_for():
+    z3 = group_ring(cyclic_group(3))
+    outcome = ordered_component_scan(z3.basis, ["j", "k"],
+                                     _with_unit(z3, ["j", "k"], PARTIAL_Z3))
+    assert outcome == ("missing", ("a2", "j"))
+    module = _table_module(z3, ["j", "k"], PARTIAL_Z3, "partial")
+    with pytest.raises(InvalidInputError, match=r"^no action for \(a2, j\)$"):
+        connected_components(module)
+
+
+# the three points sent to e, r and rr of S3 acting on itself: the unit and
+# r, which cycles the points as it cycles e, r and rr, agree; t does not
+POINTS_TO_S3 = {"p0": "e", "p1": "r", "p2": "rr"}
+
+
+def _points_to_s3_scan():
+    ring_act = {(x, y): dict(S3.product(x, y).items())
+                for x in S3.basis for y in S3.basis}
+    outcome = ordered_intertwining_scan(S3.basis, POINTS, POINTS_TO_S3,
+                                        _with_unit(S3, POINTS, POINT_ACT), ring_act)
+    assert outcome == ("fails", ("t", "p0"), {"r": 1}, {"t": 1})
+    return outcome
+
+
+def test_first_nonintertwining_matches_the_scan():
+    outcome = _points_to_s3_scan()
+    module = BasedModule(ring=S3, basis=POINTS, action=POINT_ACT, name="points")
+    alpha, x, lhs, rhs = first_nonintertwining(POINTS_TO_S3.__getitem__, module,
+                                               S3, S3.basis, POINTS)
+    assert ((alpha, x), dict(lhs.items()), dict(rhs.items())) == outcome[1:]
+
+
+def test_standardize_fails_at_the_first_pair_of_the_scan():
+    # the classes of A3 as a certificate of S3 in itself induce the regular
+    # module from the three points; the map read from the unit block is
+    # POINTS_TO_S3, and the first pair it fails at is the scan's
+    outcome = _points_to_s3_scan()
+    certificate = DivisibilityCertificate(
+        embedding=identity_embedding(S3), classes=("e", "t"), verified_depth=4,
+        factorization={"e": ("e", "e"), "r": ("e", "r"), "rr": ("e", "rr"),
+                       "t": ("t", "e"), "rt": ("t", "r"), "tr": ("t", "rr")})
+    module = BasedModule(ring=S3, basis=POINTS, action=POINT_ACT, name="points")
+    verdict = standardize_from_induced(induce(module, certificate))
+    (alpha, x), lhs, rhs = outcome[1:]
+    assert verdict.data == (alpha, x)
+    assert verdict.witness == (
+        f"extracted map does not intertwine at ({alpha}, {x}): {_fmt(lhs)} ≠ "
+        f"{_fmt(rhs)}") == "extracted map does not intertwine at (t, p0): r ≠ t"
+
+
+# name → (the left module's rows, the right module's, the first row the
+# scan finds missing); the map swaps j and k, and a ⊗ j = j on the left goes
+# to k = a ⊗ k on the right
+INTERTWINING_RAISES = {
+    # at (a, k) the left a ⊗ k and the right a ⊗ f(k) = a ⊗ j are both
+    # missing: the left row is asked first
+    "left before right": ({("a", "j"): {"j": 1}}, {("a", "k"): {"k": 1}},
+                          ("left", ("a", "k"))),
+    "right at f(x)": ({("a", "j"): {"j": 1}, ("a", "k"): {"k": 1}},
+                      {("a", "k"): {"k": 1}}, ("right", ("a", "j"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERTWINING_RAISES))
+def test_first_nonintertwining_raises_at_the_first_row_the_loop_asks_for(case):
+    left, right, first = INTERTWINING_RAISES[case]
+    z3 = group_ring(cyclic_group(3))
+    basis, f = ["j", "k"], {"j": "k", "k": "j"}
+    outcome = ordered_intertwining_scan(z3.basis, basis, f,
+                                        _with_unit(z3, basis, left),
+                                        _with_unit(z3, basis, right))
+    assert outcome == ("missing", *first)
+    modules = [_table_module(z3, basis, act, name)
+               for act, name in ((left, "left"), (right, "right"))]
+    message = re.escape(f"no action for ({first[1][0]}, {first[1][1]})")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        first_nonintertwining(f.__getitem__, *modules, z3.basis, basis)
