@@ -196,7 +196,8 @@ def enumerate_torsion_modules(ring: BasedRing,
     found.sort(key=lambda entry: entry[:2])
     modules = []
     for idx, (_, _, table, leaf) in enumerate(found):
-        doc = None if ring.doc is None else module_doc(ring, leaf.basis, table)
+        doc = None if ring.doc is None else module_doc(
+            ring, leaf.basis, [[*pair, terms] for pair, terms in table.items()])
         module = BasedModule(ring=ring, basis=leaf.basis, action=table,
                              name=f"census[{ring.name}][{idx}]", doc=doc)
         verdict = Verdict.combine(check_module_axioms(module), is_torsion(module))

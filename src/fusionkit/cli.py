@@ -193,10 +193,11 @@ def _emit(document: dict, as_json: bool, highlight: Optional[str] = None) -> Non
             print(f"{key}: {canonical_json(value)}")
 
 
-def _maybe_write(args, text: str) -> None:
-    from .serialize import LoadError
+def _maybe_write(args, value: Any) -> None:
+    from .serialize import LoadError, canonical_json
     out = getattr(args, "out", None)
-    if out:
+    if out and value is not None:  # a command without a document writes none
+        text = canonical_json(value) + "\n"
         try:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -232,7 +233,7 @@ def _cmd_product(args, session: _Session):
 
 def _cmd_divisible(args, session: _Session):
     from .rings import Verdict
-    from .serialize import LoadError, canonical_json
+    from .serialize import LoadError
     from .subrings import find_divisibility_certificate, verify_certificate
     ambient = session.load(args.ambient, "ambient", expect="ring")
     embedding = session.load(args.sub, "sub", expect="embedding")
@@ -241,53 +242,40 @@ def _cmd_divisible(args, session: _Session):
                         "given ambient ring")
     search = find_divisibility_certificate(embedding, args.depth)
     if search.certificate is None:
-        verdict = Verdict.unknown(args.depth,
-                                  witness="no certificate within depth")
-        result = {"witnesses": list(search.witnesses)}
-        return verdict, result, None
+        return (Verdict.unknown(args.depth, witness="no certificate within depth"),
+                {"witnesses": list(search.witnesses)}, None)
     verdict = verify_certificate(search.certificate, args.depth)
-    cert_doc = None
-    if embedding.doc is not None:
-        cert_doc = search.certificate.to_doc()
-        _maybe_write(args, canonical_json(cert_doc) + "\n")
-    result = {"certificate": cert_doc,
-              "classes": list(search.certificate.classes),
-              "witnesses": list(search.witnesses)}
-    return verdict, result, None
+    cert_doc = None if embedding.doc is None else search.certificate.to_doc()
+    _maybe_write(args, cert_doc)
+    return verdict, {"certificate": cert_doc, "witnesses": list(search.witnesses),
+                     "classes": list(search.certificate.classes)}, None
 
 
 def _cmd_induce(args, session: _Session):
     from .induction import induce
     from .modules import check_module_axioms, is_torsion
     from .rings import Verdict
-    from .serialize import canonical_json, content_hash
+    from .serialize import content_hash
     module = session.load(args.module, "module", expect="module")
     cert = session.load(args.cert, "cert", expect="certificate")
     induced = induce(module, cert, check_depth=args.depth)
     axioms = check_module_axioms(induced, args.depth)
     torsion = is_torsion(induced, args.depth)
     verdict = Verdict.combine(axioms, torsion)
-    result = {
-        "basis_size": len(induced.basis),
-        "classes": len(cert.classes),
-        "source_rank": len(module.basis),
-        "axioms": axioms.to_doc(),
-        "torsion": torsion.to_doc(),
-    }
+    result = {"basis_size": len(induced.basis), "classes": len(cert.classes),
+              "source_rank": len(module.basis), "axioms": axioms.to_doc(),
+              "torsion": torsion.to_doc()}
     if induced.doc is not None:
         result["module"] = induced.doc
-        result["provenance"] = {
-            "source_hash": content_hash(module.doc),
-            "certificate_hash": content_hash(cert.to_doc()),
-        }
-        _maybe_write(args, canonical_json(induced.doc) + "\n")
+        result["provenance"] = {"source_hash": content_hash(module.doc),
+                                "certificate_hash": content_hash(cert.to_doc())}
+    _maybe_write(args, induced.doc)
     return verdict, result, None
 
 
 def _cmd_restrict(args, session: _Session):
     from .induction import restrict, restrict_and_decompose
     from .rings import Verdict
-    from .serialize import canonical_json
     module = session.load(args.module, "module", expect="module")
     embedding = session.load(args.embed, "embed", expect="embedding")
     if args.decompose:
@@ -295,24 +283,22 @@ def _cmd_restrict(args, session: _Session):
         docs = [summand.doc or {"basis": list(summand.basis)}
                 for summand in summands]
         result = {"count": len(summands), "summands": docs}
-        _maybe_write(args, canonical_json(docs) + "\n")
+        _maybe_write(args, docs)
         return Verdict.holds(), result, None
     # restrict checks the axioms at this depth and raises when they fail
     restricted = restrict(module, embedding, check_depth=args.depth)
     verdict = Verdict.holds_within(args.depth, restricted.ring, restricted)
-    result: dict = {"rank": (len(restricted.basis)
-                             if restricted.is_finite else None)}
+    result: dict = {"rank": len(restricted.basis) if restricted.is_finite else None}
     if restricted.doc is not None:
         result["module"] = restricted.doc
-        _maybe_write(args, canonical_json(restricted.doc) + "\n")
+    _maybe_write(args, restricted.doc)
     return verdict, result, None
 
 
 def _cmd_torsion(args, session: _Session):
     from .modules import is_torsion
     module = session.load(args.module, "module", expect="module")
-    verdict = is_torsion(module, args.depth)
-    return verdict, {}, None
+    return is_torsion(module, args.depth), {}, None
 
 
 def _cmd_standard(args, session: _Session):
@@ -328,19 +314,16 @@ def _cmd_standard(args, session: _Session):
 def _cmd_enumerate(args, session: _Session):
     from .census import EnumerationBudget, enumerate_torsion_modules
     from .rings import Verdict
-    from .serialize import canonical_json, census_doc
+    from .serialize import census_doc
     ring = session.load(args.ring, "ring", expect="ring")
-    budget = EnumerationBudget(max_rank=args.max_rank,
-                               max_coeff=args.max_coeff,
-                               max_seconds=args.max_seconds)
+    budget = EnumerationBudget(args.max_rank, args.max_coeff, args.max_seconds)
     census = enumerate_torsion_modules(ring, budget)
     doc = census_doc(census)
-    _maybe_write(args, canonical_json(doc) + "\n")
+    _maybe_write(args, doc)
     verdict = (Verdict.holds() if census.complete
                else Verdict.unknown(budget.max_rank,
                                     witness="budget exhausted; census incomplete"))
-    result = {"count": len(census.modules), "census": doc}
-    return verdict, result, None
+    return verdict, {"count": len(census.modules), "census": doc}, None
 
 
 def _cmd_standardize(args, session: _Session):

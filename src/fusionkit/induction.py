@@ -147,7 +147,8 @@ def restrict_and_decompose(m: BasedModule, e: SubringEmbedding,
         summands.append(BasedModule(
             ring=e.sub, basis=comp, action=table,
             name=f"{restricted.name}[{idx}]",
-            doc=None if e.sub.doc is None else module_doc(e.sub, comp, table)))
+            doc=None if e.sub.doc is None else module_doc(
+                e.sub, comp, [[*pair, terms] for pair, terms in table.items()])))
     return summands
 
 

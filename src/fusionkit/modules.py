@@ -14,9 +14,9 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Unio
 
 from .elements import (Element, InvalidInputError, UnknownBasisError, bilinear,
                        check_coeff, relabel, require_nonnegative)
-from .rings import (DEFAULT_DEPTH, Based, BasedRing, Verdict, _pairs,
-                    associative_by_generators, checked_window, exhaustive,
-                    first_nonassociative)
+from .rings import (DEFAULT_DEPTH, Based, BasedRing, Labels, Verdict, _id_row,
+                    _pairs, associative_by_generators, checked_window,
+                    exhaustive, first_nonassociative)
 
 ActionLike = Union[Mapping[Tuple[str, str], Any], Callable[[str, str], Element]]
 
@@ -26,10 +26,11 @@ class BasedModule(Based):
 
     The basis is a finite explicit tuple, or a lazy window (``window_fn``).
     The action is a callable or a total table over (non-unit ring label,
-    module label) of Elements or {label: coeff} dicts, kept by id; the unit
-    acts as the identity.  Actions are the id rows of
+    module label) of Elements, {label: coeff} dicts or the loader's rows;
+    the unit acts as the identity.  Actions are the id rows of
     :class:`~fusionkit.rings.Based`, by ring id and module id; the standard
-    module (``mirrors_ring``) keeps its ring's labels and non-unit rows.
+    module (``mirrors_ring``) keeps its ring's labels and non-unit rows, and
+    a restriction its source's labels (``labels``).
     """
 
     _kind = "module"
@@ -38,8 +39,8 @@ class BasedModule(Based):
                  action: ActionLike, name: str = "module",
                  doc: Optional[dict] = None,
                  window_fn: Optional[Callable[[int], list]] = None,
-                 mirrors_ring: bool = False):
-        super().__init__(name, basis, ring._ids if mirrors_ring else None, ring)
+                 mirrors_ring: bool = False, labels: Optional[Labels] = None):
+        super().__init__(name, basis, ring._ids if mirrors_ring else labels, ring)
         self.ring = ring
         self.doc = doc
         self.mirrors_ring = mirrors_ring
@@ -54,7 +55,7 @@ class BasedModule(Based):
         else:
             table = self._validate_table(action)
 
-            def lookup(alpha: str, j: str) -> dict:  # holds no module
+            def lookup(alpha: str, j: str) -> Any:  # holds no module
                 try:
                     return table[(alpha, j)]
                 except KeyError:
@@ -66,24 +67,25 @@ class BasedModule(Based):
             self._rows = _RingRows(self._unit, ring._rows)
 
     def _validate_table(self, action: Mapping) -> dict:
-        """The table, each entry as {id: coeff} without zeros: entries checked
+        """The table, each entry as its row (a loaded row as it is): entries checked
         in order for labels, coefficients, sign and targets, then missing pairs."""
         if self._basis is None:
             raise InvalidInputError(f"module {self.name}: a lazy basis needs a "
                                     "callable action, not a table")
-        ring_labels, ids, table = self.ring._labels, self._ids.ids, {}
+        labels, ring_labels, ids, table = self._labels, self.ring._labels, self._ids.ids, {}
         for (alpha, j), value in action.items():
-            if j not in self._labels or (ring_labels is not None
-                                         and alpha not in ring_labels):
+            if j not in labels or (ring_labels is not None and alpha not in ring_labels):
                 raise InvalidInputError(f"module {self.name}: action entry "
                                         f"({alpha}, {j}) names an unknown label")
-            terms = {x: c for x, c in value.items() if check_coeff(c)}
-            require_nonnegative(terms, "{} ⊗ {} of module {}", alpha, j, self.name)
-            if not self._labels.issuperset(terms):
-                raise InvalidInputError(
-                    f"module {self.name}: action ({alpha}, {j}) hits unknown "
-                    f"label {min(set(terms) - self._labels, key=str)!r}")
-            table[(alpha, j)] = {ids[x]: c for x, c in terms.items()}
+            if type(value) is not int and type(value) is not tuple:
+                terms = {x: c for x, c in value.items() if check_coeff(c)}
+                value = _id_row(terms, ids)
+                if value is None:  # a negative coefficient, else an unknown target
+                    require_nonnegative(terms, "{} ⊗ {} of module {}", alpha, j, self.name)
+                    raise InvalidInputError(
+                        f"module {self.name}: action ({alpha}, {j}) hits unknown "
+                        f"label {min(set(terms) - self._labels, key=str)!r}")
+            table[(alpha, j)] = value
         if self.ring.is_finite:
             for alpha, j in itertools.product(self.ring.basis, self._basis):
                 if alpha != self.ring.unit and (alpha, j) not in table:
@@ -146,13 +148,11 @@ def standard_module(ring: BasedRing) -> BasedModule:
 
 
 def module_doc(ring: BasedRing, basis: Sequence[str],
-               table: Mapping[Tuple[str, str], Mapping[str, int]]) -> dict:
-    """The explicit document of a finite module: its ring's document, its
-    basis and the non-unit entries of its {label: coeff} table, sorted."""
+               entries: Sequence[list]) -> dict:
+    """The explicit document of a finite module: its ring's document, its basis
+    and its non-unit action entries [α, j, {label: coeff}], sorted, not copied."""
     return {"kind": "module", "ring": ring.doc, "basis": list(basis),
-            "action": sorted([alpha, j, dict(sorted(value.items()))]
-                             for (alpha, j), value in table.items()
-                             if alpha != ring.unit)}
+            "action": sorted(entry for entry in entries if entry[0] != ring.unit)}
 
 
 def act(m: BasedModule, a: Element, v: Element) -> Element:

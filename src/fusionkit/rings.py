@@ -183,11 +183,11 @@ class Based:
     ``_rows[a][x]`` holds a ⊗ x, for a ring id a and an id x of this ring or
     module: the id of its label when it is one label with coefficient 1,
     else its (id, coeff) terms in label order, as :func:`_pairs` reads both.
-    On a miss, ``_fill`` runs the subclass's ``_rule``, checks the result
-    (an Element non-negative, every final coefficient in the signed 64-bit
-    range) and stores it.  ``_row`` reads rows by label, after the
-    subclass's ``_reject_unknown``; ``_get`` makes a fresh Element of one
-    for ``BasedRing.product`` and ``BasedModule.action``.
+    On a miss, ``_fill`` stores what the subclass's ``_rule`` returns: a row
+    as it is (checked where it was made), a computed result once checked (an
+    Element non-negative, every coefficient in the signed 64-bit range).
+    ``_row`` reads rows by label, after the subclass's ``_reject_unknown``;
+    ``_get`` makes a fresh Element of one for ``product`` and ``action``.
     """
 
     _kind = "ring"  # names the object in messages
@@ -238,9 +238,9 @@ class Based:
         return self._fill(a, x) if row is None else row
 
     def _fill(self, a: int, x: int) -> Any:
-        """Compute, check and store the row of a ⊗ x, each coefficient range-checked."""
+        """Store the row of a ⊗ x that the rule returns, a computed one checked."""
         row = self._rule(a, x)
-        if type(row) is not int:
+        if type(row) is not int and type(row) is not tuple:
             if type(row) is not dict:
                 require_nonnegative(row, "{} ⊗ {}", self._ring_ids.labels[a],
                                     self._ids.labels[x])
@@ -262,6 +262,15 @@ class Based:
 def _pairs(row: Any) -> Any:
     """The (id, coeff) terms of a row, in label order."""
     return ((row, 1),) if type(row) is int else row
+
+
+def _id_row(terms: dict, ids: dict) -> Any:
+    """The row on ``ids`` of a table entry, {label: coeff} of checked ints
+    without zeros; None when a label is not in ``ids`` or a coefficient < 0."""
+    if not all(x in ids and c > 0 for x, c in terms.items()):
+        return None
+    row = _single({ids[x]: c for x, c in sorted(terms.items())})
+    return row if type(row) is int else tuple(row.items())
 
 
 _UNTRIED = object()  # no generator proof has run on the ring yet
@@ -688,19 +697,19 @@ def explicit_ring(*, name: str, basis: Iterable[str], unit: str,
     """Build a finite ring from explicit tables, checked once, here.
 
     ``conj`` and ``dim`` map exactly the basis, ``conj`` into it.
-    ``fusion`` maps pairs of basis labels to their products, supported on
-    the basis, with non-negative coefficients: each an Element or a
-    {label: coeff} dict of ints.  Every non-unit pair must be listed,
-    because a missing pair is undefined, never a silent zero.  Unit
-    products are implied, and an entry for a unit pair is never read.
+    ``fusion`` maps pairs of basis labels to their products, supported on the
+    basis, with non-negative coefficients: each an Element, a {label: coeff}
+    dict of ints, or the loader's :func:`_id_row` of one.  Every non-unit
+    pair must be listed: a missing pair is undefined, never a silent zero.
+    Unit products are implied, and an entry for a unit pair is never read.
 
     The table becomes one of rows by id, here, with the unit's row and
-    column implied, and the ring's rule reads it by id.  A missing pair is
-    reported before the first entry, in table order, that names an
-    unknown label or holds a negative coefficient.
+    column implied, which the ring's rule returns as they are.  A bad
+    coefficient raises at once, after the conj and dim tables; a missing pair,
+    before the first entry that names an unknown label or is negative.
     """
     conj, dim = dict(conj), dict(dim)
-    table: list = []  # table[a][b]: a ⊗ b by id, an id or {id: coeff}
+    table: list = []  # table[a][b]: the row of a ⊗ b
     ring = BasedRing(name=name, unit=unit, conj=conj.__getitem__, product=None,
                      id_product=lambda a, b: table[a][b], dim=dim.__getitem__,
                      basis=basis, doc=doc)
@@ -720,20 +729,22 @@ def explicit_ring(*, name: str, basis: Iterable[str], unit: str,
     for a, row in enumerate(table):
         row[u] = a
     fault = None  # the first entry that names an unknown label or is negative
-    for (a, b), value in fusion.items():
-        terms = value._terms if isinstance(value, Element) else value
-        row: Any = {}  # a listed pair, even one with a fault
-        if not (a in labels and b in labels and labels.issuperset(terms)):
+    for (a, b), row in fusion.items():
+        i, j = ids.get(a), ids.get(b)
+        loaded = type(row) is int or type(row) is tuple  # the loader's row
+        terms = () if loaded else row._terms if isinstance(row, Element) else row
+        if i is None or j is None or not (loaded or labels.issuperset(terms)):
             fault = fault or (f"fusion entry ({a}, {b}) names unknown labels "
                               f"{sorted({a, b, *terms} - labels, key=str)}")
-        else:
-            row = _single({ids[x]: c for x, c in terms.items() if check_coeff(c)})
-            if type(row) is dict and min(row.values(), default=0) < 0:
+        elif not loaded:
+            row = _id_row({x: c for x, c in terms.items() if check_coeff(c)}, ids)
+            if row is None:  # a negative coefficient; the pair is listed
                 label, c = next((x, c) for x, c in sorted(terms.items()) if c < 0)
                 fault = fault or (f"negative coefficient {c}·{label} in fusion "
                                   f"entry ({a}, {b})")
-        if unit not in (a, b) and a in labels and b in labels:
-            table[ids[a]][ids[b]] = row
+                row = ()
+        if i is not None and j is not None and i != u and j != u:
+            table[i][j] = row
     for a, row in enumerate(table):
         if None in row:
             raise InvalidInputError(

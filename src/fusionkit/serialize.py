@@ -2,7 +2,9 @@
 
 Definition files are JSON documents with a top-level ``kind``.  The loader
 checks what a document alone can get wrong: JSON types, fields, duplicate
-entries and unit entries that contradict the implied unit product.  The
+entries and unit entries that contradict the implied unit product.  A
+fusion or action table is read in one pass, each coefficient range-checked
+once, and each entry reaches its constructor as its id row.  The
 constructors check the mathematics, a finite ring every label it is given.
 Loading then validates the object (ring axioms, module axioms, embedding
 closure, certificate invariants) at a configurable depth; a failed
@@ -19,8 +21,8 @@ import os
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, Optional, Tuple,
+                    Union)
 
 from .elements import InvalidInputError, checked_sums
 from .modules import (BasedModule, check_module_axioms, check_module_dimension,
@@ -29,6 +31,7 @@ from .rings import (
     DEFAULT_DEPTH,
     BasedRing,
     Verdict,
+    _id_row,
     _pairs,
     check_dimension,
     check_ring_axioms,
@@ -129,11 +132,44 @@ def _fraction_doc(q: Fraction) -> Any:
     return q.numerator if q.denominator == 1 else [q.numerator, q.denominator]
 
 
-def _entry(value: dict, what: str) -> dict:
-    """A fusion or action entry: ints only, zeros dropped, each range-checked."""
+def _entry(value: dict, ids: dict, name: str, x: str, y: str) -> Tuple[dict, Any]:
+    """The entry name[x,y], ints only, each range-checked once: the entry
+    without zeros, and its ``rings._id_row`` on the basis positions."""
+    if len(value) == 1:  # most entries: one label with coefficient 1
+        for label, c in value.items():
+            if c == 1 and type(c) is int:
+                return value, ids.get(label)
     if not all(type(c) is int or _is(c, int) for c in value.values()):
-        raise LoadError(f"{what}: expected dict of int")
-    return checked_sums(value)
+        raise LoadError(f"{name}[{x},{y}]: expected dict of int")
+    terms = checked_sums(value)
+    return terms, _id_row(terms, ids)
+
+
+def _table(entries: Any, owner: str, name: str, form: str, basis: list,
+           unit: str, both: bool) -> Tuple[dict, list]:
+    """A fusion or action table in one pass, each entry checked once: as (x, y)
+    → its row on ``basis``, or the entry for the constructor to name its fault;
+    and the non-unit entries, without zeros, sorted, for the document.  A unit
+    entry (left, or ``both`` sides) must be the implied product."""
+    from operator import itemgetter
+    ids, table, kept = {label: i for i, label in enumerate(basis)}, {}, []
+    for triple in _typed(entries, list, f"{owner}: {name}"):
+        if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
+                and type(triple[1]) is str and type(triple[2]) is dict):
+            _row(triple, (str, str, dict), f"{owner}: {name} entries are {form}")
+        x, y, value = triple
+        if (x, y) in table:
+            raise LoadError(f"{owner}: duplicate {name} entry ({x}, {y})")
+        terms, row = _entry(value, ids, name, x, y)
+        table[(x, y)] = terms if row is None else row
+        if x != unit and not (both and y == unit):
+            kept.append(triple if terms is value else [x, y, terms])
+        elif terms != {y if x == unit else x: 1}:
+            raise LoadError(f"{owner}: {name}[{x},{y}] contradicts the "
+                            f"implied unit {'product' if both else 'action'}")
+    kept.sort(key=itemgetter(1))  # then stably by x: sorted by (x, y)
+    kept.sort(key=itemgetter(0))
+    return table, kept
 
 
 def _as_cyclo(doc: Any, what: str) -> Cyclo:
@@ -161,8 +197,8 @@ def _as_cyclo(doc: Any, what: str) -> Cyclo:
 # rings
 
 def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
-    """JSON shape, duplicate and unit entries only: ``explicit_ring`` checks
-    the tables against the basis."""
+    """JSON shape, coefficients, duplicate and unit entries only:
+    ``explicit_ring`` checks the tables against the basis."""
     _require_keys(doc, {"kind", "basis", "unit", "conj", "dim", "fusion"},
                   {"name"}, "explicit_ring")
     basis = _typed(doc["basis"], list, "explicit_ring: basis", str)
@@ -172,25 +208,12 @@ def _load_explicit_ring(doc: dict, base_dir: str) -> BasedRing:
     conj = _typed(doc["conj"], dict, "explicit_ring: conj", str)
     dim = {label: _as_fraction(value, f"dim[{label}]") for label, value
            in _typed(doc["dim"], dict, "explicit_ring: dim").items()}
-    fusion: Dict[Tuple[str, str], dict] = {}
-    for triple in _typed(doc["fusion"], list, "explicit_ring: fusion"):
-        a, b, value = _row(triple, (str, str, dict), "explicit_ring: fusion "
-                           "entries are [a, b, {label: coeff}]")
-        if (a, b) in fusion:
-            raise LoadError(f"explicit_ring: duplicate fusion entry ({a}, {b})")
-        fusion[(a, b)] = terms = _entry(value, f"fusion[{a},{b}]")
-        if unit in (a, b) and terms != {b if a == unit else a: 1}:
-            raise LoadError(f"explicit_ring: fusion[{a},{b}] contradicts "
-                            "the implied unit product")
-    normalized = {
-        "kind": "explicit_ring",
-        "basis": list(basis),
-        "unit": unit,
-        "conj": {a: conj[a] for a in sorted(conj)},
-        "dim": {a: _fraction_doc(dim[a]) for a in sorted(dim)},
-        "fusion": sorted([a, b, terms] for (a, b), terms in fusion.items()
-                         if unit not in (a, b)),
-    }
+    fusion, kept = _table(doc["fusion"], "explicit_ring", "fusion",
+                          "[a, b, {label: coeff}]", basis, unit, True)
+    normalized = {"kind": "explicit_ring", "basis": list(basis), "unit": unit,
+                  "conj": {a: conj[a] for a in sorted(conj)},
+                  "dim": {a: _fraction_doc(dim[a]) for a in sorted(dim)},
+                  "fusion": kept}
     if "name" in doc:
         normalized["name"] = _typed(doc["name"], str, "explicit_ring: name")
     return _build(None, explicit_ring,
@@ -306,37 +329,23 @@ def _load_module_doc(doc: dict, base_dir: str) -> BasedModule:
     if "standard_of" in doc:
         _require_keys(doc, {"kind", "standard_of"}, set(), "module")
         return standard_module(_ref(doc["standard_of"], "ring", base_dir))
-    if "induced" in doc:
-        from .induction import induce
-        _require_keys(doc, {"kind", "induced"}, set(), "module")
-        inner = doc["induced"]
-        _require_keys(inner, {"source", "certificate"}, set(), "module.induced")
-        source = _ref(inner["source"], "module", base_dir)
-        cert = _ref(inner["certificate"], "certificate", base_dir)
-        return induce(source, cert)
-    if "restricted" in doc:
-        from .induction import restrict
-        _require_keys(doc, {"kind", "restricted"}, set(), "module")
-        inner = doc["restricted"]
-        _require_keys(inner, {"source", "embedding"}, set(), "module.restricted")
-        source = _ref(inner["source"], "module", base_dir)
-        embedding = _ref(inner["embedding"], "embedding", base_dir)
-        return restrict(source, embedding)
+    # induced along a certificate, or restricted along an embedding
+    for key, along, make in (("induced", "certificate", "induce"),
+                             ("restricted", "embedding", "restrict")):
+        if key in doc:
+            from . import induction
+            _require_keys(doc, {"kind", key}, set(), "module")
+            inner = doc[key]
+            _require_keys(inner, {"source", along}, set(), f"module.{key}")
+            source = _ref(inner["source"], "module", base_dir)
+            return getattr(induction, make)(source, _ref(inner[along], along, base_dir))
     _require_keys(doc, {"kind", "ring", "basis", "action"}, {"name", "dim"},
                   "module")
     ring = _ref(doc["ring"], "ring", base_dir)
     basis = _typed(doc["basis"], list, "module: basis", str)
-    table: Dict[Tuple[str, str], dict] = {}
-    for triple in _typed(doc["action"], list, "module: action"):
-        alpha, j, value = _row(triple, (str, str, dict), "module: action "
-                               "entries are [alpha, j, {label: coeff}]")
-        if (alpha, j) in table:
-            raise LoadError(f"module: duplicate action entry ({alpha}, {j})")
-        table[(alpha, j)] = terms = _entry(value, f"action[{alpha},{j}]")
-        if alpha == ring.unit and terms != {j: 1}:
-            raise LoadError(f"module: action[{alpha},{j}] contradicts the "
-                            "implied unit action")
-    normalized = module_doc(ring, basis, table)
+    table, kept = _table(doc["action"], "module", "action",
+                         "[alpha, j, {label: coeff}]", basis, ring.unit, False)
+    normalized = module_doc(ring, basis, kept)
     if "name" in doc:
         normalized["name"] = _typed(doc["name"], str, "module: name")
     module = _build(None, BasedModule, ring=ring, basis=basis, action=table,
@@ -634,9 +643,8 @@ class ProductCache:
         self.directory = directory
 
     def _path(self, ring: BasedRing) -> Optional[str]:
-        if ring.doc is None:
-            return None
-        return os.path.join(self.directory, content_hash(ring.doc) + ".jsonl")
+        return (None if ring.doc is None
+                else os.path.join(self.directory, content_hash(ring.doc) + ".jsonl"))
 
     def load_into(self, ring: BasedRing) -> int:
         """No record of a log is read back, so the ring is left as it is."""

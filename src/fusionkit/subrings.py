@@ -109,12 +109,12 @@ def coset_classes(e: SubringEmbedding, depth: int = DEFAULT_DEPTH) -> List[List[
 
 
 def _restriction(m: BasedModule, e: SubringEmbedding) -> BasedModule:
-    """``m`` over ``e.sub``, β acting as map(β) on the same basis or window."""
+    """``m`` over ``e.sub``, on its labels and ids: β ⊗ j is m's row of map(β) ⊗ j."""
     doc = None if m.doc is None or e.doc is None else {
         "kind": "module", "restricted": {"source": m.doc, "embedding": e.doc}}
     return BasedModule(ring=e.sub, basis=m._basis, window_fn=m.basis_up_to_depth,
-                       action=lambda beta, j: m.action(e.embed(beta), j),
-                       name=f"Res({m.name})", doc=doc)
+                       action=lambda beta, j: m._row(e.embed(beta), j),
+                       name=f"Res({m.name})", doc=doc, labels=m._ids)
 
 
 class DivisibilityCertificate(NamedTuple):

@@ -480,6 +480,33 @@ def test_cli_restrict_decompose_std_z4(files, tmp_path, capsys):
     assert "count: 2" in out
 
 
+def test_cli_restrict_serializes_no_document_without_out(files, tmp_path, capsys,
+                                                         monkeypatch):
+    # without --out the summands are serialized once, inside the emitted
+    # --json document; with it the file holds their canonical JSON
+    std_z4 = tmp_path / "std-z4.json"
+    std_z4.write_text(json.dumps({"kind": "module", "standard_of": "z4.json"}))
+    argv = ["restrict", str(std_z4), "--embed", files["emb"], "--decompose",
+            "--json"]
+    serialized = []
+    real = serialize.canonical_json
+
+    def counted(doc):
+        serialized.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(serialize, "canonical_json", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    # every other call hashes an input document, which has a kind
+    emitted = [d for d in serialized if not (isinstance(d, dict) and "kind" in d)]
+    assert code == 0 and len(emitted) == 1 and emitted[0]["command"] == "restrict"
+    summands = json.loads(out)["result"]["summands"]
+    written = tmp_path / "summands.json"
+    code, again, _ = run_cli(capsys, *argv, "--out", str(written))
+    assert code == 0 and json.loads(again)["result"]["summands"] == summands
+    assert written.read_text(encoding="utf-8") == real(summands) + "\n"
+
+
 def test_cli_standardize(files, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "standardize", files["std_z2"], "--cert",
                            files["cert"])

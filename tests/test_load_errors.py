@@ -543,3 +543,223 @@ def test_a_module_table_of_dicts_has_the_rows_of_its_element_table():
     for pair in [("e", "m2"), *elements, ("g", "m2")]:
         assert modules[0].action(*pair) == modules[1].action(*pair)
     assert modules[0]._rows == modules[1]._rows
+
+
+# --- the first of two faults ---------------------------------------------------
+# A document's loader faults (an entry's shape, a duplicate, a coefficient
+# that is not an int or leaves the signed 64-bit range, a unit entry that
+# contradicts the unit) win over its constructor faults (the conj and dim
+# tables, labels, signs, missing pairs), whichever entry comes first.  A
+# direct constructor call checks its conj and dim tables first, then its
+# entries in order; explicit_ring reports a missing pair before the first
+# entry that names an unknown label or holds a negative coefficient, and it
+# checks no coefficient of such an entry.  BasedModule raises at the first
+# faulty entry, and a missing pair after every entry.
+
+from fusionkit import explicit_ring  # noqa: E402
+from fusionkit.serialize import load_doc  # noqa: E402
+
+# Z3 on e, a, b: a ⊗ a = b, a ⊗ b = b ⊗ a = e, b ⊗ b = a
+Z3_FUSION = {("a", "a"): {"b": 1}, ("a", "b"): {"e": 1},
+             ("b", "a"): {"e": 1}, ("b", "b"): {"a": 1}}
+Z3_TABLES = {"basis": ["e", "a", "b"], "unit": "e",
+             "conj": {"e": "e", "a": "b", "b": "a"},
+             "dim": {"e": 1, "a": 1, "b": 1}}
+
+
+def z3_doc(*entries, drop=(), **fields):
+    """The explicit Z3 document with ``entries`` replacing or joining its
+    fusion entries, in that order after the others, and without the pairs
+    in ``drop``."""
+    given = {(a, b): value for a, b, value in entries}
+    fusion = [[a, b, value] for (a, b), value in Z3_FUSION.items()
+              if (a, b) not in given and (a, b) not in drop]
+    return dict({"kind": "explicit_ring", **Z3_TABLES,
+                 "fusion": fusion + [list(entry) for entry in entries]}, **fields)
+
+
+def z3_ring(*entries, drop=(), **tables):
+    """explicit_ring on the Z3 tables, with entries as in ``z3_doc``."""
+    fusion = {pair: value for pair, value in Z3_FUSION.items() if pair not in drop}
+    for a, b, value in entries:
+        fusion.pop((a, b), None)
+        fusion[(a, b)] = value
+    return explicit_ring(name="R", fusion=fusion, **dict(Z3_TABLES, **tables))
+
+
+def z2_module(table, basis=("j",)):
+    return BasedModule(ring=Z2_RING, basis=list(basis), action=table, name="M")
+
+
+BIG = 2**64
+RANGE = f"coefficient {BIG} exceeds the signed 64-bit range"
+
+# name → (call, exception type, message)
+FIRST_ERRORS = {
+    # explicit-ring documents
+    "ring doc: a later malformed entry after an unknown label": (
+        lambda: load_doc(z3_doc(("a", "a", {"z": 1}), ("a", "b", 5))),
+        LoadError, "explicit_ring: fusion entries are [a, b, {label: coeff}]"),
+    "ring doc: a later boolean coefficient after an unknown label": (
+        lambda: load_doc(z3_doc(("a", "z", {"b": 1}), ("b", "b", {"a": True}))),
+        LoadError, "fusion[b,b]: expected dict of int"),
+    "ring doc: a float coefficient and a missing pair": (
+        lambda: load_doc(z3_doc(("a", "b", {"e": 1.0}), drop=[("b", "b")])),
+        LoadError, "fusion[a,b]: expected dict of int"),
+    "ring doc: a non-int coefficient on an unknown label": (
+        lambda: load_doc(z3_doc(("a", "a", {"z": "1"}))),
+        LoadError, "fusion[a,a]: expected dict of int"),
+    "ring doc: an out-of-range coefficient and a missing pair": (
+        lambda: load_doc(z3_doc(("b", "a", {"e": BIG}), drop=[("a", "a")])),
+        OverflowError, RANGE),
+    "ring doc: a non-int before an out-of-range coefficient": (
+        lambda: load_doc(z3_doc(("a", "a", {"b": BIG, "a": 0.5}))),
+        LoadError, "fusion[a,a]: expected dict of int"),
+    "ring doc: an out-of-range coefficient and a conj mismatch": (
+        lambda: load_doc(z3_doc(("b", "b", {"a": -BIG}), conj={"e": "e"})),
+        OverflowError, f"coefficient {-BIG} exceeds the signed 64-bit range"),
+    "ring doc: an out-of-range unit entry and a duplicate basis label": (
+        lambda: load_doc(z3_doc(("e", "a", {"a": BIG}),
+                                basis=["e", "a", "b", "a"])),
+        OverflowError, RANGE),
+    "ring doc: a negative coefficient before an unknown target": (
+        lambda: load_doc(z3_doc(("a", "a", {"b": -1}), ("b", "b", {"z": 1}))),
+        LoadError, "ring explicit ring: negative coefficient -1·b in fusion "
+        "entry (a, a)"),
+    "ring doc: an unknown target before a negative coefficient": (
+        lambda: load_doc(z3_doc(("a", "a", {"z": 1, "b": 1}),
+                                ("b", "b", {"a": 2, "b": -1}))),
+        LoadError, "ring explicit ring: fusion entry (a, a) names unknown "
+        "labels ['z']"),
+    "ring doc: a negative coefficient and a missing pair": (
+        lambda: load_doc(z3_doc(("a", "a", {"b": -1}), drop=[("b", "b")])),
+        LoadError, "ring explicit ring: fusion entry for (b, b) is missing; "
+        "unlisted pairs are undefined, not zero"),
+    "ring doc: zeros dropped before the unit check": (
+        lambda: load_doc(z3_doc(("a", "e", {"a": 1, "b": 0}),
+                                ("e", "b", {"b": 1, "a": 1}))),
+        LoadError, "explicit_ring: fusion[e,b] contradicts the implied unit "
+        "product"),
+    # direct explicit_ring calls
+    "explicit_ring: a later float coefficient after an unknown label": (
+        lambda: z3_ring(("a", "z", {"b": 1}), ("b", "b", {"a": 1.5})),
+        InvalidInputError, "coefficient 1.5 is not an integer"),
+    "explicit_ring: no coefficient check on an unknown label": (
+        lambda: z3_ring(("a", "a", {"z": 1.5})),
+        InvalidInputError, "ring R: fusion entry (a, a) names unknown labels "
+        "['z']"),
+    "explicit_ring: a boolean coefficient and a missing pair": (
+        lambda: z3_ring(("a", "b", {"e": True}), drop=[("b", "b")]),
+        InvalidInputError, "coefficient True is not an integer"),
+    "explicit_ring: an out-of-range coefficient and a missing pair": (
+        lambda: z3_ring(("b", "a", {"e": BIG}), drop=[("a", "a")]),
+        OverflowError, RANGE),
+    "explicit_ring: an out-of-range coefficient and a conj mismatch": (
+        lambda: z3_ring(("b", "b", {"a": BIG}), conj={"e": "e", "a": "b"}),
+        InvalidInputError, "ring R: conj table must map exactly the basis "
+        "labels; it differs at ['b']"),
+    "explicit_ring: a negative coefficient before an unknown target": (
+        lambda: z3_ring(("a", "a", Element({"b": -1})), ("b", "b", {"z": 1})),
+        InvalidInputError, "ring R: negative coefficient -1·b in fusion entry "
+        "(a, a)"),
+    "explicit_ring: a negative coefficient and a missing pair": (
+        lambda: z3_ring(("a", "a", {"b": -1}), drop=[("b", "a")]),
+        InvalidInputError, "ring R: fusion entry for (b, a) is missing; "
+        "unlisted pairs are undefined, not zero"),
+    # module documents
+    "module doc: a later malformed entry after an unknown label": (
+        lambda: load_doc(module([["h", "j", {"j": 1}], ["g", "j"]])),
+        LoadError, "module: action entries are [alpha, j, {label: coeff}]"),
+    "module doc: a later boolean coefficient after an unknown target": (
+        lambda: load_doc(module([["g", "j", {"k": 1}], ["e", "j", {"j": True}]])),
+        LoadError, "action[e,j]: expected dict of int"),
+    "module doc: a float coefficient and a missing pair": (
+        lambda: load_doc(module([["g", "j", {"j": 1.0}]], basis=["j", "k"])),
+        LoadError, "action[g,j]: expected dict of int"),
+    "module doc: an out-of-range coefficient and a missing pair": (
+        lambda: load_doc(module([["g", "k", {"j": BIG}]], basis=["j", "k"])),
+        OverflowError, RANGE),
+    "module doc: an out-of-range coefficient and a dim mismatch": (
+        lambda: load_doc(module([["g", "j", {"j": BIG}]], dim={"k": 1})),
+        OverflowError, RANGE),
+    "module doc: a ring conj mismatch before an out-of-range coefficient": (
+        lambda: load_doc(dict(module([["g", "j", {"j": BIG}]]),
+                              ring=dict(EXPLICIT_Z2, conj={"e": "e"}))),
+        LoadError, "ring explicit ring: conj table must map exactly the basis "
+        "labels; it differs at ['g']"),
+    "module doc: a negative coefficient before a later unknown target": (
+        lambda: load_doc(module([["g", "j", {"k": -1}], ["g", "k", {"z": 1}]],
+                                basis=["j", "k"], name="M")),
+        LoadError, "negative coefficient -1·k in g ⊗ j of module M"),
+    "module doc: an unknown target before a later negative coefficient": (
+        lambda: load_doc(module([["g", "j", {"z": 1}], ["g", "k", {"j": -1}]],
+                                basis=["j", "k"], name="M")),
+        LoadError, "module M: action (g, j) hits unknown label 'z'"),
+    "module doc: a duplicate basis label before an unknown target": (
+        lambda: load_doc(module([["g", "j", {"z": 1}]], basis=["j", "j"])),
+        LoadError, "module unnamed: duplicate basis labels"),
+    # direct BasedModule calls
+    "BasedModule: an unknown label before a later float coefficient": (
+        lambda: z2_module({("h", "j"): {"j": 1}, ("g", "j"): {"j": 1.5}}),
+        InvalidInputError, "module M: action entry (h, j) names an unknown "
+        "label"),
+    "BasedModule: a float coefficient before a later unknown label": (
+        lambda: z2_module({("g", "j"): {"j": 1.5}, ("h", "j"): {"j": 1}}),
+        InvalidInputError, "coefficient 1.5 is not an integer"),
+    "BasedModule: an out-of-range coefficient and a missing pair": (
+        lambda: z2_module({("g", "j"): {"k": BIG}}, basis=["j", "k"]),
+        OverflowError, RANGE),
+    "BasedModule: a negative coefficient before a later unknown target": (
+        lambda: z2_module({("g", "j"): Element({"k": -1}),
+                           ("g", "k"): {"z": 1}}, basis=["j", "k"]),
+        InvalidInputError, "negative coefficient -1·k in g ⊗ j of module M"),
+    "BasedModule: a non-int coefficient on an unknown target": (
+        lambda: z2_module({("g", "j"): {"z": "1"}}),
+        InvalidInputError, "coefficient '1' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FIRST_ERRORS))
+def test_first_of_two_faults(site):
+    call, kind, message = FIRST_ERRORS[site]
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+# Rep(S3) on 1, s, r: s ⊗ s = 1, s ⊗ r = r ⊗ s = r, r ⊗ r = 1 ⊕ s ⊕ r
+REP_S3 = {"kind": "explicit_ring", "basis": ["1", "s", "r"], "unit": "1",
+          "conj": {"1": "1", "s": "s", "r": "r"}, "dim": {"1": 1, "s": 1, "r": 2},
+          "fusion": [["s", "s", {"1": 1}], ["s", "r", {"r": 1, "s": 0}],
+                     ["r", "s", {"r": 1}], ["r", "r", {"r": 1, "1": 1, "s": 1}]]}
+
+
+class _Entry(list):
+    pass
+
+
+class _Terms(dict):
+    pass
+
+
+def test_a_loaded_ring_has_the_rows_and_document_of_its_direct_build():
+    # entries of several terms, a zero, a list subclass and a dict subclass:
+    # the loader's rows and normalized document are those of explicit_ring
+    # on the same tables, and of the plain document
+    direct = explicit_ring(
+        name="explicit ring", basis=REP_S3["basis"], unit="1",
+        conj=REP_S3["conj"], dim=REP_S3["dim"],
+        fusion={(a, b): Element(terms) for a, b, terms in REP_S3["fusion"]})
+    odd = dict(REP_S3, fusion=[_Entry(["s", "s", _Terms({"1": 1})]),
+                               *REP_S3["fusion"][1:]])
+    rings = [load_doc(doc) for doc in (REP_S3, odd)]
+    for ring in (direct, *rings):
+        for a in ring.basis:
+            for b in ring.basis:
+                ring._row(a, b)
+    assert rings[0]._rows == rings[1]._rows == direct._rows
+    assert rings[0].doc == rings[1].doc
+    assert rings[0].doc["fusion"] == [["r", "r", {"1": 1, "r": 1, "s": 1}],
+                                      ["r", "s", {"r": 1}], ["s", "r", {"r": 1}],
+                                      ["s", "s", {"1": 1}]]
+    assert rings[0].product("r", "r") == Element({"1": 1, "s": 1, "r": 1})

@@ -632,3 +632,62 @@ def test_module_readers_build_no_element(monkeypatch):
     assert components == [list(module.basis)]
     assert witness == {f"m{k}": f"a{k}" for k in range(48)}
     assert sum(map(len, induced._rows.values())) == 48 * 48  # every action row
+
+
+def test_restricting_and_decomposing_builds_no_element_per_row(monkeypatch):
+    # a restriction reads its source's rows on the source's label ids: the
+    # loaded regular Z/48 module restricted along the identity embedding,
+    # checked and split into its one summand, builds no Element
+    from fusionkit import identity_embedding, restrict_and_decompose
+    from fusionkit.serialize import load_doc, load_session
+    ring_doc, module_doc = _cyclic_docs(48, "a", "m")
+    with load_session():
+        ring, module = load_doc(ring_doc), load_doc(module_doc)
+    embedding = identity_embedding(ring)
+    built = _count_elements(monkeypatch)
+    summands = restrict_and_decompose(module, embedding)
+    monkeypatch.undo()
+    assert len(built) == 0
+    assert [s.basis for s in summands] == [module.basis]
+    assert summands[0].action("a5", "m45") == Element.basis("m2")
+
+
+def _count_checks(monkeypatch):
+    """A Counter of the entry and coefficient checks made until
+    ``monkeypatch.undo()``: ``serialize._entry``, and ``check_coeff`` and
+    ``checked_sums`` wherever a module of fusionkit calls them."""
+    from fusionkit import elements, modules, serialize
+    made = Counter()
+
+    def counted(name, check):
+        def checking(*args, **kwargs):
+            made[name] += 1
+            return check(*args, **kwargs)
+        return checking
+
+    monkeypatch.setattr(serialize, "_entry", counted("_entry", serialize._entry))
+    for module in (elements, rings, modules, serialize):
+        for name in ("check_coeff", "checked_sums"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return made
+
+
+def test_a_loaded_table_entry_is_checked_once(monkeypatch):
+    # the explicit Z/48 ring (2209 fusion entries) and its regular module
+    # (2256 action entries), loaded and validated: one check per entry, the
+    # loader's, and none when the constructors or the row fills read them
+    from fusionkit.serialize import load_doc, load_session
+    ring_doc, module_doc = _cyclic_docs(48, "a", "m")
+    with load_session():
+        made = _count_checks(monkeypatch)
+        ring = load_doc(ring_doc)
+        module = load_doc(module_doc)
+        monkeypatch.undo()
+    entries = len(ring_doc["fusion"]) + len(module_doc["action"])
+    assert entries == 2209 + 2256
+    assert sum(made.values()) <= entries
+    assert made == {"_entry": entries}
+    assert ring.product("a40", "a9") == Element.basis("a1")
+    assert module.action("a47", "m1") == Element.basis("m0")
