@@ -515,17 +515,17 @@ def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
     A one-label row is used directly, (α⊗β)⊗j = l⊗j for α⊗β = l and
     α⊗(β⊗j) = α⊗m for β⊗j = m, so both sides are ids compared as ints; any
     other row is summed term by term, each final coefficient range-checked,
-    once per row and j, or α and row, within one call: a repeat is a sum
-    that already finished without raising.
+    once per row and j within one call, or per row within one α: a repeat
+    is a sum that already finished without raising.
     """
     xs, ys = [ring._ids.id(x) for x in alphas], [ring._ids.id(y) for y in betas]
     ks = [table._ids.id(j) for j in js]
     act, fill, prod = table._rows, table._fill, ring._rows
     by_beta: dict = {}  # β → [β⊗j for j in js]
     flats: dict = {}  # (α⊗β row, j) → (α⊗β)⊗j, for a row of several terms
-    nesteds: dict = {}  # (α, β⊗j row) → α⊗(β⊗j), likewise
     for a in xs:
         ra, pa = act[a], prod[a]
+        nesteds: dict = {}  # β⊗j row → α⊗(β⊗j), likewise, for this α only
         for b in ys:
             ab = pa[b] if b in pa else ring._fill(a, b)
             rab = None if type(ab) is tuple else act[ab]
@@ -542,9 +542,9 @@ def first_nonassociative(table: Any, ring: BasedRing, alphas: Sequence[str],
                     bjs.append(act[b][j] if j in act[b] else fill(b, j))
                 bj = bjs[k]
                 if type(bj) is tuple:
-                    nested = nesteds.get((a, bj))
+                    nested = nesteds.get(bj)
                     if nested is None:
-                        nesteds[a, bj] = nested = _sum(act, fill, [(a, y, c) for y, c in bj])
+                        nesteds[bj] = nested = _sum(act, fill, [(a, y, c) for y, c in bj])
                 else:
                     nested = ra[bj] if bj in ra else fill(a, bj)
                 if nested != flat and dict(_pairs(nested)) != dict(_pairs(flat)):

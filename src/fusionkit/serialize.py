@@ -15,7 +15,6 @@ must list every non-unit pair: unlisted pairs are undefined, never zero.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -69,8 +68,23 @@ def canonical_json(doc: Any) -> str:
                       ensure_ascii=True)
 
 
+def _sha256() -> Callable[[bytes], Any]:
+    """CPython's built-in SHA-256: hashlib's maps OpenSSL's libcrypto into
+    the process, megabytes of peak RSS, for the same digest.  Python 3.12+
+    names the module ``_sha2`` and some builds lack it; there hashlib's is
+    used."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
+_SHA256 = _sha256()
+
+
 def content_hash(doc: Any) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("ascii")).hexdigest()
+    return _SHA256(canonical_json(doc).encode("ascii")).hexdigest()
 
 
 def _is(value: Any, kind: type) -> bool:

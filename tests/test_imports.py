@@ -9,6 +9,7 @@ the bare interpreter's.
 import ast
 import functools
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -94,6 +95,11 @@ COMMANDS = [
      BASE | INDUCTION),
 ]
 
+# modules no command loads: hashlib's SHA-256 maps OpenSSL through _hashlib,
+# and where CPython's built-in _sha256 exists no command needs it
+FORBIDDEN = {"dataclasses", "inspect"} | (
+    {"_hashlib"} if importlib.util.find_spec("_sha256") is not None else set())
+
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
@@ -124,7 +130,7 @@ def test_each_command_loads_only_its_modules(loaded, argv, code, expected):
     got_code, modules = loaded[" ".join(argv)]
     assert got_code == code
     assert {m for m in modules if m.split(".")[0] == "fusionkit"} == expected
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & FORBIDDEN
 
 
 # --- the package namespace ----------------------------------------------------

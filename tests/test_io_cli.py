@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import runpy
+import sys
 
 import pytest
 
@@ -241,6 +242,22 @@ def test_census_doc_roundtrip_shape(z2):
     assert doc["complete"] is True
     assert len(doc["modules"]) == 2
     assert doc["ring_hash"] == content_hash(z2.doc)
+
+
+def test_content_hash_is_hashlib_s_sha256_with_or_without_the_builtin(monkeypatch):
+    # CPython's built-in _sha256 where it exists, hashlib's where it does
+    # not; both give hashlib's digest of the canonical ASCII bytes
+    doc = {"kind": "module", "name": "Rep(S₃)", "basis": ["ψ", "j"],
+           "action": [["ρ", "ψ", {"j": 1}]]}
+    data = serialize.canonical_json(doc).encode("ascii")
+    assert b"\\u03c8" in data and b"\\u2083" in data
+    want = hashlib.sha256(data).hexdigest()
+    assert content_hash(doc) == want
+    builtin = serialize._sha256()
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    fallback = serialize._sha256()
+    assert fallback is hashlib.sha256
+    assert builtin(data).hexdigest() == fallback(data).hexdigest() == want
 
 
 # --- product cache -------------------------------------------------------------
